@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -129,6 +130,17 @@ class JsonReport {
  private:
   std::vector<std::pair<std::string, std::string>> entries_;
 };
+
+/// Table cell for a speedup, "n/a" when a partial --benchmark_filter skipped
+/// one of the points it divides.
+inline std::string speedup_cell(std::optional<double> speedup) {
+  return speedup ? util::Table::speedup(*speedup) : "n/a";
+}
+
+/// Table cell for the geomean of the speedups that ran, "n/a" when none did.
+inline std::string gmean_cell(const std::vector<double>& speedups) {
+  return speedups.empty() ? "n/a" : util::Table::speedup(util::geomean(speedups));
+}
 
 /// Extracts a `--json <path>` / `--json=<path>` flag from the raw argv
 /// (before benchmark::Initialize eats its own flags). Empty = not given.

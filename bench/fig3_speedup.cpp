@@ -8,6 +8,7 @@
 
 #include <iostream>
 #include <map>
+#include <optional>
 
 #include "bench_common.hpp"
 
@@ -16,10 +17,19 @@ namespace {
 using namespace gnnerator;
 using bench::BenchPoint;
 
+/// One benchmark point; a GNNerator time of 0 means a partial
+/// --benchmark_filter skipped that run.
 struct Fig3Row {
   double gpu_ms = 0.0;
   double blocked_ms = 0.0;
   double unblocked_ms = 0.0;
+
+  [[nodiscard]] std::optional<double> speedup(double gnnerator_ms) const {
+    if (gnnerator_ms <= 0.0) {
+      return std::nullopt;
+    }
+    return gpu_ms / gnnerator_ms;
+  }
 };
 
 std::map<std::string, Fig3Row> g_rows;
@@ -64,14 +74,22 @@ void write_json(const std::string& path) {
     }
     const Fig3Row& row = it->second;
     json.set(point.name() + ".gpu_ms", row.gpu_ms);
-    json.set(point.name() + ".blocked_ms", row.blocked_ms);
-    json.set(point.name() + ".unblocked_ms", row.unblocked_ms);
-    json.set(point.name() + ".speedup", row.gpu_ms / row.blocked_ms);
-    blocked_speedups.push_back(row.gpu_ms / row.blocked_ms);
-    unblocked_speedups.push_back(row.gpu_ms / row.unblocked_ms);
+    if (const auto s = row.speedup(row.blocked_ms)) {
+      json.set(point.name() + ".blocked_ms", row.blocked_ms);
+      json.set(point.name() + ".speedup", *s);
+      blocked_speedups.push_back(*s);
+    }
+    if (const auto s = row.speedup(row.unblocked_ms)) {
+      json.set(point.name() + ".unblocked_ms", row.unblocked_ms);
+      unblocked_speedups.push_back(*s);
+    }
   }
-  json.set("gmean.speedup_blocked", util::geomean(blocked_speedups));
-  json.set("gmean.speedup_unblocked", util::geomean(unblocked_speedups));
+  if (!blocked_speedups.empty()) {
+    json.set("gmean.speedup_blocked", util::geomean(blocked_speedups));
+  }
+  if (!unblocked_speedups.empty()) {
+    json.set("gmean.speedup_unblocked", util::geomean(unblocked_speedups));
+  }
   if (!json.write(path)) {
     std::cerr << "error: cannot write JSON to " << path << '\n';
   } else {
@@ -98,18 +116,22 @@ void print_table() {
       continue;  // point excluded by --benchmark_filter
     }
     const Fig3Row& row = it->second;
-    const double s_blocked = row.gpu_ms / row.blocked_ms;
-    const double s_unblocked = row.gpu_ms / row.unblocked_ms;
-    blocked_speedups.push_back(s_blocked);
-    unblocked_speedups.push_back(s_unblocked);
-    table.add_row({point.name(), util::Table::fixed(row.gpu_ms, 3),
-                   util::Table::fixed(row.blocked_ms, 3),
-                   util::Table::fixed(row.unblocked_ms, 3), util::Table::speedup(s_blocked),
-                   util::Table::speedup(s_unblocked)});
+    const auto s_blocked = row.speedup(row.blocked_ms);
+    const auto s_unblocked = row.speedup(row.unblocked_ms);
+    if (s_blocked) {
+      blocked_speedups.push_back(*s_blocked);
+    }
+    if (s_unblocked) {
+      unblocked_speedups.push_back(*s_unblocked);
+    }
+    const auto ms_cell = [](double ms) { return ms > 0.0 ? util::Table::fixed(ms, 3) : "n/a"; };
+    table.add_row({point.name(), util::Table::fixed(row.gpu_ms, 3), ms_cell(row.blocked_ms),
+                   ms_cell(row.unblocked_ms), bench::speedup_cell(s_blocked),
+                   bench::speedup_cell(s_unblocked)});
   }
   table.add_separator();
-  table.add_row({"Gmean", "", "", "", util::Table::speedup(util::geomean(blocked_speedups)),
-                 util::Table::speedup(util::geomean(unblocked_speedups))});
+  table.add_row({"Gmean", "", "", "", bench::gmean_cell(blocked_speedups),
+                 bench::gmean_cell(unblocked_speedups)});
   std::cout << table.to_string();
   std::cout << "\nPaper: Gmean 8.0x (blocked), 4.2x (w/o feature blocking).\n";
 }

@@ -10,6 +10,7 @@
 
 #include <iostream>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -70,6 +71,20 @@ void register_benchmarks() {
   }
 }
 
+/// Simulated ms of (variant, point), or nullopt when a partial
+/// --benchmark_filter skipped it.
+std::optional<double> ms_of(const std::string& variant, const std::string& point) {
+  const auto by_variant = g_ms.find(variant);
+  if (by_variant == g_ms.end()) {
+    return std::nullopt;
+  }
+  const auto it = by_variant->second.find(point);
+  if (it == by_variant->second.end()) {
+    return std::nullopt;
+  }
+  return it->second;
+}
+
 void print_table() {
   std::cout << "\n=== Fig. 5: next-generation GNNerator scaling (speedup vs base) ===\n";
   util::Table table({"Benchmark", "More Graph Engine Memory", "More DNN Engine Compute",
@@ -78,20 +93,28 @@ void print_table() {
   for (const std::size_t hidden : kHidden) {
     for (const char* ds : kDatasets) {
       const std::string point = point_name(ds, hidden);
-      const double base = g_ms.at("base").at(point);
+      const std::optional<double> base = ms_of("base", point);
       std::vector<std::string> row{point};
+      bool ran = base.has_value();
       for (const char* variant : {"2x-graph-mem", "2x-dense", "2x-bw"}) {
-        const double speedup = base / g_ms.at(variant).at(point);
-        speedups[variant].push_back(speedup);
-        row.push_back(util::Table::speedup(speedup));
+        const std::optional<double> ms = ms_of(variant, point);
+        ran = ran || ms.has_value();
+        std::optional<double> speedup;
+        if (base && ms) {
+          speedup = *base / *ms;
+          speedups[variant].push_back(*speedup);
+        }
+        row.push_back(bench::speedup_cell(speedup));
       }
-      table.add_row(row);
+      if (ran) {
+        table.add_row(row);
+      }
     }
   }
   table.add_separator();
   std::vector<std::string> gmean_row{"Gmean"};
   for (const char* variant : {"2x-graph-mem", "2x-dense", "2x-bw"}) {
-    gmean_row.push_back(util::Table::speedup(util::geomean(speedups[variant])));
+    gmean_row.push_back(bench::gmean_cell(speedups[variant]));
   }
   table.add_row(gmean_row);
   std::cout << table.to_string();

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "graph/builder.hpp"
+#include "graph/generate.hpp"
 #include "shard/shard_grid.hpp"
 #include "util/check.hpp"
 #include "util/units.hpp"
@@ -84,12 +84,7 @@ HygcnModel::HygcnModel(HygcnConfig config) : config_(std::move(config)) {
 
 HygcnLayerCycles HygcnModel::layer_cycles(const graph::Graph& graph,
                                           const gnn::LayerSpec& layer) const {
-  graph::GraphBuilder builder(graph.num_nodes());
-  for (const graph::Edge& e : graph.edges()) {
-    builder.add_edge(e.src, e.dst);
-  }
-  builder.add_self_loops();
-  const graph::Graph agg_graph = builder.build();
+  const graph::Graph agg_graph = graph::with_self_loops(graph);
 
   const std::uint64_t v = graph.num_nodes();
   HygcnLayerCycles out;

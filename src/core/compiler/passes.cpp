@@ -1,9 +1,10 @@
 #include "core/compiler/passes.hpp"
 
 #include <algorithm>
+#include <map>
 #include <sstream>
 
-#include "graph/builder.hpp"
+#include "graph/generate.hpp"
 #include "shard/cost_model.hpp"
 #include "shard/sizing.hpp"
 #include "util/check.hpp"
@@ -65,12 +66,7 @@ void build_stage_graph_pass(StageGraph& ir) {
   if (!ir.analysis_only) {
     // Aggregation graph: dataset graph + self loops (Eq. 1/2 aggregate over
     // N(u) ∪ u). Edge coefficients use the original degrees.
-    graph::GraphBuilder builder(g.num_nodes());
-    for (const graph::Edge& e : g.edges()) {
-      builder.add_edge(e.src, e.dst);
-    }
-    builder.add_self_loops();
-    ir.agg_graph = std::make_shared<const graph::Graph>(builder.build());
+    ir.agg_graph = std::make_shared<const graph::Graph>(graph::with_self_loops(g));
     ir.agg_edge_count = ir.agg_graph->num_edges();
     ir.base_in_degree.resize(g.num_nodes());
     for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -137,6 +133,9 @@ void feature_blocking_pass(StageGraph& ir) {
 
 void shard_sizing_pass(StageGraph& ir) {
   const graph::NodeId num_nodes = ir.dataset_graph->num_nodes();
+  // Grids are read-only once built, so stages with the same interval size
+  // share one.
+  std::map<graph::NodeId, std::shared_ptr<const shard::ShardGrid>> grids;
   for (StageNode& node : ir.nodes) {
     if (!node.is_aggregate()) {
       continue;
@@ -146,8 +145,12 @@ void shard_sizing_pass(StageGraph& ir) {
     node.agg.sizing = shard::choose_shard_size(ir.config.graph.feature_scratch_bytes,
                                                node.agg.block, num_nodes, policy);
     if (!ir.analysis_only) {
-      node.agg.grid = std::make_shared<const shard::ShardGrid>(*ir.agg_graph,
-                                                               node.agg.sizing.nodes_per_shard);
+      const graph::NodeId n = node.agg.sizing.nodes_per_shard;
+      std::shared_ptr<const shard::ShardGrid>& grid = grids[n];
+      if (grid == nullptr) {
+        grid = std::make_shared<const shard::ShardGrid>(*ir.agg_graph, n);
+      }
+      node.agg.grid = grid;
     }
   }
   ir.mark(kShardsSized);

@@ -25,22 +25,6 @@ GraphBuilder& GraphBuilder::add_undirected_edge(NodeId a, NodeId b) {
   return *this;
 }
 
-GraphBuilder& GraphBuilder::add_self_loops() {
-  canonicalize();
-  std::vector<bool> has_loop(num_nodes_, false);
-  for (const Edge& e : edges_) {
-    if (e.src == e.dst) {
-      has_loop[e.src] = true;
-    }
-  }
-  for (NodeId v = 0; v < num_nodes_; ++v) {
-    if (!has_loop[v]) {
-      edges_.push_back(Edge{v, v});
-    }
-  }
-  return *this;
-}
-
 GraphBuilder& GraphBuilder::symmetrize() {
   const std::size_t n = edges_.size();
   edges_.reserve(2 * n);

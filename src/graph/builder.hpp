@@ -20,11 +20,6 @@ class GraphBuilder {
   /// Adds both (src, dst) and (dst, src).
   GraphBuilder& add_undirected_edge(NodeId a, NodeId b);
 
-  /// Adds (v, v) for every node that does not already have a self loop.
-  /// GCN-style networks aggregate over N(u) ∪ u; callers that want the self
-  /// contribution materialised as edges use this.
-  GraphBuilder& add_self_loops();
-
   /// Adds the reverse of every edge currently collected (symmetrises).
   GraphBuilder& symmetrize();
 

@@ -162,4 +162,26 @@ Graph symmetrized(const Graph& g) {
   return builder.build();
 }
 
+Graph with_self_loops(const Graph& g) {
+  std::vector<Edge> edges;
+  edges.reserve(g.num_edges() + g.num_nodes());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    // Out-neighbours are ascending: the loop goes before the first one >= v.
+    bool placed = false;
+    for (const NodeId u : g.out_neighbors(v)) {
+      if (!placed && u >= v) {
+        if (u != v) {
+          edges.push_back(Edge{v, v});
+        }
+        placed = true;
+      }
+      edges.push_back(Edge{v, u});
+    }
+    if (!placed) {
+      edges.push_back(Edge{v, v});
+    }
+  }
+  return Graph(g.num_nodes(), std::move(edges));
+}
+
 }  // namespace gnnerator::graph

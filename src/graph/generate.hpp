@@ -37,4 +37,9 @@ Graph power_law(NodeId num_nodes, std::size_t num_edges, double alpha, util::Prn
 /// undirected graphs by GCN/GraphSAGE.
 Graph symmetrized(const Graph& g);
 
+/// Adds (v, v) for every node that lacks one, in O(V + E): GCN-style
+/// networks aggregate over N(u) ∪ u (paper Eq. 1/2), and the compiler shards
+/// this augmented graph. The result carries no coefficient-degree override.
+Graph with_self_loops(const Graph& g);
+
 }  // namespace gnnerator::graph

@@ -14,60 +14,77 @@ ShardGrid::ShardGrid(const graph::Graph& graph, NodeId nodes_per_shard)
   GNNERATOR_CHECK(dim_ > 0);
 
   const std::size_t num_shards = static_cast<std::size_t>(dim_) * dim_;
-  auto shard_of = [&](const Edge& e) -> std::size_t {
-    const std::size_t row = e.src / nodes_per_shard_;
-    const std::size_t col = e.dst / nodes_per_shard_;
-    return row * dim_ + col;
+  const auto interval_of = [&](NodeId v) -> std::size_t { return v / nodes_per_shard_; };
+
+  // Every per-shard array is filled by one stable counting pass in an order
+  // that leaves each shard sorted, so no comparison sort runs. Counts go to
+  // offsets[s + 2]; after the prefix sum offsets[s + 1] is shard s's start,
+  // and placing at offsets[s + 1]++ turns it into shard s's end, leaving
+  // offsets[0..S^2] as the final table without a separate cursor array.
+  const auto prefix_sum = [](std::vector<std::size_t>& offsets) {
+    for (std::size_t i = 2; i < offsets.size(); ++i) {
+      offsets[i] += offsets[i - 1];
+    }
   };
 
-  // Counting sort of edges into shard buckets.
-  offsets_.assign(num_shards + 1, 0);
-  for (const Edge& e : graph.edges()) {
-    ++offsets_[shard_of(e) + 1];
-  }
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    offsets_[s + 1] += offsets_[s];
-  }
+  // Visits the CSR as (source, shard, whether the source is new to that
+  // shard). A source's out-neighbours ascend, and so do their columns: the
+  // source is new to a shard exactly when its previous neighbour fell in
+  // another shard.
+  const auto walk_csr = [&](auto&& visit) {
+    for (NodeId u = 0; u < num_nodes_; ++u) {
+      const std::size_t row_base = interval_of(u) * dim_;
+      std::size_t prev_shard = num_shards;
+      for (const NodeId v : graph.out_neighbors(u)) {
+        const std::size_t s = row_base + interval_of(v);
+        visit(u, s, s != prev_shard);
+        prev_shard = s;
+      }
+    }
+  };
+
+  offsets_.assign(num_shards + 2, 0);
+  source_offsets_.assign(num_shards + 2, 0);
+  walk_csr([&](NodeId /*src*/, std::size_t s, bool new_source) {
+    ++offsets_[s + 2];
+    if (new_source) {
+      ++source_offsets_[s + 2];
+    }
+  });
+  prefix_sum(offsets_);
+  prefix_sum(source_offsets_);
+
+  // Place edges by walking the CSC: destinations ascending, each one's
+  // sources ascending, so every shard receives its edges in (dst, src)
+  // order.
   edges_.resize(graph.num_edges());
-  {
-    std::vector<std::size_t> cursor(offsets_.begin(), offsets_.end() - 1);
-    for (const Edge& e : graph.edges()) {
-      edges_[cursor[shard_of(e)]++] = e;
+  for (NodeId v = 0; v < num_nodes_; ++v) {
+    const std::size_t col = interval_of(v);
+    for (const NodeId u : graph.in_neighbors(v)) {
+      edges_[offsets_[interval_of(u) * dim_ + col + 1]++] = Edge{u, v};
     }
   }
-  // Destination-major order inside each shard.
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    std::sort(edges_.begin() + static_cast<std::ptrdiff_t>(offsets_[s]),
-              edges_.begin() + static_cast<std::ptrdiff_t>(offsets_[s + 1]),
-              [](const Edge& a, const Edge& b) {
-                return a.dst != b.dst ? a.dst < b.dst : a.src < b.src;
-              });
-  }
+  offsets_.pop_back();
 
-  // Distinct active sources / destinations per shard.
-  source_offsets_.assign(num_shards + 1, 0);
+  // The CSR walk visits sources in ascending order, so every shard's
+  // distinct sources come out sorted.
+  sources_.resize(source_offsets_.back());
+  walk_csr([&](NodeId u, std::size_t s, bool new_source) {
+    if (new_source) {
+      sources_[source_offsets_[s + 1]++] = u;
+    }
+  });
+  source_offsets_.pop_back();
+
+  // A shard's distinct destinations are the dst changes along its
+  // (dst, src)-ordered edges.
   dest_offsets_.assign(num_shards + 1, 0);
-  std::vector<NodeId> scratch;
   for (std::size_t s = 0; s < num_shards; ++s) {
-    const auto begin = edges_.begin() + static_cast<std::ptrdiff_t>(offsets_[s]);
-    const auto end = edges_.begin() + static_cast<std::ptrdiff_t>(offsets_[s + 1]);
-
-    scratch.clear();
-    for (auto it = begin; it != end; ++it) {
-      scratch.push_back(it->src);
+    for (std::size_t i = offsets_[s]; i < offsets_[s + 1]; ++i) {
+      if (i == offsets_[s] || edges_[i - 1].dst != edges_[i].dst) {
+        dests_.push_back(edges_[i].dst);
+      }
     }
-    std::sort(scratch.begin(), scratch.end());
-    scratch.erase(std::unique(scratch.begin(), scratch.end()), scratch.end());
-    sources_.insert(sources_.end(), scratch.begin(), scratch.end());
-    source_offsets_[s + 1] = sources_.size();
-
-    scratch.clear();
-    for (auto it = begin; it != end; ++it) {
-      scratch.push_back(it->dst);
-    }
-    std::sort(scratch.begin(), scratch.end());
-    scratch.erase(std::unique(scratch.begin(), scratch.end()), scratch.end());
-    dests_.insert(dests_.end(), scratch.begin(), scratch.end());
     dest_offsets_[s + 1] = dests_.size();
   }
 }

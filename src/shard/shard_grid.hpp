@@ -31,6 +31,8 @@ struct ShardCoord {
 /// range so two GPEs never accumulate into the same node.
 class ShardGrid {
  public:
+  /// Builds the grid in O(V + E + S^2) from the graph's CSR and CSC, which
+  /// already hold the edges in the orders each shard needs.
   ShardGrid(const graph::Graph& graph, NodeId nodes_per_shard);
 
   /// Grid dimension S = ceil(V / n).

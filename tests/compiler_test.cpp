@@ -230,6 +230,27 @@ TEST(Compiler, SelfLoopsAddedToAggregationGraph) {
   }
 }
 
+TEST(Compiler, StagesWithEqualIntervalsShareOneGrid) {
+  const auto g = test_graph(2, 400, 2500);
+  const auto model = gnn::ModelSpec::gcn(256, 16, 5);
+  // B = 16 gives the 256-wide and 16-wide stages the same interval; B = 256
+  // leaves the first stage a wider block and so a smaller interval.
+  DataflowOptions narrow;
+  narrow.block_size = 16;
+  const LoweredModel shared = compile_model(g, model, tiny_config(), narrow);
+  ASSERT_EQ(shared.agg_stages.size(), 2u);
+  ASSERT_EQ(shared.agg_stages[0].sizing.nodes_per_shard,
+            shared.agg_stages[1].sizing.nodes_per_shard);
+  EXPECT_EQ(shared.agg_stages[0].grid, shared.agg_stages[1].grid);
+
+  DataflowOptions wide;
+  wide.block_size = 256;
+  const LoweredModel distinct = compile_model(g, model, tiny_config(), wide);
+  ASSERT_NE(distinct.agg_stages[0].sizing.nodes_per_shard,
+            distinct.agg_stages[1].sizing.nodes_per_shard);
+  EXPECT_NE(distinct.agg_stages[0].grid, distinct.agg_stages[1].grid);
+}
+
 TEST(Compiler, SagePoolProducesIntervalTokens) {
   const auto g = test_graph();
   const auto model = gnn::ModelSpec::graphsage_pool(48, 12, 5);

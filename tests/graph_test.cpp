@@ -2,6 +2,8 @@
 // generators, the Table II dataset registry and text I/O.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <sstream>
 #include <unordered_set>
 
@@ -76,11 +78,11 @@ TEST(Builder, SymmetrizeAddsReverses) {
 TEST(Builder, SelfLoopManagement) {
   GraphBuilder b(3);
   b.add_edge(0, 1).add_edge(1, 1);
-  b.add_self_loops();
-  Graph g = b.build();
-  EXPECT_EQ(g.num_self_loops(), 3u);  // one per node, existing kept
+  const Graph looped = with_self_loops(b.build());
+  EXPECT_EQ(looped.num_self_loops(), 3u);  // one per node, existing kept
+  EXPECT_EQ(looped.num_edges(), 4u);
   b.remove_self_loops();
-  g = b.build();
+  const Graph g = b.build();
   EXPECT_EQ(g.num_self_loops(), 0u);
   EXPECT_EQ(g.num_edges(), 1u);
 }
@@ -163,6 +165,39 @@ TEST(Generators, DeterministicGivenSeed) {
   ASSERT_EQ(ga.num_edges(), gb.num_edges());
   for (std::size_t i = 0; i < ga.num_edges(); ++i) {
     EXPECT_EQ(ga.edges()[i], gb.edges()[i]);
+  }
+}
+
+TEST(Generators, WithSelfLoopsMatchesSetReference) {
+  util::Prng prng(3);
+  std::vector<Graph> graphs;
+  graphs.push_back(erdos_renyi(80, 400, prng));  // no loops
+  GraphBuilder every(30);
+  for (NodeId v = 0; v < 30; ++v) {
+    every.add_edge(v, v).add_edge(v, (7 * v + 3) % 30);
+  }
+  graphs.push_back(every.build());
+  GraphBuilder some(40);
+  for (int i = 0; i < 200; ++i) {
+    some.add_edge(static_cast<NodeId>(prng.uniform_u64(40)),
+                  static_cast<NodeId>(prng.uniform_u64(40)));
+  }
+  some.add_edge(0, 0).add_edge(39, 39).add_edge(17, 17);
+  graphs.push_back(some.build());
+  graphs.push_back(GraphBuilder(25).add_edge(3, 4).build());  // isolated vertices
+  graphs.push_back(GraphBuilder(1).build());
+  graphs.push_back(GraphBuilder(12).build());  // no edges
+
+  for (const Graph& g : graphs) {
+    std::set<Edge> expected(g.edges().begin(), g.edges().end());
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      expected.insert(Edge{v, v});
+    }
+    const Graph looped = with_self_loops(g);
+    EXPECT_EQ(looped.num_nodes(), g.num_nodes());
+    EXPECT_EQ(looped.num_self_loops(), g.num_nodes());
+    ASSERT_EQ(looped.num_edges(), expected.size());
+    EXPECT_TRUE(std::equal(looped.edges().begin(), looped.edges().end(), expected.begin()));
   }
 }
 

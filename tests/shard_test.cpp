@@ -3,10 +3,15 @@
 // shard sizing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "graph/builder.hpp"
 #include "graph/generate.hpp"
+#include "graph/sample.hpp"
 #include "shard/cost_model.hpp"
 #include "shard/shard_grid.hpp"
 #include "shard/sizing.hpp"
@@ -66,41 +71,130 @@ TEST(ShardGrid, IntervalsPartitionNodeSpace) {
   EXPECT_EQ(grid.interval_size(4), 3u);
 }
 
-TEST(ShardGrid, EdgesSortedDestinationMajorWithinShard) {
-  const graph::Graph g = random_graph(4);
-  const ShardGrid grid(g, 30);
-  for (std::uint32_t r = 0; r < grid.dim(); ++r) {
-    for (std::uint32_t c = 0; c < grid.dim(); ++c) {
-      const auto edges = grid.shard_edges({r, c});
-      for (std::size_t i = 1; i < edges.size(); ++i) {
-        const bool ordered = edges[i - 1].dst < edges[i].dst ||
-                             (edges[i - 1].dst == edges[i].dst &&
-                              edges[i - 1].src < edges[i].src);
-        EXPECT_TRUE(ordered);
-      }
+/// Graphs the grid must shard exactly: plain random, partial and full self
+/// loops, isolated vertices, a single vertex, no edges, and a sampled
+/// subgraph (remapped ids with a coefficient-degree override).
+std::vector<std::pair<std::string, graph::Graph>> grid_cases() {
+  std::vector<std::pair<std::string, graph::Graph>> cases;
+  cases.emplace_back("random", random_graph(4));
+
+  util::Prng prng(9);
+  graph::GraphBuilder some_loops(61);
+  for (int i = 0; i < 300; ++i) {
+    some_loops.add_edge(static_cast<graph::NodeId>(prng.uniform_u64(61)),
+                        static_cast<graph::NodeId>(prng.uniform_u64(61)));
+  }
+  for (graph::NodeId v = 0; v < 61; v += 3) {
+    some_loops.add_edge(v, v);
+  }
+  cases.emplace_back("some-self-loops", some_loops.build());
+  cases.emplace_back("all-self-loops", graph::with_self_loops(random_graph(5)));
+
+  graph::GraphBuilder isolated(50);  // only ids 10..19 and 40..44 have edges
+  for (graph::NodeId a = 10; a < 20; ++a) {
+    isolated.add_edge(a, 40 + a % 5).add_edge(40 + a % 5, a).add_edge(a, (a + 1) % 10 + 10);
+  }
+  cases.emplace_back("isolated-vertices", isolated.build());
+
+  cases.emplace_back("single-vertex", graph::GraphBuilder(1).build());
+  cases.emplace_back("single-vertex-loop", graph::GraphBuilder(1).add_edge(0, 0).build());
+  cases.emplace_back("no-edges", graph::GraphBuilder(37).build());
+
+  util::Prng parent_prng(6);
+  const graph::Graph parent = graph::symmetrized(graph::power_law(300, 1500, 1.6, parent_prng));
+  util::Prng sample_prng(7);
+  cases.emplace_back("sampled",
+                     graph::sample_frontier(parent, {3, 150, 299}, graph::parse_fanout("5,3"),
+                                            sample_prng)
+                         .graph);
+  return cases;
+}
+
+std::vector<graph::NodeId> interval_sizes(graph::NodeId v) {
+  return {1, 2, 7, v / 2 + 1, v, v + 5};
+}
+
+/// One shard as a comparison sort computes it.
+struct ReferenceShard {
+  std::vector<graph::Edge> edges;  // (dst, src) order
+  std::vector<graph::NodeId> sources;
+  std::vector<graph::NodeId> dests;
+};
+
+std::vector<ReferenceShard> reference_shards(const graph::Graph& g, graph::NodeId n) {
+  const auto dim = static_cast<std::size_t>(util::ceil_div(g.num_nodes(), n));
+  std::vector<ReferenceShard> shards(dim * dim);
+  for (const graph::Edge& e : g.edges()) {
+    shards[(e.src / n) * dim + e.dst / n].edges.push_back(e);
+  }
+  const auto sort_unique = [](std::vector<graph::NodeId>& ids) {
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  };
+  for (ReferenceShard& shard : shards) {
+    std::sort(shard.edges.begin(), shard.edges.end(),
+              [](const graph::Edge& a, const graph::Edge& b) {
+                return a.dst != b.dst ? a.dst < b.dst : a.src < b.src;
+              });
+    for (const graph::Edge& e : shard.edges) {
+      shard.sources.push_back(e.src);
+      shard.dests.push_back(e.dst);
+    }
+    sort_unique(shard.sources);
+    sort_unique(shard.dests);
+  }
+  return shards;
+}
+
+/// Runs `check(grid, reference shards)` for every case and interval size.
+template <typename Check>
+void for_each_grid_case(Check&& check) {
+  for (const auto& [name, g] : grid_cases()) {
+    for (const graph::NodeId n : interval_sizes(g.num_nodes())) {
+      SCOPED_TRACE(name + " V=" + std::to_string(g.num_nodes()) + " n=" + std::to_string(n));
+      const ShardGrid grid(g, n);
+      const std::vector<ReferenceShard> reference = reference_shards(g, n);
+      ASSERT_EQ(static_cast<std::size_t>(grid.dim()) * grid.dim(), reference.size());
+      EXPECT_EQ(grid.total_edges(), g.num_edges());
+      check(grid, reference);
     }
   }
 }
 
-TEST(ShardGrid, ActiveSourcesAndDestsMatchEdges) {
-  const graph::Graph g = random_graph(5);
-  const ShardGrid grid(g, 24);
-  for (std::uint32_t r = 0; r < grid.dim(); ++r) {
-    for (std::uint32_t c = 0; c < grid.dim(); ++c) {
-      std::set<graph::NodeId> srcs;
-      std::set<graph::NodeId> dsts;
-      for (const graph::Edge& e : grid.shard_edges({r, c})) {
-        srcs.insert(e.src);
-        dsts.insert(e.dst);
+TEST(ShardGrid, EdgesSortedDestinationMajorWithinShard) {
+  for_each_grid_case([](const ShardGrid& grid, const std::vector<ReferenceShard>& reference) {
+    std::size_t nonempty = 0;
+    for (std::uint32_t r = 0; r < grid.dim(); ++r) {
+      for (std::uint32_t c = 0; c < grid.dim(); ++c) {
+        const auto edges = grid.shard_edges({r, c});
+        const std::vector<graph::Edge>& expected =
+            reference[static_cast<std::size_t>(r) * grid.dim() + c].edges;
+        ASSERT_EQ(edges.size(), expected.size()) << "shard (" << r << "," << c << ")";
+        EXPECT_TRUE(std::equal(edges.begin(), edges.end(), expected.begin()))
+            << "shard (" << r << "," << c << ")";
+        nonempty += expected.empty() ? 0 : 1;
       }
-      const auto got_src = grid.shard_sources({r, c});
-      const auto got_dst = grid.shard_dests({r, c});
-      ASSERT_EQ(got_src.size(), srcs.size());
-      ASSERT_EQ(got_dst.size(), dsts.size());
-      EXPECT_TRUE(std::equal(got_src.begin(), got_src.end(), srcs.begin()));
-      EXPECT_TRUE(std::equal(got_dst.begin(), got_dst.end(), dsts.begin()));
     }
-  }
+    EXPECT_EQ(grid.num_nonempty_shards(), nonempty);
+  });
+}
+
+TEST(ShardGrid, ActiveSourcesAndDestsMatchEdges) {
+  for_each_grid_case([](const ShardGrid& grid, const std::vector<ReferenceShard>& reference) {
+    for (std::uint32_t r = 0; r < grid.dim(); ++r) {
+      for (std::uint32_t c = 0; c < grid.dim(); ++c) {
+        const ReferenceShard& expected = reference[static_cast<std::size_t>(r) * grid.dim() + c];
+        const auto got_src = grid.shard_sources({r, c});
+        const auto got_dst = grid.shard_dests({r, c});
+        ASSERT_EQ(got_src.size(), expected.sources.size()) << "shard (" << r << "," << c << ")";
+        ASSERT_EQ(got_dst.size(), expected.dests.size()) << "shard (" << r << "," << c << ")";
+        EXPECT_TRUE(std::equal(got_src.begin(), got_src.end(), expected.sources.begin()))
+            << "shard (" << r << "," << c << ")";
+        EXPECT_TRUE(std::equal(got_dst.begin(), got_dst.end(), expected.dests.begin()))
+            << "shard (" << r << "," << c << ")";
+      }
+    }
+  });
 }
 
 TEST(ShardGrid, EmptyShardDetection) {
