@@ -1,8 +1,8 @@
 // Fault-injection and elasticity benchmark for the serving simulation: a
 // sinusoidal "diurnal day" trace drives (1) an autoscaled fleet against
 // every static fleet it could have bought for the same device-hours, and
-// (2) a fixed fleet through a mid-day device crash, on Server::serve at
-// 1/2/4 worker threads and the trusted Server::run_reference baseline.
+// (2) a fixed fleet through a mid-day device crash, on Server::serve and
+// the trusted Server::run_reference baseline.
 //
 // Three hard invariants, enforced with a non-zero exit:
 //   * elasticity pays — the autoscaler's SLO attainment must beat every
@@ -14,7 +14,7 @@
 //     submitted; no lost or duplicated completions);
 //   * bitwise determinism — the crash scenario produces the identical
 //     report (fingerprint over every record field) from run_reference and
-//     serve at 1, 2 and 4 simulation threads.
+//     serve.
 //
 //   ./serve_faults [--json BENCH_serve_faults.json] [--requests N]
 //                  [--peak-rate RPS] [--period-ms MS] [--slo-ms MS]
@@ -133,13 +133,12 @@ RunResult run_once(const serve::ServerOptions& options, const std::string& trace
   return r;
 }
 
-serve::ServerOptions base_options(std::size_t devices, std::size_t sim_threads) {
+serve::ServerOptions base_options(std::size_t devices) {
   serve::ServerOptions options;
   options.num_devices = devices;
   options.policy = serve::SchedulingPolicy::kDynamicBatch;
   options.limits.batch_window = serve::ms_to_cycles(0.5, options.clock_ghz);
   options.limits.max_batch = 32;
-  options.sim_threads = sim_threads;
   return options;
 }
 
@@ -189,7 +188,7 @@ int main(int argc, char** argv) {
   };
 
   // ---- Gate 1: the autoscaler beats every static fleet of equal spend. ----
-  serve::ServerOptions auto_options = base_options(/*devices=*/1, /*sim_threads=*/1);
+  serve::ServerOptions auto_options = base_options(/*devices=*/1);
   serve::AutoscalerOptions scaler;
   scaler.min_devices = 1;
   scaler.max_devices = max_fleet;
@@ -211,8 +210,7 @@ int main(int argc, char** argv) {
   bool elasticity_pays = true;
   std::size_t compared = 0;
   for (std::size_t n = 1; n <= max_fleet; ++n) {
-    const RunResult fixed =
-        run_once(base_options(n, /*sim_threads=*/1), trace_path, /*reference=*/false);
+    const RunResult fixed = run_once(base_options(n), trace_path, /*reference=*/false);
     row_for("static x" + std::to_string(n), fixed);
     const std::string key = "static_" + std::to_string(n);
     json.set(key + ".slo_attainment", fixed.slo_attainment);
@@ -244,40 +242,32 @@ int main(int argc, char** argv) {
   json.set("autoscale.scaled", static_cast<std::uint64_t>(elastic.scale_ups > 0 ? 1 : 0));
 
   // ---- Gates 2+3: crash a device mid-day; conserve and stay bitwise ----
-  // ---- identical across the reference loop and all thread counts.    ----
+  // ---- identical between serve and the reference loop.               ----
   std::ostringstream faults;
   faults << "crash@" << 0.3 * day_ms << "ms:dev1,recover@" << 0.6 * day_ms << "ms:dev1";
-  serve::ServerOptions crash_ref = base_options(/*devices=*/3, /*sim_threads=*/1);
-  crash_ref.faults = serve::parse_fault_plan(faults.str(), crash_ref.clock_ghz);
+  serve::ServerOptions crash_options = base_options(/*devices=*/3);
+  crash_options.faults = serve::parse_fault_plan(faults.str(), crash_options.clock_ghz);
   json.set("crash.fault_plan_hash",
            static_cast<std::uint64_t>(std::hash<std::string>{}(faults.str())));
 
-  const RunResult crash_reference = run_once(crash_ref, trace_path, /*reference=*/true);
+  const RunResult crash_reference = run_once(crash_options, trace_path, /*reference=*/true);
   row_for("crash ref", crash_reference);
   bool conserved = crash_reference.completed + crash_reference.shed +
                        crash_reference.failed == rows &&
                    crash_reference.outcomes == rows;
-  bool identical = true;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    serve::ServerOptions crash_opts = base_options(/*devices=*/3, threads);
-    crash_opts.faults = crash_ref.faults;
-    const RunResult r = run_once(crash_opts, trace_path, /*reference=*/false);
-    row_for("crash t=" + std::to_string(threads), r);
-    if (r.fingerprint != crash_reference.fingerprint) {
-      identical = false;
-      std::cerr << "DIVERGENCE: serve(sim_threads=" << threads
-                << ") under the crash plan differs from run_reference\n";
-    }
-    if (r.completed + r.shed + r.failed != rows || r.outcomes != rows) {
-      conserved = false;
-      std::cerr << "REGRESSION: crash run at sim_threads=" << threads << " accounts for "
-                << (r.completed + r.shed + r.failed) << "/" << rows << " requests ("
-                << r.outcomes << " records)\n";
-    }
-    const std::string key = "crash_t" + std::to_string(threads);
-    json.set(key + ".matches_reference",
-             static_cast<std::uint64_t>(r.fingerprint == crash_reference.fingerprint ? 1 : 0));
+  const RunResult crash = run_once(crash_options, trace_path, /*reference=*/false);
+  row_for("crash serve", crash);
+  const bool identical = crash.fingerprint == crash_reference.fingerprint;
+  if (!identical) {
+    std::cerr << "DIVERGENCE: serve() under the crash plan differs from run_reference\n";
   }
+  if (crash.completed + crash.shed + crash.failed != rows || crash.outcomes != rows) {
+    conserved = false;
+    std::cerr << "REGRESSION: serve() crash run accounts for "
+              << (crash.completed + crash.shed + crash.failed) << "/" << rows
+              << " requests (" << crash.outcomes << " records)\n";
+  }
+  json.set("crash.report_fingerprint", crash_reference.fingerprint);
   json.set("crash.completed", static_cast<std::uint64_t>(crash_reference.completed));
   json.set("crash.shed", static_cast<std::uint64_t>(crash_reference.shed));
   json.set("crash.failed", static_cast<std::uint64_t>(crash_reference.failed));

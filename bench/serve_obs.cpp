@@ -1,7 +1,7 @@
 // Observability-overhead benchmark and determinism gate. One 20k-request
 // synthetic trace runs through the serving stack four ways — no recorder,
 // null-sink recorder (attached but every stream off), full-span tracing,
-// and full tracing at sim_threads 2/4 plus the run_reference loop — and a
+// and full tracing through the run_reference loop — and a
 // separate fault scenario (probed crash + requeue + autoscaler) exports the
 // sample Chrome trace artifact.
 //
@@ -12,7 +12,7 @@
 //   * tracing changes nothing — full-span tracing yields fingerprint-
 //     identical completion records to the untraced baseline;
 //   * byte-determinism — the exported Chrome trace is byte-identical
-//     between Server::serve at sim_threads 1/2/4 and Server::run_reference.
+//     between Server::serve and Server::run_reference.
 //
 // The fault scenario must additionally surface the crash instant, the
 // aborted busy span, the retry (requeue/resume) spans and the autoscaler
@@ -83,14 +83,13 @@ std::uint64_t records_fingerprint(const serve::ServeReport& report) {
   return h;
 }
 
-serve::ServerOptions make_options(std::size_t devices, std::size_t sim_threads,
+serve::ServerOptions make_options(std::size_t devices,
                                   std::shared_ptr<obs::Recorder> recorder) {
   serve::ServerOptions options;
   options.num_devices = devices;
   options.policy = serve::SchedulingPolicy::kDynamicBatch;
   options.limits.batch_window = serve::ms_to_cycles(1.0, options.clock_ghz);
   options.limits.max_batch = 32;
-  options.sim_threads = sim_threads;
   options.recorder = std::move(recorder);
   return options;
 }
@@ -116,14 +115,14 @@ struct RunResult {
 /// classes compiled/priced before the clock starts), then the 20k trace.
 /// Fresh state on every variant keeps the comparison honest: engine-window
 /// templates and plan caches never leak across runs.
-RunResult run_once(std::size_t devices, std::size_t sim_threads, bool reference,
+RunResult run_once(std::size_t devices, bool reference,
                    const obs::RecorderOptions* rec_options, const std::string& warm_path,
                    const std::string& trace_path) {
   std::shared_ptr<obs::Recorder> recorder;
   if (rec_options != nullptr) {
     recorder = std::make_shared<obs::Recorder>(*rec_options);
   }
-  serve::Server server = make_server(make_options(devices, sim_threads, recorder));
+  serve::Server server = make_server(make_options(devices, recorder));
   const core::SimulationRequest base;
 
   serve::StreamingTraceWorkload warm(warm_path, base, 1.0);
@@ -157,8 +156,8 @@ RunResult best_of(std::size_t repeats, std::size_t devices,
                   const std::string& trace_path) {
   RunResult best;
   for (std::size_t i = 0; i < repeats; ++i) {
-    RunResult r = run_once(devices, /*sim_threads=*/1, /*reference=*/false, rec_options,
-                           warm_path, trace_path);
+    RunResult r =
+        run_once(devices, /*reference=*/false, rec_options, warm_path, trace_path);
     if (i == 0 || r.wall_s < best.wall_s) {
       best = std::move(r);
     }
@@ -281,8 +280,7 @@ int main(int argc, char** argv) {
   obs::RecorderOptions full;
   full.engine_spans = true;
   const RunResult traced =
-      run_once(devices, /*sim_threads=*/1, /*reference=*/false, &full, warm_path,
-               trace_path);
+      run_once(devices, /*reference=*/false, &full, warm_path, trace_path);
   const bool same_records = traced.fingerprint == baseline.fingerprint &&
                             disabled.fingerprint == baseline.fingerprint;
   json.set("traced.wall_s", traced.wall_s);
@@ -292,22 +290,12 @@ int main(int argc, char** argv) {
                  util::Table::fixed(static_cast<double>(traced.completed) / traced.wall_s, 0),
                  util::Table::fixed(traced.wall_s / baseline.wall_s, 3)});
 
-  // ---- Gate (c): trace bytes identical across loops and threads. -----------
-  bool trace_identical = true;
-  const RunResult ref = run_once(devices, /*sim_threads=*/1, /*reference=*/true, &full,
-                                 warm_path, trace_path);
-  if (ref.trace != traced.trace || ref.metrics != traced.metrics) {
-    trace_identical = false;
+  // ---- Gate (c): trace bytes identical across loops. ------------------------
+  const RunResult ref =
+      run_once(devices, /*reference=*/true, &full, warm_path, trace_path);
+  const bool trace_identical = ref.trace == traced.trace && ref.metrics == traced.metrics;
+  if (!trace_identical) {
     std::cerr << "DIVERGENCE: run_reference exported a different trace than serve\n";
-  }
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
-    const RunResult r = run_once(devices, threads, /*reference=*/false, &full, warm_path,
-                                 trace_path);
-    if (r.trace != traced.trace || r.metrics != traced.metrics) {
-      trace_identical = false;
-      std::cerr << "DIVERGENCE: sim_threads=" << threads
-                << " exported a different trace\n";
-    }
   }
 
   // ---- Fault scenario artifact + structure. ---------------------------------

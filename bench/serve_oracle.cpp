@@ -11,8 +11,8 @@
 //     analytic-only arm's p95 on the same workload;
 //   * byte-determinism — a tiered + fault-injected scenario produces
 //     fingerprint-identical completion records AND a byte-identical oracle
-//     state (analytic memo + every exec window) between Server::serve at
-//     sim_threads 1/2/4 and Server::run_reference.
+//     state (analytic memo + every exec window) between Server::serve and
+//     Server::run_reference.
 //
 //   ./serve_oracle [--json BENCH_serve_oracle.json] [--requests N]
 //                  [--rate RPS] [--warm N]
@@ -140,14 +140,12 @@ struct LoopResult {
 /// The determinism scenario: SJF over the mixed fleet with two SLO tiers and
 /// a crash/recover fault plan — every oracle mutation path (admission blend,
 /// dispatch observation, WFQ charge, requeue repricing) is live at once.
-LoopResult determinism_run(bool reference, std::size_t sim_threads, std::size_t requests,
-                           double rate_rps) {
+LoopResult determinism_run(bool reference, std::size_t requests, double rate_rps) {
   serve::ServerOptions options;
   options.policy = serve::SchedulingPolicy::kSjf;
   options.fleet = serve::parse_fleet_spec("2xbaseline,1xnextgen");
   options.classes = serve::parse_class_spec("interactive:5:4:1,bulk");
   options.default_slo_ms = 8.0;
-  options.sim_threads = sim_threads;
   options.faults = serve::parse_fault_plan("crash@0.2ms:dev2,recover@1ms:dev2",
                                            options.clock_ghz);
   serve::Server server = make_server(options);
@@ -211,22 +209,16 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ---- Gate: loop/thread determinism of records AND oracle state. ----------
-  const LoopResult ref = determinism_run(/*reference=*/true, 1, requests, rate);
-  bool records_identical = true;
-  bool oracle_identical = true;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    const LoopResult r = determinism_run(/*reference=*/false, threads, requests, rate);
-    if (r.records != ref.records) {
-      records_identical = false;
-      std::cerr << "DIVERGENCE: sim_threads=" << threads
-                << " completion records differ from run_reference\n";
-    }
-    if (r.oracle_state != ref.oracle_state) {
-      oracle_identical = false;
-      std::cerr << "DIVERGENCE: sim_threads=" << threads
-                << " oracle state differs from run_reference\n";
-    }
+  // ---- Gate: loop determinism of records AND oracle state. -----------------
+  const LoopResult ref = determinism_run(/*reference=*/true, requests, rate);
+  const LoopResult got = determinism_run(/*reference=*/false, requests, rate);
+  const bool records_identical = got.records == ref.records;
+  const bool oracle_identical = got.oracle_state == ref.oracle_state;
+  if (!records_identical) {
+    std::cerr << "DIVERGENCE: serve() completion records differ from run_reference\n";
+  }
+  if (!oracle_identical) {
+    std::cerr << "DIVERGENCE: serve() oracle state differs from run_reference\n";
   }
   json.set("determinism.records_fingerprint", ref.records);
   json.set("determinism.oracle_state_fingerprint", ref.oracle_state);
@@ -238,7 +230,7 @@ int main(int argc, char** argv) {
 
   std::cout << table.to_string();
   std::cout << "\ndeterminism: records fp " << ref.records << ", oracle state fp "
-            << ref.oracle_state << " (serve 1/2/4 threads == run_reference: "
+            << ref.oracle_state << " (serve == run_reference: "
             << ((records_identical && oracle_identical) ? "yes" : "NO") << ")\n";
   if (!json_path.empty()) {
     if (!json.write(json_path)) {

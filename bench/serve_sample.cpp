@@ -12,7 +12,7 @@
 //     feature cache must land a hit rate above 0.5 and save DRAM bytes;
 //   * bitwise determinism — the fused + cached scenario produces the
 //     identical report (fingerprint over every record field, cache counters
-//     included) from run_reference and serve at 1, 2 and 4 sim threads.
+//     included) from run_reference and serve.
 //
 //   ./serve_sample [--json BENCH_serve_sample.json] [--seed-queries N]
 //                  [--fanout 10/5] [--devices N] [--cache-mb MB]
@@ -152,7 +152,6 @@ serve::ServerOptions base_options(std::size_t devices) {
   options.policy = serve::SchedulingPolicy::kDynamicBatch;
   options.limits.batch_window = serve::ms_to_cycles(0.1, options.clock_ghz);
   options.limits.max_batch = 16;
-  options.sim_threads = 1;
   return options;
 }
 
@@ -246,23 +245,13 @@ int main(int argc, char** argv) {
               << ") below the 0.5 gate on the degree-skewed workload\n";
   }
 
-  // ---- Gate 3: the fused + cached scenario is loop- and thread-invariant.
+  // ---- Gate 3: the fused + cached scenario is loop-invariant.
   const RunResult reference = run_once(fused_options, spec, /*reference=*/true);
   row_for("reference", reference);
-  bool identical = true;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    serve::ServerOptions threaded = fused_options;
-    threaded.sim_threads = threads;
-    const RunResult r = run_once(threaded, spec, /*reference=*/false);
-    row_for("serve t=" + std::to_string(threads), r);
-    const std::string key = "threads_" + std::to_string(threads);
-    json.set(key + ".matches_reference",
-             static_cast<std::uint64_t>(r.fingerprint == reference.fingerprint ? 1 : 0));
-    if (r.fingerprint != reference.fingerprint) {
-      identical = false;
-      std::cerr << "DIVERGENCE: serve(sim_threads=" << threads
-                << ") differs from run_reference on the sampled workload\n";
-    }
+  const bool identical = fused.fingerprint == reference.fingerprint;
+  json.set("fused.report_fingerprint", fused.fingerprint);
+  if (!identical) {
+    std::cerr << "DIVERGENCE: serve() differs from run_reference on the sampled workload\n";
   }
 
   json.set("gates.fusion_beats_per_request", static_cast<std::uint64_t>(fusion_pays ? 1 : 0));

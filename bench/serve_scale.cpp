@@ -1,19 +1,17 @@
-// Scaling benchmark for the parallel discrete-event serving simulation: a
-// synthetic large trace (>=100k requests by default) streams through
-// Server::serve at 1/2/4/8 worker threads and through the trusted
-// Server::run_reference baseline, on fresh servers with identical warm-up
-// so every run starts from the same memo state. Reports wall time,
-// simulated requests per second, event-loop iterations, cycles skipped by
-// event jumping, the streaming reader's buffer high-water mark, and the
-// speedup of each pipeline run over the reference loop.
+// Scaling benchmark for the discrete-event serving simulation: a synthetic
+// large trace (>=100k requests by default) streams through Server::serve
+// and through the trusted Server::run_reference baseline, on fresh servers
+// with identical warm-up so both runs start from the same memo state.
+// Reports wall time, simulated requests per second, event-loop iterations,
+// cycles skipped by event jumping, the streaming reader's buffer high-water
+// mark, and the speedup of serve() over the reference loop.
 //
 // Two hard invariants, enforced with a non-zero exit:
-//   * bitwise identity — every run (reference and all thread counts) must
-//     produce the identical report, completion record for completion
-//     record; the pipeline is an optimization, never a semantic change;
-//   * the pipeline wins — serve() at 4 threads must beat run_reference on
-//     wall clock (the committed BENCH_serve_scale.json tracks the >=2x
-//     target).
+//   * bitwise identity — both runs must produce the identical report,
+//     completion record for completion record; serve() is an
+//     optimization, never a semantic change;
+//   * serve() wins — it must beat run_reference on wall clock (the
+//     committed BENCH_serve_scale.json tracks the >=2x target).
 //
 //   ./serve_scale [--json BENCH_serve_scale.json] [--requests N]
 //                 [--devices N] [--rate RPS] [--policy fifo|sjf|batch]
@@ -23,9 +21,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <iostream>
-#include <sstream>
 #include <string>
-#include <vector>
 
 #include "bench_common.hpp"
 #include "serve/server.hpp"
@@ -75,14 +71,12 @@ std::uint64_t report_fingerprint(const serve::ServeReport& report) {
   return h;
 }
 
-serve::ServerOptions make_options(serve::SchedulingPolicy policy, std::size_t devices,
-                                  std::size_t sim_threads) {
+serve::ServerOptions make_options(serve::SchedulingPolicy policy, std::size_t devices) {
   serve::ServerOptions options;
   options.num_devices = devices;
   options.policy = policy;
   options.limits.batch_window = serve::ms_to_cycles(1.0, options.clock_ghz);
   options.limits.max_batch = 32;
-  options.sim_threads = sim_threads;
   return options;
 }
 
@@ -177,8 +171,8 @@ int main(int argc, char** argv) {
   json.set("config.devices", static_cast<std::uint64_t>(devices));
   json.set("config.rate_rps", rate);
 
-  const RunResult ref =
-      run_once(make_options(*policy, devices, 1), warm_path, trace_path, /*reference=*/true);
+  const serve::ServerOptions options = make_options(*policy, devices);
+  const RunResult ref = run_once(options, warm_path, trace_path, /*reference=*/true);
   json.set("reference.wall_s", ref.wall_s);
   json.set("reference.sim_rps", static_cast<double>(ref.completed) / ref.wall_s);
   json.set("reference.events", ref.events);
@@ -188,43 +182,28 @@ int main(int argc, char** argv) {
                  std::to_string(ref.events), std::to_string(ref.cycles_skipped), "1.00"});
 
   json.set("trace.peak_buffer_bytes", static_cast<std::uint64_t>(ref.peak_buffer_bytes));
+  json.set("report.fingerprint", ref.fingerprint);
 
-  bool identical = true;
-  double speedup_t4 = 0.0;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4},
-                                    std::size_t{8}}) {
-    const RunResult r =
-        run_once(make_options(*policy, devices, threads), warm_path, trace_path,
-                 /*reference=*/false);
-    const double speedup = ref.wall_s / r.wall_s;
-    if (threads == 4) {
-      speedup_t4 = speedup;
-    }
-    if (r.fingerprint != ref.fingerprint) {
-      identical = false;
-      std::cerr << "DIVERGENCE: serve(sim_threads=" << threads
-                << ") produced a different report than run_reference\n";
-    }
-    const std::string key = "threads_" + std::to_string(threads);
-    json.set(key + ".wall_s", r.wall_s);
-    json.set(key + ".sim_rps", static_cast<double>(r.completed) / r.wall_s);
-    json.set(key + ".events", r.events);
-    json.set(key + ".cycles_skipped", r.cycles_skipped);
-    json.set(key + ".speedup_vs_reference", speedup);
-    json.set(key + ".matches_reference",
-             static_cast<std::uint64_t>(r.fingerprint == ref.fingerprint ? 1 : 0));
-    std::ostringstream label;
-    label << "serve t=" << threads;
-    table.add_row({label.str(), util::Table::fixed(r.wall_s, 3),
-                   util::Table::fixed(static_cast<double>(r.completed) / r.wall_s, 0),
-                   std::to_string(r.events), std::to_string(r.cycles_skipped),
-                   util::Table::fixed(speedup, 2)});
+  const RunResult r = run_once(options, warm_path, trace_path, /*reference=*/false);
+  const double speedup = ref.wall_s / r.wall_s;
+  const bool identical = r.fingerprint == ref.fingerprint;
+  if (!identical) {
+    std::cerr << "DIVERGENCE: serve() produced a different report than run_reference\n";
   }
+  json.set("serve.wall_s", r.wall_s);
+  json.set("serve.sim_rps", static_cast<double>(r.completed) / r.wall_s);
+  json.set("serve.events", r.events);
+  json.set("serve.cycles_skipped", r.cycles_skipped);
+  json.set("serve.speedup_vs_reference", speedup);
+  table.add_row({"serve", util::Table::fixed(r.wall_s, 3),
+                 util::Table::fixed(static_cast<double>(r.completed) / r.wall_s, 0),
+                 std::to_string(r.events), std::to_string(r.cycles_skipped),
+                 util::Table::fixed(speedup, 2)});
 
-  const bool faster = speedup_t4 > 1.0;
+  const bool faster = speedup > 1.0;
   json.set("gates.reports_identical", static_cast<std::uint64_t>(identical ? 1 : 0));
-  json.set("gates.t4_faster_than_reference", static_cast<std::uint64_t>(faster ? 1 : 0));
-  json.set("gates.t4_speedup_ge_2", static_cast<std::uint64_t>(speedup_t4 >= 2.0 ? 1 : 0));
+  json.set("gates.serve_faster_than_reference", static_cast<std::uint64_t>(faster ? 1 : 0));
+  json.set("gates.serve_speedup_ge_2", static_cast<std::uint64_t>(speedup >= 2.0 ? 1 : 0));
 
   std::cout << table.to_string();
   if (!json_path.empty()) {
@@ -242,12 +221,12 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (!faster) {
-    std::cerr << "REGRESSION: serve(sim_threads=4) wall clock " << (ref.wall_s / speedup_t4)
+    std::cerr << "REGRESSION: serve() wall clock " << r.wall_s
               << " s is not faster than run_reference " << ref.wall_s << " s\n";
     return 1;
   }
-  if (speedup_t4 < 2.0) {
-    std::cerr << "note: 4-thread speedup " << speedup_t4 << "x is below the 2x target\n";
+  if (speedup < 2.0) {
+    std::cerr << "note: serve() speedup " << speedup << "x is below the 2x target\n";
   }
   return 0;
 }

@@ -11,8 +11,7 @@
 //                 [--classes SPEC] [--arrival-rate RPS] [--requests N]
 //                 [--trace FILE.csv] [--stream] [--slo-ms MS]
 //                 [--datasets cora,citeseer,pubmed] [--window-ms MS]
-//                 [--max-batch N] [--queue-cap N] [--sim-threads N]
-//                 [--seed S] [--verbose]
+//                 [--max-batch N] [--queue-cap N] [--seed S] [--verbose]
 //
 // --fleet takes "2xbaseline,1xnextgen" (classes: baseline, 2x-graph-mem,
 // 2x-dense, 2x-bw, nextgen). --classes takes comma-separated
@@ -22,10 +21,8 @@
 // arrival_ms,dataset,model,slo_ms[,class] (model: gcn, gsage, gsage-max).
 // Example row: 12.5,cora,gcn,10,interactive
 //
-// --sim-threads sets the simulation worker pool (0 = one per hardware
-// thread; the report is identical at every setting). --stream replays
-// --trace incrementally with bounded memory — rows must then be sorted by
-// arrival_ms.
+// --stream replays --trace incrementally with bounded memory — rows must
+// then be sorted by arrival_ms.
 //
 // --faults injects a deterministic schedule of device crash/slow/recover/
 // reclass events (crash@500ms:dev2,slow@1s:dev0x0.5,recover@2s:dev2);
@@ -33,8 +30,7 @@
 // --autoscale "min:max:target-p95-ms" grows/shrinks the fleet from queue
 // depth and rolling p95 latency. --mmpp "rate:dwell-ms,..." replaces the
 // Poisson stream with a Markov-modulated (bursty) one. All three are
-// deterministic: the same seed and specs give a bit-identical report at
-// any --sim-threads.
+// deterministic: the same seed and specs give a bit-identical report.
 //
 // --sample-fanout "10/5" switches the generated workload to sampled
 // mini-batch queries: each request carries a seed vertex (drawn with
@@ -53,7 +49,7 @@
 // --engine-spans additionally captures per-engine (gemm/shard) compute
 // sub-lanes inside each device busy span. --metrics-out FILE.txt writes a
 // Prometheus text-format snapshot of the run's metrics registry. Both are
-// deterministic: same seed, same bytes, at any --sim-threads.
+// deterministic: same seed, same bytes.
 #include <algorithm>
 #include <fstream>
 #include <iostream>
@@ -81,7 +77,7 @@ constexpr std::string_view kUsage =
     "  [--classes name[:slo_ms[:weight[:priority]]],...] [--arrival-rate RPS]\n"
     "  [--requests N] [--trace FILE.csv] [--stream] [--slo-ms MS]\n"
     "  [--datasets cora,citeseer,pubmed] [--window-ms MS] [--max-batch N]\n"
-    "  [--queue-cap N] [--sim-threads N] [--seed S] [--verbose]\n"
+    "  [--queue-cap N] [--seed S] [--verbose]\n"
     "  [--faults crash@500ms:dev2,slow@1s:dev0x0.5,recover@2s:dev2]\n"
     "  [--autoscale min:max:target-p95-ms] [--mmpp rate:dwell-ms,rate:dwell-ms,...]\n"
     "  [--sample-fanout 10/5] [--seed-queries N] [--feature-cache-mb MB]\n"
@@ -126,8 +122,6 @@ int run(const util::Args& args) {
       static_cast<std::size_t>(std::max<std::int64_t>(1, args.get_int("max-batch", 16)));
   options.queue_capacity =
       static_cast<std::size_t>(std::max<std::int64_t>(0, args.get_int("queue-cap", 0)));
-  options.sim_threads =
-      static_cast<std::size_t>(std::max<std::int64_t>(0, args.get_int("sim-threads", 1)));
   if (args.has("faults")) {
     options.faults = serve::parse_fault_plan(args.get("faults"), options.clock_ghz);
   }

@@ -49,22 +49,6 @@ std::uint64_t CostOracle::analytic(const graph::Dataset& dataset, const Simulati
   return estimate;
 }
 
-std::optional<std::uint64_t> CostOracle::lookup(std::string_view class_key) const {
-  const auto it = memo_.find(class_key);
-  if (it == memo_.end()) {
-    return std::nullopt;
-  }
-  return it->second;
-}
-
-void CostOracle::prime(const std::string& class_key, std::uint64_t estimate) {
-  const auto [it, inserted] = memo_.try_emplace(class_key, estimate);
-  (void)it;
-  if (inserted) {
-    pipeline_runs_ += 1;
-  }
-}
-
 std::uint64_t CostOracle::compute(const graph::Dataset& dataset,
                                   const SimulationRequest& sim) const {
   Compiler compiler(dataset.graph, sim.config, sim.dataflow);

@@ -49,12 +49,11 @@ struct CostOracleOptions {
 ///      per (plan class, execution identity), so `last_cycles` is not a
 ///      sample but the true value; affinity placement uses it directly.
 ///
-/// Determinism contract: the oracle is mutated only at sequential event
-/// points (admission pricing, dispatch commit) in both Server::serve and
+/// Determinism contract: the oracle is mutated only at event points
+/// (admission pricing, dispatch commit) in both Server::serve and
 /// Server::run_reference, in the same order — `state_fingerprint()` is
-/// byte-comparable across loops and sim_threads values. The pure helpers
-/// (`compute`, `blend`, `measured`) never mutate state, so the pipeline's
-/// fanned-out phases may call them concurrently with no loop running.
+/// byte-comparable across loops. The helpers `compute`, `blend` and
+/// `measured` never mutate state.
 class CostOracle {
  public:
   explicit CostOracle(CostOracleOptions options = {});
@@ -67,18 +66,8 @@ class CostOracle {
   std::uint64_t analytic(const graph::Dataset& dataset, const SimulationRequest& sim,
                          const std::string& class_key);
 
-  /// The memoized analytic value, without computing on a miss.
-  [[nodiscard]] std::optional<std::uint64_t> lookup(std::string_view class_key) const;
-
-  /// Publishes an externally computed analytic value (the pipeline's phase D
-  /// prices classes in a fan-out, then primes them sequentially). Counts a
-  /// pipeline run only when the key is new — matching what the reference
-  /// loop would have computed lazily.
-  void prime(const std::string& class_key, std::uint64_t estimate);
-
   /// The unmemoized analytic estimate: compiler analysis passes at the
-  /// oracle's tail calibration, saturated to integer cycles. Pure — safe to
-  /// fan out.
+  /// oracle's tail calibration, saturated to integer cycles.
   [[nodiscard]] std::uint64_t compute(const graph::Dataset& dataset,
                                       const SimulationRequest& sim) const;
 
@@ -87,12 +76,12 @@ class CostOracle {
   /// a graph large enough to cost > 2^53 cycles must saturate, not wrap.
   [[nodiscard]] static std::uint64_t saturate_cycles(double cycles);
 
-  /// Analytic compiler runs performed (or primed) so far — the serving
-  /// tests' "pipeline runs once per class" counter.
+  /// Analytic compiler runs performed so far — the serving tests'
+  /// "pipeline runs once per class" counter.
   [[nodiscard]] std::size_t pipeline_runs() const { return pipeline_runs_; }
 
   /// Folds one measured execution into the (plan class, device class) EWMA.
-  /// Call only at sequential event points (see class comment).
+  /// Call only at event points (see class comment).
   void observe(const std::string& plan_class, const std::string& device_class,
                std::uint64_t cycles);
 

@@ -1,6 +1,5 @@
 #include "core/plan_cache.hpp"
 
-#include <limits>
 #include <sstream>
 
 #include "util/check.hpp"
@@ -131,31 +130,40 @@ std::string graph_fingerprint(const graph::Graph& graph) {
   return os.str();
 }
 
+KeyBuilder::KeyBuilder(std::string_view dataset_key, const gnn::ModelSpec& model,
+                       const AcceleratorConfig& config) {
+  key_.reserve(256);  // typical keys are 150-250 bytes: one allocation
+  *this << dataset_key << '|' << model.name;
+  for (const gnn::LayerSpec& layer : model.layers) {
+    *this << ';' << static_cast<int>(layer.kind) << ',' << layer.in_dim << ',' << layer.out_dim
+          << ',' << static_cast<int>(layer.activation);
+  }
+  *this << '|' << config.name << ',' << config.clock_ghz << ',' << config.dense.array.rows
+        << 'x' << config.dense.array.cols << ',' << static_cast<int>(config.dense.array.dataflow)
+        << ',' << config.dense.input_buffer_bytes << ',' << config.dense.weight_buffer_bytes
+        << ',' << config.dense.output_buffer_bytes << ',' << config.graph.geometry.num_gpes
+        << ',' << config.graph.geometry.simd_lanes << ',' << config.graph.feature_scratch_bytes
+        << ',' << config.graph.edge_buffer_bytes << ',' << config.dram.bytes_per_cycle << ','
+        << config.dram.latency_cycles << ',' << config.dram.transaction_bytes;
+}
+
+KeyBuilder& KeyBuilder::operator<<(double value) {
+  char digits[32];
+  key_.append(digits, std::to_chars(digits, digits + sizeof(digits), value,
+                                    std::chars_format::general, 17)
+                          .ptr);
+  return *this;
+}
+
 std::string plan_cache_key(std::string_view dataset_key, const gnn::ModelSpec& model,
                            const AcceleratorConfig& config, const DataflowOptions& options,
                            const PlanSignature& signature) {
-  std::ostringstream os;
-  // Round-trip precision for the double-valued fields (clock, bandwidth):
-  // configs differing past the default 6 significant digits must not
-  // collide on one key.
-  os.precision(std::numeric_limits<double>::max_digits10);
-  os << dataset_key << '|' << model.name;
-  for (const gnn::LayerSpec& layer : model.layers) {
-    os << ';' << static_cast<int>(layer.kind) << ',' << layer.in_dim << ',' << layer.out_dim
-       << ',' << static_cast<int>(layer.activation);
-  }
-  os << '|' << config.name << ',' << config.clock_ghz << ',' << config.dense.array.rows << 'x'
-     << config.dense.array.cols << ',' << static_cast<int>(config.dense.array.dataflow) << ','
-     << config.dense.input_buffer_bytes << ',' << config.dense.weight_buffer_bytes << ','
-     << config.dense.output_buffer_bytes << ',' << config.graph.geometry.num_gpes << ','
-     << config.graph.geometry.simd_lanes << ',' << config.graph.feature_scratch_bytes << ','
-     << config.graph.edge_buffer_bytes << ',' << config.dram.bytes_per_cycle << ','
-     << config.dram.latency_cycles << ',' << config.dram.transaction_bytes;
   // The raw dataflow knobs are keyed only through what still reaches the
   // emit pass directly (sparsity elimination); block size, traversal and
   // autotune are fully absorbed by the resolved per-stage signature.
-  os << '|' << options.sparsity_elimination << '|' << format_signature(signature);
-  return os.str();
+  KeyBuilder key(dataset_key, model, config);
+  key << '|' << options.sparsity_elimination << '|' << format_signature(signature);
+  return key.str();
 }
 
 }  // namespace gnnerator::core

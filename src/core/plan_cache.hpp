@@ -1,6 +1,8 @@
 #pragma once
 
 #include <atomic>
+#include <charconv>
+#include <concepts>
 #include <cstdint>
 #include <functional>
 #include <future>
@@ -9,6 +11,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
 
 #include "core/compiler.hpp"
@@ -72,6 +75,46 @@ class PlanCache {
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> evictions_{0};
   std::atomic<std::uint64_t> single_flight_waits_{0};
+};
+
+/// Builds a cache key with std::to_chars appends: the one serializer of the
+/// plan-cache key space and serve's plan-class key space. Doubles print as
+/// chars_format::general at 17 significant digits, the same bytes an ostream
+/// gives at max_digits10, so configs that differ past the default six
+/// digits (clock, bandwidth) never collide on one key. Bools print as 0/1.
+class KeyBuilder {
+ public:
+  /// Starts the key with the identity both key spaces share:
+  /// `dataset|model;layer...|config`.
+  KeyBuilder(std::string_view dataset_key, const gnn::ModelSpec& model,
+             const AcceleratorConfig& config);
+
+  KeyBuilder& operator<<(std::string_view text) {
+    key_.append(text);
+    return *this;
+  }
+  KeyBuilder& operator<<(char c) {
+    key_.push_back(c);
+    return *this;
+  }
+  KeyBuilder& operator<<(double value);
+  template <std::integral T>
+  KeyBuilder& operator<<(T value) {
+    if constexpr (std::is_same_v<T, bool>) {
+      key_.push_back(value ? '1' : '0');
+    } else {
+      char digits[24];
+      key_.append(digits, std::to_chars(digits, digits + sizeof(digits), value).ptr);
+    }
+    return *this;
+  }
+
+  /// The key at exact capacity: every queued request and completion record
+  /// holds one, so the builder's growth slack must not travel with it.
+  [[nodiscard]] std::string str() const { return std::string(key_); }
+
+ private:
+  std::string key_;
 };
 
 /// Builds the cache key for one simulation identity. `dataset_key` names

@@ -20,9 +20,9 @@ namespace gnnerator::obs {
 /// serve/ in the dependency order, so it cannot include serve headers).
 using Cycle = std::uint64_t;
 
-/// One point on a request's span timeline. Every phase is recorded at a
-/// sequential event point of the serving loop, so the stream is identical
-/// between Server::serve and Server::run_reference for any sim_threads.
+/// One point on a request's span timeline. Every phase is recorded at an
+/// event point of the serving loop, so the stream is identical between
+/// Server::serve and Server::run_reference.
 enum class SpanPhase : std::uint8_t {
   kAdmit,     ///< admitted: record created (at == arrival cycle)
   kSample,    ///< sampled request: k-hop frontier resolved (detail = fingerprint)
@@ -132,9 +132,9 @@ struct RunInfo {
 /// while the Registry and ExecWindowLog persist across runs like production
 /// counters and calibration history would.
 ///
-/// Every hook is called at a sequential event point with the DES cycle, in
-/// the same order by both serving loops — which is why exported traces are
-/// byte-identical across serve/run_reference and sim_threads values.
+/// Every hook is called at an event point with the DES cycle, in the same
+/// order by both serving loops — which is why exported traces are
+/// byte-identical across serve/run_reference.
 class Recorder {
  public:
   explicit Recorder(RecorderOptions options = {});

@@ -1,6 +1,7 @@
 #include "serve/faults.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 
 #include "util/check.hpp"
@@ -111,9 +112,10 @@ FaultPlan parse_fault_plan(std::string_view spec, double clock_ghz) {
                           ctx << "slow needs a 'x<factor>' suffix (e.g. dev0x0.5)");
       index_part = target.substr(0, x);
       const std::optional<double> factor = util::parse_double(target.substr(x + 1));
-      GNNERATOR_CHECK_MSG(factor.has_value() && *factor > 0.0,
-                          ctx << "malformed slow factor '" << target.substr(x + 1)
-                              << "' (must be a positive number)");
+      GNNERATOR_CHECK_MSG(
+          factor.has_value() && std::isfinite(*factor) && *factor >= kMinSlowFactor,
+          ctx << "malformed slow factor '" << target.substr(x + 1)
+              << "' (must be a finite number >= " << kMinSlowFactor << ")");
       event.factor = *factor;
     } else if (event.kind == FaultKind::kReclass) {
       const std::size_t eq = target.find('=');

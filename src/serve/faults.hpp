@@ -28,6 +28,11 @@ enum class FaultKind {
 
 [[nodiscard]] std::string_view fault_kind_name(FaultKind kind);
 
+/// Smallest slow factor a fault plan accepts. A slower device would
+/// stretch a batch's service cycles toward the range where the division in
+/// the event loop no longer converts back to a cycle count.
+inline constexpr double kMinSlowFactor = 1e-3;
+
 /// One scheduled fault on the server's virtual clock. Fault events are
 /// ordinary discrete-event-simulation events: both serving loops process
 /// the schedule at identical points, so a fault plan never breaks the
@@ -38,8 +43,9 @@ struct FaultEvent {
   Cycle at = 0;
   /// Target device index (into the fleet as configured at serve start).
   std::size_t device = 0;
-  /// kSlow only: speed multiplier in (0, 1]... or above 1 to model a
-  /// device coming back faster; service cycles are divided by it.
+  /// kSlow only: speed multiplier, finite and >= kMinSlowFactor (below 1 a
+  /// gray failure, above 1 a device coming back faster); service cycles are
+  /// divided by it.
   double factor = 1.0;
   /// kReclass only: target device-class name.
   std::string klass;
@@ -57,11 +63,12 @@ struct FaultPlan {
 ///   crash@500ms:dev2,slow@1s:dev0x0.5,recover@2s:dev2,reclass@3s:dev1=nextgen
 ///
 /// Events are comma-separated `<kind>@<time>:dev<i>` tokens; `slow` takes a
-/// `x<factor>` suffix and `reclass` a `=<class>` suffix. `<time>` is a
-/// non-negative number with an optional unit (`us`, `ms`, `s`; bare numbers
-/// are milliseconds), converted to cycles at `clock_ghz`. Parsing is strict
-/// (util::parse_double/parse_uint): malformed tokens throw CheckError
-/// naming the offending token and its position in the spec.
+/// `x<factor>` suffix (finite, >= kMinSlowFactor) and `reclass` a
+/// `=<class>` suffix. `<time>` is a non-negative number with an optional
+/// unit (`us`, `ms`, `s`; bare numbers are milliseconds), converted to
+/// cycles at `clock_ghz`. Parsing is strict (util::parse_double/parse_uint):
+/// malformed tokens throw CheckError naming the offending token and its
+/// position in the spec.
 [[nodiscard]] FaultPlan parse_fault_plan(std::string_view spec, double clock_ghz);
 
 }  // namespace gnnerator::serve

@@ -1,11 +1,9 @@
 #include "serve/metrics.hpp"
 
-#include <functional>
 #include <iomanip>
 #include <sstream>
 
 #include "util/check.hpp"
-#include "util/thread_pool.hpp"
 
 namespace gnnerator::serve {
 
@@ -45,40 +43,6 @@ void Metrics::add(const Outcome& outcome) {
     queue_stats_.add(outcome.queue_ms(clock_ghz_));
     batch_stats_.add(static_cast<double>(outcome.batch_size));
   }
-}
-
-void Metrics::add_all(const std::vector<Outcome>& outcomes, util::ThreadPool* pool) {
-  if (pool == nullptr || pool->parallelism() == 1) {
-    for (const Outcome& outcome : outcomes) {
-      add(outcome);
-    }
-    return;
-  }
-  // The three aggregation streams touch disjoint state, so they may run
-  // concurrently; each walks `outcomes` front to back, which pins the
-  // reservoir ingestion order to the record order.
-  const std::vector<std::function<void()>> tasks{
-      [&] {
-        for (const Outcome& o : outcomes) {
-          total_.add(o.shed || o.failed ? 0.0 : o.latency_ms(clock_ghz_), o);
-        }
-      },
-      [&] {
-        for (const Outcome& o : outcomes) {
-          auto [it, inserted] = classes_.try_emplace(o.klass, quantile_bound_);
-          it->second.add(o.shed || o.failed ? 0.0 : o.latency_ms(clock_ghz_), o);
-        }
-      },
-      [&] {
-        for (const Outcome& o : outcomes) {
-          if (!o.shed && !o.failed) {
-            queue_stats_.add(o.queue_ms(clock_ghz_));
-            batch_stats_.add(static_cast<double>(o.batch_size));
-          }
-        }
-      },
-  };
-  pool->run_all(tasks);
 }
 
 namespace {

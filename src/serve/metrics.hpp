@@ -10,10 +10,6 @@
 #include "serve/request.hpp"
 #include "util/stats.hpp"
 
-namespace gnnerator::util {
-class ThreadPool;
-}  // namespace gnnerator::util
-
 namespace gnnerator::serve {
 
 /// Per-request-class (SLO tier) slice of the serving statistics, in
@@ -76,14 +72,6 @@ class Metrics {
   explicit Metrics(double clock_ghz, std::size_t quantile_bound = 4096);
 
   void add(const Outcome& outcome);
-
-  /// Feeds every outcome, optionally fanning the independent aggregation
-  /// streams (total bucket, per-class buckets, queue/batch stats) out
-  /// across `pool`. Each stream still ingests outcomes in record order —
-  /// the order every latency value enters a StreamingQuantiles reservoir
-  /// is fixed by the records, never by the thread schedule — so the
-  /// summary is bitwise identical to calling add() in a loop.
-  void add_all(const std::vector<Outcome>& outcomes, util::ThreadPool* pool);
 
   [[nodiscard]] MetricsSummary summary(Cycle end_cycle) const;
 

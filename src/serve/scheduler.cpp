@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <cctype>
 #include <deque>
-#include <limits>
 #include <map>
-#include <sstream>
 #include <utility>
 
+#include "core/plan_cache.hpp"
 #include "util/check.hpp"
 
 namespace gnnerator::serve {
@@ -456,34 +455,19 @@ std::unique_ptr<Scheduler> make_scheduler(SchedulingPolicy policy, Scheduler::Li
 
 std::string request_class_key(std::string_view dataset_key,
                               const core::SimulationRequest& sim) {
-  std::ostringstream os;
-  os.precision(std::numeric_limits<double>::max_digits10);
-  os << dataset_key << '|' << sim.model.name;
-  for (const gnn::LayerSpec& layer : sim.model.layers) {
-    os << ';' << static_cast<int>(layer.kind) << ',' << layer.in_dim << ',' << layer.out_dim
-       << ',' << static_cast<int>(layer.activation);
-  }
-  const core::AcceleratorConfig& c = sim.config;
-  os << '|' << c.name << ',' << c.clock_ghz << ',' << c.dense.array.rows << 'x'
-     << c.dense.array.cols << ',' << static_cast<int>(c.dense.array.dataflow) << ','
-     << c.dense.input_buffer_bytes << ','
-     << c.dense.weight_buffer_bytes << ',' << c.dense.output_buffer_bytes << ','
-     << c.graph.geometry.num_gpes << ',' << c.graph.geometry.simd_lanes << ','
-     << c.graph.feature_scratch_bytes << ',' << c.graph.edge_buffer_bytes << ','
-     << c.dram.bytes_per_cycle << ',' << c.dram.latency_cycles << ','
-     << c.dram.transaction_bytes;
+  core::KeyBuilder key(dataset_key, sim.model, sim.config);
   // Raw dataflow spellings are compared, not resolved signatures: this is a
   // conservative compatibility test (equivalent spellings simply land in
   // separate batches; the shared plan cache still unifies their plans).
   const core::DataflowOptions& d = sim.dataflow;
-  os << '|' << d.feature_blocking << ',' << d.block_size << ','
-     << (d.traversal ? static_cast<int>(*d.traversal) : -1) << ','
-     << d.sparsity_elimination << ',' << d.autotune;
-  os << '|' << static_cast<int>(sim.mode);
+  key << '|' << d.feature_blocking << ',' << d.block_size << ','
+      << (d.traversal ? static_cast<int>(*d.traversal) : -1) << ',' << d.sparsity_elimination
+      << ',' << d.autotune;
+  key << '|' << static_cast<int>(sim.mode);
   if (sim.mode == core::SimMode::kFunctional) {
-    os << ",w" << sim.weight_seed;  // functional results depend on the seed
+    key << ",w" << sim.weight_seed;  // functional results depend on the seed
   }
-  return os.str();
+  return key.str();
 }
 
 }  // namespace gnnerator::serve

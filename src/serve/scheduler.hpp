@@ -77,8 +77,8 @@ struct QueuedRequest {
   /// Index of the request class (SLO tier) the admission controller
   /// resolved; routes the request inside a TieredScheduler.
   std::size_t tier = 0;
-  /// Dense id the server interned `class_key` under (Server::serve's
-  /// pipeline path; the reference loop leaves it 0). Lets per-(plan class,
+  /// Dense id the server interned `class_key` under (Server::serve; the
+  /// reference loop leaves it 0). Lets per-(plan class,
   /// device class) memo lookups be array indexing instead of string
   /// hashing. Never consulted by scheduler policies.
   std::uint32_t class_id = 0;
@@ -93,17 +93,13 @@ struct DispatchBatch {
 /// A scheduling policy's queue. Implementations are single-threaded (the
 /// server's event loop owns them) and fully deterministic.
 ///
-/// Synchronization contract with the parallel serving pipeline
-/// (Server::serve): the scheduler is only ever touched from the event
-/// loop's sequential sections — enqueue/pop/try_take happen between
-/// conservative barriers, never inside a worker slice. `next_ready()` is
-/// the policy's *declared synchronization point*: it names the earliest
-/// future cycle at which the policy could produce work unprompted (a
-/// batching-window expiry), and the event loop treats that cycle as a
-/// cross-device event it must not simulate past. A policy whose
-/// next_ready() under-reports would let the loop skip a scheduling point
-/// and diverge from the reference run; the differential matrix in
-/// tests/serve_property_test.cpp pins this.
+/// Contract with the serving event loops: `next_ready()` is the policy's
+/// *declared synchronization point*: it names the earliest future cycle at
+/// which the policy could produce work unprompted (a batching-window
+/// expiry), and the event loop treats that cycle as a cross-device event it
+/// must not simulate past. A policy whose next_ready() under-reports would
+/// let the loop skip a scheduling point and diverge from the reference run;
+/// the differential matrix in tests/serve_property_test.cpp pins this.
 class Scheduler {
  public:
   struct Limits {

@@ -481,17 +481,6 @@ std::shared_ptr<const SampledQuery> Server::sampled_for(const Request& request) 
   return query;
 }
 
-std::shared_ptr<const SampledQuery> Server::sampled_lookup(const std::string& memo_key) const {
-  const auto it = sample_memo_.find(memo_key);
-  return it == sample_memo_.end() ? nullptr : it->second;
-}
-
-std::shared_ptr<const SampledQuery> Server::publish_sampled(
-    std::string memo_key, std::shared_ptr<const SampledQuery> query) {
-  const auto [it, inserted] = sample_memo_.try_emplace(std::move(memo_key), std::move(query));
-  return it->second;
-}
-
 std::uint64_t Server::sampled_cost_estimate(const Request& request,
                                             const SampledQuery& sampled) {
   core::SimulationRequest canonical = request.sim;
@@ -1623,14 +1612,13 @@ ServeReport Server::run_reference(WorkloadSource& workload) {
   }
   GNNERATOR_CHECK_MSG(scheduler->depth() == 0, "serve loop ended with queued work");
 
-  return assemble_report(std::move(records), now, depth_stats, max_depth, events, er,
-                         nullptr);
+  return assemble_report(std::move(records), now, depth_stats, max_depth, events, er);
 }
 
 ServeReport Server::assemble_report(std::vector<Outcome>&& records, Cycle now,
                                     const util::RunningStats& depth_stats,
                                     std::size_t max_depth, std::uint64_t events,
-                                    const ElasticRun& er, util::ThreadPool* pool) {
+                                    const ElasticRun& er) {
   ServeReport report;
   report.end_cycle = now;
   report.clock_ghz = options_.clock_ghz;
@@ -1638,7 +1626,9 @@ ServeReport Server::assemble_report(std::vector<Outcome>&& records, Cycle now,
   report.scale_ups = er.scale_ups;
   report.scale_downs = er.scale_downs;
   Metrics metrics(options_.clock_ghz);
-  metrics.add_all(records, pool);
+  for (const Outcome& record : records) {
+    metrics.add(record);
+  }
   report.metrics = metrics.summary(now);
   report.outcomes = std::move(records);
   report.devices.reserve(devices_.size());

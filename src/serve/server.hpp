@@ -24,7 +24,6 @@
 #include "serve/scheduler.hpp"
 #include "serve/workload.hpp"
 #include "util/stats.hpp"
-#include "util/thread_pool.hpp"
 
 namespace gnnerator::serve {
 
@@ -75,14 +74,6 @@ struct ServerOptions {
   Cycle per_request_overhead = 10'000;
   /// Capacity of the fleet-wide shared plan cache.
   std::size_t plan_cache_capacity = 64;
-  /// Worker threads of the serving pipeline (Server::serve): pure
-  /// per-request work — plan-class keys, cost-oracle pricing, metrics
-  /// reduction — fans out across a util::ThreadPool between scheduling
-  /// points, with a conservative barrier before any queue/RNG/engine state
-  /// is touched, so reports are bitwise identical for every value
-  /// (differentially tested against run_reference). 1 = fully serial,
-  /// 0 = hardware concurrency.
-  std::size_t sim_threads = 1;
   /// Retain each request's ExecutionResult in its Outcome (tests /
   /// functional clients). Off by default: a long load run would hold every
   /// output tensor alive.
@@ -165,23 +156,22 @@ class Server {
   /// device is idle. May be called repeatedly; the plan cache and result
   /// memo stay warm across calls (ids and virtual time restart at 0).
   ///
-  /// This is the production pipeline (src/serve/server_pipeline.cpp):
-  /// arrivals stream in sorted chunks (bounded memory for a
-  /// StreamingWorkloadSource), per-request annotation and metrics
-  /// reduction fan out across ServerOptions::sim_threads workers between
-  /// scheduling points, and completion records are stamped in place. The
-  /// report is bitwise identical to run_reference() — the differential
-  /// matrix in tests/serve_property_test.cpp enforces it. Note: comparing
+  /// This is the production event loop (src/serve/server_pipeline.cpp),
+  /// single-threaded like the simulation it drives: arrivals stream in
+  /// sorted chunks (bounded memory for a StreamingWorkloadSource), memo
+  /// lookups index dense plan-class ids, and completion records are
+  /// stamped in place. The report is bitwise identical to run_reference()
+  /// — the differential matrix in tests/serve_property_test.cpp enforces
+  /// it, against committed golden fingerprints too. Note: comparing
   /// the two paths needs fresh Server instances (or identical prior
   /// history), since the plan cache and memos staying warm across calls is
   /// part of the report.
   ServeReport serve(WorkloadSource& workload);
 
-  /// The naive single-threaded event loop the pipeline is differentially
-  /// tested against: one priority queue of materialized arrivals, no
-  /// annotation pipeline, no chunking — small, obviously-correct code kept
-  /// as the trusted baseline (the serving counterpart of PR 2's
-  /// SimKernel::run_reference).
+  /// The naive event loop serve() is differentially tested against: one
+  /// priority queue of materialized arrivals, string-keyed memos, no
+  /// chunking — small, obviously-correct code kept as the trusted baseline
+  /// (the serving counterpart of sim::SimKernel::run_reference).
   ServeReport run_reference(WorkloadSource& workload);
 
   [[nodiscard]] core::PlanCacheStats cache_stats() const { return plan_cache_->stats(); }
@@ -293,8 +283,7 @@ class Server {
 
   // ---- Sampled mini-batch serving (k-hop frontiers, mixed-batch fusion,
   // pre-sampling feature cache). Both event loops call these at identical
-  // points, which keeps sampled runs bitwise identical across loops and
-  // sim_threads values.
+  // points, which keeps sampled runs bitwise identical across loops.
 
   /// sample_memo_ key of a sampled request: plan-compatibility class | seed
   /// | fanout. The class component matters: the memoized SampledQuery
@@ -307,20 +296,12 @@ class Server {
   /// Resolves a sampled request's frontier, subgraph dataset and
   /// compatibility keys. Pure: the sampling PRNG is seeded from
   /// (dataset fingerprint, seed vertex, canonical fanout), so identical
-  /// requests always produce identical subgraphs — safe to call from
-  /// concurrent annotation slices, and the basis for coalescing.
+  /// requests always produce identical subgraphs — the basis for
+  /// coalescing.
   [[nodiscard]] std::shared_ptr<const SampledQuery> make_sampled_query(
       const Request& request) const;
-  /// Memoized make_sampled_query (reference loop's admit path; sequential).
+  /// Memoized make_sampled_query (both loops' admit path).
   [[nodiscard]] std::shared_ptr<const SampledQuery> sampled_for(const Request& request);
-  /// Phase-A read-only memo probe (null on miss) and phase-B publication
-  /// for the pipeline loop; publish returns the canonical entry (first
-  /// publication wins, duplicates constructed by racing slices are
-  /// dropped — contents are identical by construction).
-  [[nodiscard]] std::shared_ptr<const SampledQuery> sampled_lookup(
-      const std::string& memo_key) const;
-  std::shared_ptr<const SampledQuery> publish_sampled(
-      std::string memo_key, std::shared_ptr<const SampledQuery> query);
   /// Canonical (first device class) cost estimate of a sampled request,
   /// memoized under its exact key.
   [[nodiscard]] std::uint64_t sampled_cost_estimate(const Request& request,
@@ -415,10 +396,10 @@ class Server {
                                                    std::size_t device_index);
 
   // ---- Cost-oracle plumbing (shared by both event loops). ------------------
-  // All mutation happens at sequential event points (admission pricing,
-  // dispatch commit) in the identical order in serve() and run_reference(),
-  // so oracle state — and every decision derived from it — stays bitwise
-  // comparable across loops and sim_threads values.
+  // All mutation happens at the event points (admission pricing, dispatch
+  // commit) in the identical order in serve() and run_reference(), so
+  // oracle state — and every decision derived from it — stays bitwise
+  // comparable across loops.
 
   /// The admission-time queue cost: the canonical analytic estimate blended
   /// with the measured history of the canonical execution identity (the
@@ -581,8 +562,6 @@ class Server {
   /// first touched.
   std::vector<std::vector<std::shared_ptr<const core::ExecutionResult>>> results_by_id_;
   std::vector<std::vector<std::uint64_t>> estimates_by_id_;
-  /// Lazily built worker pool (sim_threads != 1), reused across serve runs.
-  std::unique_ptr<util::ThreadPool> pool_;
 
   /// Report assembly shared by both loops — one code path, so the two
   /// cannot drift in how metrics/devices/cache stats are folded in. Also
@@ -591,8 +570,7 @@ class Server {
   /// calls see the configured fleet.
   ServeReport assemble_report(std::vector<Outcome>&& records, Cycle now,
                               const util::RunningStats& depth_stats, std::size_t max_depth,
-                              std::uint64_t events, const ElasticRun& er,
-                              util::ThreadPool* pool);
+                              std::uint64_t events, const ElasticRun& er);
 };
 
 }  // namespace gnnerator::serve

@@ -1,34 +1,24 @@
-/// The optimized event loop behind Server::serve.
+/// The production event loop behind Server::serve.
 ///
-/// Structure: arrivals come in sorted chunks (a StreamingWorkloadSource is
-/// pulled incrementally, so trace memory stays bounded; a plain source is
-/// materialized once and walked through a stable-sorted index). Each chunk
-/// passes through four annotation phases before any of it is admitted:
+/// Arrivals come in sorted chunks: a StreamingWorkloadSource is pulled
+/// incrementally, so trace memory stays bounded; a plain source is
+/// materialized once and walked through a stable-sorted index. Stream and
+/// feedback arrivals share one annotate-and-admit path at the admission
+/// point: validation, tier resolution, the plan-class key (sampling first
+/// for sampled requests), dense class-id interning, and the analytic cost,
+/// priced through core::CostOracle::analytic as the reference loop prices
+/// it, once per class.
 ///
-///   A. pure per-request work — validation, tier resolution, plan-class key
-///      construction — fanned out across the worker pool (nothing shared is
-///      written);
-///   B. sequential merge — class keys interned into the dense registry,
-///      classes missing a canonical cost collected;
-///   C. pure pricing — core::CostOracle::compute per missing class, fanned
-///      out (const: no oracle state is touched until the sequential prime);
-///   D. sequential publish — costs primed into the cost oracle and registry.
-///
-/// The annotated cost is the *analytic* prior; the measurement blend
-/// happens at admit(), a sequential event point, so a chunk annotated far
-/// ahead of the loop never bakes in an oracle state the reference loop
-/// would not have seen at the same admission.
-///
-/// The event loop itself is sequential: scheduler mutations, engine
-/// simulations and closed-loop RNG draws happen in exactly the reference
-/// order, between the conservative barriers the phases above respect. That
-/// is what makes the report bitwise identical to Server::run_reference for
-/// every sim_threads value — tests/serve_property_test.cpp holds the two
-/// loops against each other across policies, fleets and thread counts.
+/// What sets this loop apart from Server::run_reference is bookkeeping,
+/// never order: a feedback-only arrival heap, dense-id memo views instead of
+/// string-keyed lookups, and completion records stamped in place. Scheduler
+/// mutations, engine simulations, oracle updates and closed-loop RNG draws
+/// happen in exactly the reference order, so the report is bitwise identical
+/// to run_reference — tests/serve_property_test.cpp holds the two loops
+/// against each other and against committed goldens.
 #include "serve/server.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <numeric>
 #include <optional>
 #include <queue>
@@ -36,15 +26,12 @@
 #include <utility>
 
 #include "util/check.hpp"
-#include "util/thread_pool.hpp"
 
 namespace gnnerator::serve {
 
 namespace {
 
-/// Below this many per-request items a fan-out costs more than it saves.
-constexpr std::size_t kParallelGrain = 256;
-/// Arrivals annotated per intake refill.
+/// Arrivals pulled per intake refill.
 constexpr std::size_t kIntakeChunk = 4096;
 
 }  // namespace
@@ -54,30 +41,14 @@ struct Server::Pipeline {
   WorkloadSource& workload;
   /// Non-null when the workload supports incremental sorted pulls.
   StreamingWorkloadSource* stream = nullptr;
-  util::ThreadPool* pool = nullptr;
   std::unique_ptr<Scheduler> scheduler;
 
-  /// One arrival with the expensive admit-time work precomputed.
-  struct Annotated {
-    Request request;
-    std::string key;            ///< canonical plan-class key (phase A)
-    std::uint32_t class_id = 0; ///< dense id (phase B)
-    std::size_t tier = 0;       ///< request class index (phase A)
-    std::uint64_t cost = 0;     ///< canonical analytic cost (phase D; blended at admit)
-    /// Sampled requests: the drawn frontier (phase A — sampling is a pure
-    /// function of the request, so it fans out; phase B dedups into the
-    /// shared memo) and its memo key.
-    std::shared_ptr<const SampledQuery> sampled;
-    std::string sample_memo_key;
-  };
-
-  // ---- Intake: the workload's arrivals in sorted order, one annotated
-  // chunk at a time. ---------------------------------------------------
+  // ---- Intake: the workload's arrivals in sorted order, one chunk at a
+  // time. ---------------------------------------------------------------
   std::vector<Request> materialized;  ///< plain sources: every arrival
   std::vector<std::uint32_t> order;   ///< .. stable-sorted by arrival cycle
   std::size_t order_pos = 0;
-  std::vector<Request> pulled;        ///< streaming refill scratch
-  std::vector<Annotated> buffer;      ///< current annotated chunk
+  std::vector<Request> buffer;        ///< current sorted chunk
   std::size_t buffer_pos = 0;
   bool drained = false;
 
@@ -109,8 +80,8 @@ struct Server::Pipeline {
   /// the std::function indirection stays off the non-elastic paths).
   FeedBack feed_back_fn;
 
-  Pipeline(Server& s, WorkloadSource& w, util::ThreadPool* p)
-      : server(s), workload(w), stream(dynamic_cast<StreamingWorkloadSource*>(&w)), pool(p) {
+  Pipeline(Server& s, WorkloadSource& w)
+      : server(s), workload(w), stream(dynamic_cast<StreamingWorkloadSource*>(&w)) {
     er = server.make_elastic_run();
     feed_back_fn = [this](const Outcome& outcome) { feed_back(outcome); };
     scheduler =
@@ -142,63 +113,13 @@ struct Server::Pipeline {
     return device.klass == kNoClass ? 0 : device.klass;
   }
 
-  /// Phase-A body: everything derivable from the request alone. Reads only
-  /// immutable server state — safe from concurrent worker slices.
-  void annotate_fields(Annotated& a) const {
-    const Request& r = a.request;
-    GNNERATOR_CHECK_MSG(!r.sim.dataset.empty(), "serve request needs a dataset id");
-    GNNERATOR_CHECK_MSG(!r.sim.model.layers.empty(), "serve request needs a model");
-    a.tier = 0;
-    if (!r.klass.empty()) {
-      a.tier = server.request_classes_.size();
-      for (std::size_t t = 0; t < server.request_classes_.size(); ++t) {
-        if (server.request_classes_[t].name == r.klass) {
-          a.tier = t;
-          break;
-        }
-      }
-      GNNERATOR_CHECK_MSG(a.tier < server.request_classes_.size(),
-                          "request names unknown class '" << r.klass << "'");
-    }
-    if (r.is_sampled()) {
-      // Sampling stage ahead of compile: draw the frontier here (a pure
-      // function of the request, so the fan-out stays race-free). The memo
-      // is read-only during phase A — misses rebuild the identical subgraph
-      // and phase B's publish first-wins them into one canonical entry.
-      a.sample_memo_key = server.sampled_memo_key(r);
-      a.sampled = server.sampled_lookup(a.sample_memo_key);
-      if (a.sampled == nullptr) {
-        a.sampled = server.make_sampled_query(r);
-      }
-      a.key = a.sampled->fuse_key;
-      return;
-    }
-    const RegisteredDataset& dataset = server.registered(r.sim.dataset);
-    if (server.device_classes_.empty()) {
-      a.key = request_class_key(dataset.fingerprint, r.sim);
-    } else {
-      core::SimulationRequest canonical = r.sim;
-      canonical.config = server.device_classes_.front().config;
-      a.key = request_class_key(dataset.fingerprint, canonical);
-    }
-  }
-
-  /// Phase-B body: dense-id interning (sequential; grows the registry and
-  /// every id-indexed memo view in lockstep).
-  void intern(Annotated& a) {
-    if (a.sampled != nullptr) {
-      // First-wins publish into the shared memo: every duplicate drawn in
-      // phase A collapses to one canonical SampledQuery, the same object the
-      // reference loop's admit would have memoized.
-      a.sampled = server.publish_sampled(std::move(a.sample_memo_key), std::move(a.sampled));
-    }
-    // Sampled requests intern per exact (frontier) key — cost and result
-    // memos distinguish subgraph shapes even inside one fuse class.
-    const std::string& intern_key = a.sampled != nullptr ? a.sampled->exact_key : a.key;
+  /// Dense-id interning: grows the registry and every id-indexed memo view
+  /// in lockstep.
+  std::uint32_t intern(const std::string& key) {
     const auto [it, inserted] = server.class_ids_.try_emplace(
-        intern_key, static_cast<std::uint32_t>(server.plan_classes_.size()));
+        key, static_cast<std::uint32_t>(server.plan_classes_.size()));
     if (inserted) {
-      server.plan_classes_.push_back(PlanClass{intern_key, 0});
+      server.plan_classes_.push_back(PlanClass{key, 0});
       for (auto& slot : server.results_by_id_) {
         slot.emplace_back();
       }
@@ -206,130 +127,23 @@ struct Server::Pipeline {
         slot.push_back(kNoEstimate);
       }
     }
-    a.class_id = it->second;
+    return it->second;
   }
 
-  /// The canonical analytic cost. CostOracle::compute is clamped to >= 1,
-  /// so 0 doubles as "not yet priced" in the registry.
-  [[nodiscard]] std::uint64_t compute_cost(const Annotated& a) const {
-    const Request& r = a.request;
-    if (a.sampled != nullptr) {
-      core::SimulationRequest canonical = r.sim;
-      if (!server.device_classes_.empty()) {
-        canonical.config = server.device_classes_.front().config;
-      }
-      return server.cost_oracle_.compute(*a.sampled->dataset, canonical);
-    }
-    const RegisteredDataset& dataset = server.registered(r.sim.dataset);
-    if (server.device_classes_.empty()) {
-      return server.cost_oracle_.compute(*dataset.dataset, r.sim);
-    }
-    core::SimulationRequest canonical = r.sim;
-    canonical.config = server.device_classes_.front().config;
-    return server.cost_oracle_.compute(*dataset.dataset, canonical);
-  }
-
-  /// Annotates one chunk through phases A-D (see the file comment).
-  void annotate_chunk() {
-    // Phase A: pure per-request work, fanned out across the pool.
-    if (pool != nullptr && buffer.size() >= 2 * kParallelGrain) {
-      const std::size_t tasks_wanted =
-          std::min(pool->parallelism(), (buffer.size() + kParallelGrain - 1) / kParallelGrain);
-      std::vector<std::function<void()>> tasks;
-      tasks.reserve(tasks_wanted);
-      const std::size_t per = (buffer.size() + tasks_wanted - 1) / tasks_wanted;
-      for (std::size_t begin = 0; begin < buffer.size(); begin += per) {
-        const std::size_t end = std::min(begin + per, buffer.size());
-        tasks.emplace_back([this, begin, end] {
-          for (std::size_t i = begin; i < end; ++i) {
-            annotate_fields(buffer[i]);
-          }
-        });
-      }
-      pool->run_all(tasks);
-    } else {
-      for (Annotated& a : buffer) {
-        annotate_fields(a);
-      }
-    }
-
-    // Phase B: intern sequentially; collect the distinct classes that still
-    // need a canonical cost (probing the model memo first — a prior
-    // run_reference may have priced them already).
-    std::vector<std::uint32_t> missing_cids;
-    std::vector<std::size_t> missing_reps;
-    for (std::size_t i = 0; i < buffer.size(); ++i) {
-      Annotated& a = buffer[i];
-      intern(a);
-      PlanClass& pc = server.plan_classes_[a.class_id];
-      if (pc.cost_estimate == 0 &&
-          std::find(missing_cids.begin(), missing_cids.end(), a.class_id) ==
-              missing_cids.end()) {
-        if (const auto known = server.cost_oracle_.lookup(pc.key)) {
-          pc.cost_estimate = *known;
-        } else {
-          missing_cids.push_back(a.class_id);
-          missing_reps.push_back(i);
-        }
-      }
-    }
-
-    // Phase C: price the missing classes — pure analytic computation, one
-    // task per class.
-    std::vector<std::uint64_t> costs(missing_cids.size(), 0);
-    if (pool != nullptr && missing_cids.size() > 1) {
-      std::vector<std::function<void()>> tasks;
-      tasks.reserve(missing_cids.size());
-      for (std::size_t i = 0; i < missing_cids.size(); ++i) {
-        tasks.emplace_back(
-            [this, &costs, i, rep = missing_reps[i]] { costs[i] = compute_cost(buffer[rep]); });
-      }
-      pool->run_all(tasks);
-    } else {
-      for (std::size_t i = 0; i < missing_cids.size(); ++i) {
-        costs[i] = compute_cost(buffer[missing_reps[i]]);
-      }
-    }
-
-    // Phase D: publish — one prime per class, so cost_oracle_runs() counts
-    // exactly what the reference loop would have computed lazily.
-    for (std::size_t i = 0; i < missing_cids.size(); ++i) {
-      PlanClass& pc = server.plan_classes_[missing_cids[i]];
-      server.cost_oracle_.prime(pc.key, costs[i]);
-      pc.cost_estimate = costs[i];
-    }
-    for (Annotated& a : buffer) {
-      a.cost = server.plan_classes_[a.class_id].cost_estimate;
-    }
-  }
-
-  /// Refills the annotated buffer with the next sorted chunk; false once
-  /// the workload's up-front arrivals are exhausted.
+  /// Refills the intake buffer with the next sorted chunk; false once the
+  /// workload's up-front arrivals are exhausted.
   bool refill() {
     buffer.clear();
     buffer_pos = 0;
     if (stream != nullptr) {
-      pulled.clear();
-      if (stream->pull(kIntakeChunk, pulled) == 0) {
-        return false;
-      }
-      buffer.reserve(pulled.size());
-      for (Request& r : pulled) {
-        buffer.push_back(Annotated{std::move(r)});
-      }
-    } else {
-      if (order_pos == order.size()) {
-        return false;
-      }
-      const std::size_t n = std::min(kIntakeChunk, order.size() - order_pos);
-      buffer.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        buffer.push_back(Annotated{std::move(materialized[order[order_pos + i]])});
-      }
-      order_pos += n;
+      return stream->pull(kIntakeChunk, buffer) > 0;
     }
-    annotate_chunk();
-    return true;
+    const std::size_t n = std::min(kIntakeChunk, order.size() - order_pos);
+    for (std::size_t i = 0; i < n; ++i) {
+      buffer.push_back(std::move(materialized[order[order_pos + i]]));
+    }
+    order_pos += n;
+    return n > 0;
   }
 
   /// Arrival cycle of the next up-front arrival (kNoDeadline once drained).
@@ -340,7 +154,7 @@ struct Server::Pipeline {
         return kNoDeadline;
       }
     }
-    return buffer[buffer_pos].request.arrival;
+    return buffer[buffer_pos].arrival;
   }
 
   void feed_back(const Outcome& outcome) {
@@ -350,38 +164,58 @@ struct Server::Pipeline {
     }
   }
 
-  /// The serial annotation path for feedback arrivals (one at a time, so
-  /// the chunk machinery would be overhead). Leaves the cost oracle in the
-  /// exact state the reference admit would.
-  void annotate_serial(Annotated& a) {
-    annotate_fields(a);
-    intern(a);
-    PlanClass& pc = server.plan_classes_[a.class_id];
-    if (pc.cost_estimate == 0) {
-      if (const auto known = server.cost_oracle_.lookup(pc.key)) {
-        pc.cost_estimate = *known;
-      } else {
-        const std::uint64_t cost = compute_cost(a);
-        server.cost_oracle_.prime(pc.key, cost);
-        pc.cost_estimate = cost;
+  /// The one annotate-and-admit path for stream and feedback arrivals. It
+  /// runs at the admission point, so the sample memo and cost oracle change
+  /// exactly where the reference loop's admit changes them.
+  void admit(Request request) {
+    GNNERATOR_CHECK_MSG(!request.sim.dataset.empty(), "serve request needs a dataset id");
+    GNNERATOR_CHECK_MSG(!request.sim.model.layers.empty(), "serve request needs a model");
+    std::size_t tier = 0;
+    if (!request.klass.empty()) {
+      tier = server.request_classes_.size();
+      for (std::size_t t = 0; t < server.request_classes_.size(); ++t) {
+        if (server.request_classes_[t].name == request.klass) {
+          tier = t;
+          break;
+        }
       }
+      GNNERATOR_CHECK_MSG(tier < server.request_classes_.size(),
+                          "request names unknown class '" << request.klass << "'");
     }
-    a.cost = pc.cost_estimate;
-  }
 
-  void admit(Annotated&& a) {
-    const RequestClass& klass = server.request_classes_[a.tier];
-    a.request.id = static_cast<std::uint64_t>(records.size());
+    QueuedRequest queued;
+    queued.tier = tier;
+    if (request.is_sampled()) {
+      queued.sampled = server.sampled_for(request);
+      queued.class_key = queued.sampled->fuse_key;
+    } else {
+      queued.class_key = server.class_key(request.sim);
+    }
+    // Sampled requests intern per exact (frontier) key — cost and result
+    // memos distinguish subgraph shapes even inside one fuse class.
+    queued.class_id =
+        intern(queued.sampled != nullptr ? queued.sampled->exact_key : queued.class_key);
+    // The oracle's analytic value is clamped to >= 1, so 0 doubles as "not
+    // yet priced" in the registry.
+    std::uint64_t& priced = server.plan_classes_[queued.class_id].cost_estimate;
+    if (priced == 0) {
+      priced = queued.sampled != nullptr ? server.sampled_cost_estimate(request, *queued.sampled)
+                                         : server.cost_estimate(request.sim);
+    }
+    const std::uint64_t analytic = priced;
+
+    const RequestClass& klass = server.request_classes_[tier];
+    request.id = static_cast<std::uint64_t>(records.size());
     Outcome record;
-    record.id = a.request.id;
-    record.arrival = a.request.arrival;
-    record.class_key = a.key;  // the fuse class for sampled requests
+    record.id = request.id;
+    record.arrival = request.arrival;
+    record.class_key = queued.class_key;  // the fuse class for sampled requests
     record.klass = klass.name;
-    record.applied_slo_ms = a.request.slo_ms > 0.0   ? a.request.slo_ms
-                            : klass.slo_ms > 0.0     ? klass.slo_ms
-                                                     : server.options_.default_slo_ms;
+    record.applied_slo_ms = request.slo_ms > 0.0   ? request.slo_ms
+                            : klass.slo_ms > 0.0   ? klass.slo_ms
+                                                   : server.options_.default_slo_ms;
     records.push_back(std::move(record));
-    server.obs_admit(records.back(), a.tier, a.sampled.get());
+    server.obs_admit(records.back(), tier, queued.sampled.get());
 
     if (server.options_.queue_capacity > 0 &&
         scheduler->depth() >= server.options_.queue_capacity) {
@@ -393,15 +227,13 @@ struct Server::Pipeline {
       feed_back(shed);
       return;
     }
-    // Blend the annotated analytic cost with the measured history *here* —
-    // admission is a sequential event point shared with the reference loop,
-    // so the oracle windows consulted are identical whichever loop runs.
-    // (Sampled requests stay analytic; see Server::run_reference's admit.)
-    const std::uint64_t cost =
-        a.sampled != nullptr ? a.cost : server.blended_cost(a.cost, a.key);
-    scheduler->enqueue(QueuedRequest{std::move(a.request), std::move(a.key),
-                                     std::move(a.sampled), cost, a.tier, a.class_id},
-                       now);
+    // Blend with the measured history at admission, as the reference loop
+    // does. (Sampled requests stay analytic; see Server::run_reference.)
+    queued.cost_estimate = queued.sampled != nullptr
+                               ? analytic
+                               : server.blended_cost(analytic, queued.class_key);
+    queued.request = std::move(request);
+    scheduler->enqueue(std::move(queued), now);
   }
 
   /// ensure_class_results with the string hashing replaced by dense-id
@@ -611,9 +443,7 @@ struct Server::Pipeline {
   ServeReport run() {
     while (true) {
       // ---- Next event: earliest of (batch completion, stream or feedback
-      // arrival, scheduler window expiry while a device idles). This is the
-      // conservative barrier: nothing past `next` has been simulated, so
-      // everything annotated ahead of it stayed pure. -----------------------
+      // arrival, scheduler window expiry while a device idles). -------------
       Cycle next = kNoDeadline;
       bool any_idle = false;
       for (const Device& device : server.devices_) {
@@ -697,11 +527,10 @@ struct Server::Pipeline {
         }
         if (!feedback.empty() && feedback.top().at == now) {
           // priority_queue::top is const; the element is discarded by pop.
-          Annotated a{std::move(const_cast<Feedback&>(feedback.top()).request)};
-          a.request.arrival = feedback.top().at;
+          Request request = std::move(const_cast<Feedback&>(feedback.top()).request);
+          request.arrival = feedback.top().at;
           feedback.pop();
-          annotate_serial(a);
-          admit(std::move(a));
+          admit(std::move(request));
           continue;
         }
         break;
@@ -735,22 +564,13 @@ struct Server::Pipeline {
     GNNERATOR_CHECK_MSG(scheduler->depth() == 0, "serve loop ended with queued work");
 
     return server.assemble_report(std::move(records), now, depth_stats, max_depth, events,
-                                  er, pool);
+                                  er);
   }
 };
 
 ServeReport Server::serve(WorkloadSource& workload) {
-  util::ThreadPool* pool = nullptr;
-  if (options_.sim_threads != 1) {
-    if (!pool_) {
-      pool_ = std::make_unique<util::ThreadPool>(options_.sim_threads);
-    }
-    if (pool_->parallelism() > 1) {
-      pool = pool_.get();
-    }
-  }
   obs_begin_run();
-  Pipeline pipeline(*this, workload, pool);
+  Pipeline pipeline(*this, workload);
   return pipeline.run();
 }
 

@@ -100,6 +100,16 @@ TEST(FaultPlanParse, ErrorsNameTheTokenAndPosition) {
   EXPECT_THROW((void)parse_fault_plan("crash@-1ms:dev0", 1.0), util::CheckError);
   EXPECT_THROW((void)parse_fault_plan("slow@1ms:dev0", 1.0), util::CheckError);
   EXPECT_THROW((void)parse_fault_plan("slow@1ms:dev0x0", 1.0), util::CheckError);
+  EXPECT_THROW((void)parse_fault_plan("slow@1ms:dev0x1e-300", 1.0), util::CheckError);
+  EXPECT_THROW((void)parse_fault_plan("slow@1ms:dev0xinf", 1.0), util::CheckError);
+  // A tiny slow factor would overflow the service-cycle division deep in
+  // the event loop; the parser names the token instead.
+  const std::string slow_msg = thrown_message(
+      [] { (void)parse_fault_plan("crash@1ms:dev0, slow@0.01ms:dev0x1e-300", 1.0); });
+  EXPECT_NE(slow_msg.find("'slow@0.01ms:dev0x1e-300'"), std::string::npos) << slow_msg;
+  EXPECT_NE(slow_msg.find("offset 16"), std::string::npos) << slow_msg;
+  EXPECT_DOUBLE_EQ(parse_fault_plan("slow@1ms:dev0x0.001", 1.0).events.at(0).factor,
+                   kMinSlowFactor);
   EXPECT_THROW((void)parse_fault_plan("reclass@1ms:dev0", 1.0), util::CheckError);
   EXPECT_THROW((void)parse_fault_plan("", 1.0), util::CheckError);
 }

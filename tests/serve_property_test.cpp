@@ -26,6 +26,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <iomanip>
 #include <map>
 #include <sstream>
 #include <string>
@@ -36,7 +37,6 @@
 #include "serve/server.hpp"
 #include "serve/workload.hpp"
 #include "util/prng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace gnnerator::serve {
 namespace {
@@ -301,6 +301,20 @@ std::string report_fingerprint(const ServeReport& report) {
   return os.str();
 }
 
+/// FNV-1a of a report fingerprint as 16 hex digits. The ServeDifferential
+/// goldens below pin the bytes both loops share (class keys, pricing,
+/// metrics formatting), which a loop-vs-loop comparison cannot see move.
+std::string fnv1a_hex(const std::string& bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  std::ostringstream os;
+  os << std::hex << std::setw(16) << std::setfill('0') << hash;
+  return os.str();
+}
+
 /// The harness: every seeded scenario upholds every invariant, and two
 /// replays of the same scenario produce byte-identical reports.
 TEST(ServeProperty, RandomScenariosUpholdInvariants) {
@@ -385,18 +399,22 @@ TEST(ServeProperty, IdenticalClassFleetMatchesHomogeneousBitwise) {
   }
 }
 
-/// The differential matrix for the parallel serving pipeline: every policy
-/// x fleet shape x sim_threads count must reproduce the trusted
-/// single-threaded Server::run_reference loop *byte for byte* — completion
-/// records, metrics at reporting precision, plan-cache counters, queue
-/// depth, event counts, everything report_fingerprint folds in. Fresh
-/// servers per run: the plan cache and memos staying warm across calls is
-/// part of the report, so the two paths may only be compared from equal
-/// starting states.
-TEST(ServeDifferential, PipelineMatchesReferenceAcrossPoliciesFleetsAndThreads) {
+/// The differential matrix for the serving event loop: every policy x fleet
+/// shape must reproduce the trusted Server::run_reference loop *byte for
+/// byte* — completion records, metrics at reporting precision, plan-cache
+/// counters, queue depth, event counts, everything report_fingerprint folds
+/// in — and the committed golden. Fresh servers per run: the plan cache and
+/// memos staying warm across calls is part of the report, so the two paths
+/// may only be compared from equal starting states.
+TEST(ServeDifferential, PipelineMatchesReferenceAcrossPoliciesAndFleets) {
   const SchedulingPolicy policies[] = {SchedulingPolicy::kFifo, SchedulingPolicy::kSjf,
                                        SchedulingPolicy::kDynamicBatch,
                                        SchedulingPolicy::kAffinity};
+  // Per (policy, fleet) cell, in loop order.
+  const char* const golden[] = {
+      "2f2a5a7b265efe1f", "68afd4bd087750a9", "1703d867a288886e", "d94b7120b6ace6d6",
+      "1bc24e212074ac82", "411628bbea5eaa20", "7fd267cd655396ca", "e96ac4f70846eb4e"};
+  std::size_t cell = 0;
   std::uint64_t seed = 500;
   for (const SchedulingPolicy policy : policies) {
     for (const bool mixed_fleet : {false, true}) {
@@ -413,10 +431,8 @@ TEST(ServeDifferential, PipelineMatchesReferenceAcrossPoliciesFleetsAndThreads) 
       }
       ++seed;
 
-      const auto run = [&](bool reference, std::size_t sim_threads) {
-        ServerOptions o = options;
-        o.sim_threads = sim_threads;
-        Server server(o);
+      const auto run = [&](bool reference) {
+        Server server(options);
         server.add_dataset(graph::make_dataset_by_name("cora", 1, /*with_features=*/false));
         std::vector<RequestTemplate> mix;
         for (const gnn::LayerKind kind :
@@ -426,18 +442,16 @@ TEST(ServeDifferential, PipelineMatchesReferenceAcrossPoliciesFleetsAndThreads) 
           mix.push_back(std::move(t));
         }
         PoissonWorkload workload(mix, /*rate_rps=*/15000.0, /*num_requests=*/150,
-                                 o.clock_ghz, seed);
+                                 options.clock_ghz, seed);
         return reference ? server.run_reference(workload) : server.serve(workload);
       };
 
-      const std::string expected = report_fingerprint(run(/*reference=*/true, 1));
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-        SCOPED_TRACE(std::string(policy_name(policy)) +
-                     (mixed_fleet ? " mixed-fleet" : " homogeneous") + " sim_threads=" +
-                     std::to_string(threads));
-        EXPECT_EQ(report_fingerprint(run(/*reference=*/false, threads)), expected)
-            << "pipeline diverged from run_reference";
-      }
+      SCOPED_TRACE(std::string(policy_name(policy)) +
+                   (mixed_fleet ? " mixed-fleet" : " homogeneous"));
+      const std::string expected = report_fingerprint(run(/*reference=*/true));
+      EXPECT_EQ(fnv1a_hex(expected), golden[cell++]) << "report moved from the golden";
+      EXPECT_EQ(report_fingerprint(run(/*reference=*/false)), expected)
+          << "serve() diverged from run_reference";
     }
   }
 }
@@ -445,13 +459,17 @@ TEST(ServeDifferential, PipelineMatchesReferenceAcrossPoliciesFleetsAndThreads) 
 /// Fault plans are part of the determinism contract: a random schedule of
 /// crash/slow/recover events (optionally with an autoscaler on top) must
 /// produce the identical report from the trusted reference loop and from
-/// the pipeline at every thread count — aborts, requeues, backoff, retry
-/// exhaustion, fleet mutations and all. Every run must also conserve
-/// requests: completed + shed + failed == submitted, one record per id.
-TEST(ServeDifferential, RandomFaultPlansMatchReferenceAcrossThreads) {
+/// serve() — aborts, requeues, backoff, retry exhaustion, fleet mutations
+/// and all. Every run must also conserve requests: completed + shed +
+/// failed == submitted, one record per id.
+TEST(ServeDifferential, RandomFaultPlansMatchReference) {
   const SchedulingPolicy policies[] = {SchedulingPolicy::kFifo, SchedulingPolicy::kSjf,
                                        SchedulingPolicy::kDynamicBatch,
                                        SchedulingPolicy::kAffinity};
+  // Per seed, 900..905.
+  const char* const golden[] = {
+      "ce3edc4e4429c3c1", "cad7c9d016c1547c", "888331b84cdf590c", "5c2b93ffcecaea7c",
+      "94b33f4245a0a320", "695929e6391ea1b1"};
   for (std::uint64_t seed = 900; seed < 906; ++seed) {
     util::Prng prng(seed);
     ServerOptions options;
@@ -498,10 +516,8 @@ TEST(ServeDifferential, RandomFaultPlansMatchReferenceAcrossThreads) {
     }
     const std::size_t num_requests = 80 + prng.uniform_u64(60);
 
-    const auto run = [&](bool reference, std::size_t sim_threads) {
-      ServerOptions o = options;
-      o.sim_threads = sim_threads;
-      Server server(o);
+    const auto run = [&](bool reference) {
+      Server server(options);
       server.add_dataset(graph::make_dataset_by_name("cora", 1, /*with_features=*/false));
       std::vector<RequestTemplate> mix;
       for (const gnn::LayerKind kind : {gnn::LayerKind::kGcn, gnn::LayerKind::kSageMean}) {
@@ -509,29 +525,26 @@ TEST(ServeDifferential, RandomFaultPlansMatchReferenceAcrossThreads) {
         t.sim = timing_sim("cora", kind);
         mix.push_back(std::move(t));
       }
-      PoissonWorkload workload(mix, /*rate_rps=*/10'000.0, num_requests, o.clock_ghz,
+      PoissonWorkload workload(mix, /*rate_rps=*/10'000.0, num_requests, options.clock_ghz,
                                seed * 13);
       return reference ? server.run_reference(workload) : server.serve(workload);
     };
 
-    const ServeReport expected_report = run(/*reference=*/true, 1);
+    SCOPED_TRACE("seed=" + std::to_string(seed) + " plan=" + plan.str() +
+                 " policy=" + std::string(policy_name(options.policy)) +
+                 " autoscale=" + (options.autoscale ? "y" : "n"));
+    const ServeReport expected_report = run(/*reference=*/true);
     const std::string expected = report_fingerprint(expected_report);
+    EXPECT_EQ(fnv1a_hex(expected), golden[seed - 900]) << "report moved from the golden";
     EXPECT_EQ(expected_report.metrics.completed + expected_report.metrics.shed +
                   expected_report.metrics.failed,
               num_requests)
-        << "reference run lost requests under plan '" << plan.str() << "'";
+        << "reference run lost requests";
     EXPECT_EQ(expected_report.outcomes.size(), num_requests);
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-      SCOPED_TRACE("seed=" + std::to_string(seed) + " plan=" + plan.str() +
-                   " policy=" + std::string(policy_name(options.policy)) +
-                   " autoscale=" + (options.autoscale ? "y" : "n") +
-                   " sim_threads=" + std::to_string(threads));
-      const ServeReport got = run(/*reference=*/false, threads);
-      EXPECT_EQ(report_fingerprint(got), expected)
-          << "pipeline diverged from run_reference under a fault plan";
-      EXPECT_EQ(got.metrics.completed + got.metrics.shed + got.metrics.failed,
-                num_requests);
-    }
+    const ServeReport got = run(/*reference=*/false);
+    EXPECT_EQ(report_fingerprint(got), expected)
+        << "serve() diverged from run_reference under a fault plan";
+    EXPECT_EQ(got.metrics.completed + got.metrics.shed + got.metrics.failed, num_requests);
   }
 }
 
@@ -539,7 +552,7 @@ TEST(ServeDifferential, RandomFaultPlansMatchReferenceAcrossThreads) {
 /// re-arms a client through the workload's PRNG, so any reordering of
 /// completion records (or of feedback vs streamed arrivals at equal
 /// cycles) changes the RNG draw sequence and cascades through the rest of
-/// the run. The pipeline must replay it exactly, with SLO tiers on a
+/// the run. serve() must replay it exactly, with SLO tiers on a
 /// heterogeneous fleet for good measure.
 TEST(ServeDifferential, ClosedLoopFeedbackMatchesReference) {
   ServerOptions options;
@@ -548,10 +561,8 @@ TEST(ServeDifferential, ClosedLoopFeedbackMatchesReference) {
   options.classes = parse_class_spec("interactive:3:4:1,bulk:0:1:0");
   options.default_slo_ms = 2.0;
 
-  const auto run = [&](bool reference, std::size_t sim_threads) {
-    ServerOptions o = options;
-    o.sim_threads = sim_threads;
-    Server server(o);
+  const auto run = [&](bool reference) {
+    Server server(options);
     server.add_dataset(graph::make_dataset_by_name("cora", 1, /*with_features=*/false));
     std::vector<RequestTemplate> mix;
     for (const gnn::LayerKind kind : {gnn::LayerKind::kGcn, gnn::LayerKind::kSageMean}) {
@@ -563,15 +574,13 @@ TEST(ServeDifferential, ClosedLoopFeedbackMatchesReference) {
     // Workloads are stateful (PRNG advances on every feedback) — a fresh
     // instance per run, same seed.
     ClosedLoopWorkload workload(mix, /*num_clients=*/6, /*total_requests=*/120,
-                                /*think_ms=*/0.3, o.clock_ghz, /*seed=*/4242);
+                                /*think_ms=*/0.3, options.clock_ghz, /*seed=*/4242);
     return reference ? server.run_reference(workload) : server.serve(workload);
   };
 
-  const std::string expected = report_fingerprint(run(/*reference=*/true, 1));
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    SCOPED_TRACE("sim_threads=" + std::to_string(threads));
-    EXPECT_EQ(report_fingerprint(run(/*reference=*/false, threads)), expected);
-  }
+  const std::string expected = report_fingerprint(run(/*reference=*/true));
+  EXPECT_EQ(fnv1a_hex(expected), "bf1af893eb80452c") << "report moved from the golden";
+  EXPECT_EQ(report_fingerprint(run(/*reference=*/false)), expected);
 }
 
 /// The cost oracle memoizes per (plan class, device class): however many
@@ -632,64 +641,6 @@ TEST(ServeCostOracle, PipelineRunsOncePerPlanAndDeviceClass) {
     PoissonWorkload workload(make_mix(), 8000.0, 40, options.clock_ghz, 9);
     (void)server.run_reference(workload);
     EXPECT_EQ(server.cost_oracle_runs(), 2u);
-  }
-}
-
-/// Metrics::add_all fans the aggregation streams out across a pool, but
-/// each stream walks the records front to back — the order every latency
-/// enters a StreamingQuantiles reservoir is fixed by the completion-record
-/// order, never by the thread schedule. Summaries must be bitwise equal to
-/// the serial loop, including deep in the reservoir regime.
-TEST(ServeMetrics, ReservoirIngestionOrderIsRecordOrderNotThreadSchedule) {
-  constexpr std::size_t kBound = 64;
-  const auto outcome_with = [](std::uint64_t id, const char* klass, Cycle latency) {
-    Outcome o;
-    o.id = id;
-    o.klass = klass;
-    o.completion = latency;
-    o.batch_size = 1 + static_cast<std::uint32_t>(id % 4);
-    o.applied_slo_ms = (id % 3 == 0) ? 0.5 : 0.0;
-    return o;
-  };
-  std::vector<Outcome> outcomes;
-  util::Prng prng(31);
-  const char* classes[] = {"interactive", "bulk", "batchy"};
-  for (std::uint64_t i = 0; i < 20 * kBound; ++i) {
-    outcomes.push_back(
-        outcome_with(i, classes[prng.uniform_u64(3)],
-                     1000 + static_cast<Cycle>(prng.uniform() * 1e6)));
-  }
-
-  Metrics serial(1.0, kBound);
-  for (const Outcome& o : outcomes) {
-    serial.add(o);
-  }
-  const MetricsSummary expected = serial.summary(2'000'000);
-
-  util::ThreadPool pool(4);
-  for (int repeat = 0; repeat < 3; ++repeat) {
-    Metrics parallel(1.0, kBound);
-    parallel.add_all(outcomes, &pool);
-    const MetricsSummary got = parallel.summary(2'000'000);
-    EXPECT_EQ(got.completed, expected.completed);
-    EXPECT_EQ(got.shed, expected.shed);
-    EXPECT_EQ(got.p50_ms, expected.p50_ms);
-    EXPECT_EQ(got.p95_ms, expected.p95_ms);
-    EXPECT_EQ(got.p99_ms, expected.p99_ms);
-    EXPECT_EQ(got.mean_ms, expected.mean_ms);
-    EXPECT_EQ(got.mean_queue_ms, expected.mean_queue_ms);
-    EXPECT_EQ(got.mean_batch_size, expected.mean_batch_size);
-    EXPECT_EQ(got.slo_attainment, expected.slo_attainment);
-    ASSERT_EQ(got.classes.size(), expected.classes.size());
-    for (std::size_t c = 0; c < got.classes.size(); ++c) {
-      SCOPED_TRACE(expected.classes[c].name);
-      EXPECT_EQ(got.classes[c].name, expected.classes[c].name);
-      EXPECT_EQ(got.classes[c].completed, expected.classes[c].completed);
-      EXPECT_EQ(got.classes[c].p50_ms, expected.classes[c].p50_ms);
-      EXPECT_EQ(got.classes[c].p95_ms, expected.classes[c].p95_ms);
-      EXPECT_EQ(got.classes[c].p99_ms, expected.classes[c].p99_ms);
-      EXPECT_EQ(got.classes[c].slo_attainment, expected.classes[c].slo_attainment);
-    }
   }
 }
 
@@ -807,12 +758,12 @@ TEST(ServeProperty, PerClassQuantileEdgeRegimes) {
 /// Sampled mini-batch serving joins the determinism contract: sampled
 /// workloads (per-request seed vertex + fanout) with mixed-batch fusion and
 /// the pre-sampling feature cache enabled must reproduce the trusted
-/// reference loop byte for byte at every sim_threads count — the fused
-/// batch compositions, the cache counters the report folds in, and the
-/// per-seed outputs scattered out of fused device passes. Every run must
+/// reference loop byte for byte — the fused batch compositions, the cache
+/// counters the report folds in, and the per-seed outputs scattered out of
+/// fused device passes. Every run must
 /// also conserve requests: completed + shed + failed == submitted, in the
 /// totals and per request class.
-TEST(ServeDifferential, SampledWorkloadsMatchReferenceAcrossThreads) {
+TEST(ServeDifferential, SampledWorkloadsMatchReference) {
   const SchedulingPolicy policies[] = {SchedulingPolicy::kFifo, SchedulingPolicy::kSjf,
                                        SchedulingPolicy::kDynamicBatch,
                                        SchedulingPolicy::kAffinity};
@@ -837,6 +788,11 @@ TEST(ServeDifferential, SampledWorkloadsMatchReferenceAcrossThreads) {
     return os.str();
   };
 
+  // Per (policy, fleet) cell, in loop order.
+  const char* const golden[] = {
+      "b7ce935ef4f5a170", "7e9521c216a046f8", "6ee3758f06840abd", "86afd5188e70b9d5",
+      "b2e1b5a8ac7fe871", "11a316ef32d1947b", "ec444ea1dd992e7e", "b9c5d52c9bc3055f"};
+  std::size_t cell = 0;
   std::uint64_t seed = 900;
   for (const SchedulingPolicy policy : policies) {
     for (const bool mixed_fleet : {false, true}) {
@@ -860,10 +816,8 @@ TEST(ServeDifferential, SampledWorkloadsMatchReferenceAcrossThreads) {
       }
       ++seed;
 
-      const auto run = [&](bool reference, std::size_t sim_threads) {
-        ServerOptions o = options;
-        o.sim_threads = sim_threads;
-        Server server(o);
+      const auto run = [&](bool reference) {
+        Server server(options);
         const graph::Dataset& ds = server.add_dataset(
             graph::make_dataset_by_name("cora", 1, /*with_features=*/true));
         std::vector<SampledQueryWorkload::Entry> entries;
@@ -874,13 +828,13 @@ TEST(ServeDifferential, SampledWorkloadsMatchReferenceAcrossThreads) {
           // kernel still runs, cycles are identical) and materialises the
           // outputs the scatter assertions below need.
           t.sim.mode = core::SimMode::kFunctional;
-          if (!o.classes.empty()) {
-            t.klass = o.classes[entries.size() % o.classes.size()].name;
+          if (!options.classes.empty()) {
+            t.klass = options.classes[entries.size() % options.classes.size()].name;
           }
           entries.push_back(SampledQueryWorkload::Entry{t, &ds, "6,4"});
         }
         SampledQueryWorkload workload(std::move(entries), /*rate_rps=*/15000.0,
-                                      /*num_requests=*/120, o.clock_ghz, seed);
+                                      /*num_requests=*/120, options.clock_ghz, seed);
         const ServeReport report =
             reference ? server.run_reference(workload) : server.serve(workload);
 
@@ -923,20 +877,18 @@ TEST(ServeDifferential, SampledWorkloadsMatchReferenceAcrossThreads) {
         return report;
       };
 
-      const ServeReport expected = run(/*reference=*/true, 1);
+      SCOPED_TRACE(std::string(policy_name(policy)) +
+                   (mixed_fleet ? " mixed-fleet" : " homogeneous"));
+      const ServeReport expected = run(/*reference=*/true);
       const std::string expected_fp = report_fingerprint(expected);
+      EXPECT_EQ(fnv1a_hex(expected_fp), golden[cell++]) << "report moved from the golden";
       const std::string expected_results = result_fingerprint(expected);
       EXPECT_GT(expected.feature_cache.hits + expected.feature_cache.misses, 0u);
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-        SCOPED_TRACE(std::string(policy_name(policy)) +
-                     (mixed_fleet ? " mixed-fleet" : " homogeneous") + " sim_threads=" +
-                     std::to_string(threads));
-        const ServeReport actual = run(/*reference=*/false, threads);
-        EXPECT_EQ(report_fingerprint(actual), expected_fp)
-            << "sampled pipeline diverged from run_reference";
-        EXPECT_EQ(result_fingerprint(actual), expected_results)
-            << "scattered per-seed outputs diverged from run_reference";
-      }
+      const ServeReport actual = run(/*reference=*/false);
+      EXPECT_EQ(report_fingerprint(actual), expected_fp)
+          << "sampled serve() diverged from run_reference";
+      EXPECT_EQ(result_fingerprint(actual), expected_results)
+          << "scattered per-seed outputs diverged from run_reference";
     }
   }
 }

@@ -62,10 +62,9 @@ std::string report_fingerprint(const ServeReport& report) {
   return out.str();
 }
 
-Server make_server(std::size_t sim_threads) {
+Server make_server() {
   ServerOptions options;
   options.num_devices = 2;
-  options.sim_threads = sim_threads;
   Server server(options);
   for (const char* name : {"cora", "citeseer"}) {
     server.add_dataset(graph::make_dataset_by_name(name, /*seed=*/1, /*with_features=*/false));
@@ -124,22 +123,19 @@ TEST(SyntheticTrace, SampledTraceRoundTripsThroughBothReaders) {
 
   std::string expected;
   {
-    Server server = make_server(/*sim_threads=*/1);
+    Server server = make_server();
     expected = report_fingerprint(server.run_reference(materialized));
   }
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    SCOPED_TRACE("sim_threads=" + std::to_string(threads));
-    Server server = make_server(threads);
-    StreamingTraceWorkload workload(trace.path, base, 1.0, /*chunk_bytes=*/512);
-    EXPECT_EQ(report_fingerprint(server.serve(workload)), expected);
-    EXPECT_EQ(workload.rows_streamed(), spec.num_requests);
-  }
+  Server server = make_server();
+  StreamingTraceWorkload workload(trace.path, base, 1.0, /*chunk_bytes=*/512);
+  EXPECT_EQ(report_fingerprint(server.serve(workload)), expected);
+  EXPECT_EQ(workload.rows_streamed(), spec.num_requests);
 }
 
 /// The bounded-memory path and the materialize-everything path are the
-/// same simulation: streaming a generated trace through serve() (parallel
-/// pipeline) reproduces TraceWorkload::from_file through run_reference
-/// byte for byte, on fresh servers.
+/// same simulation: streaming a generated trace through serve() reproduces
+/// TraceWorkload::from_file through run_reference byte for byte, on fresh
+/// servers.
 TEST(StreamingTrace, ReplayMatchesMaterializedReferenceRun) {
   TraceSpec spec;
   spec.num_requests = 1500;
@@ -152,19 +148,16 @@ TEST(StreamingTrace, ReplayMatchesMaterializedReferenceRun) {
   const core::SimulationRequest base;
   std::string expected;
   {
-    Server server = make_server(/*sim_threads=*/1);
+    Server server = make_server();
     TraceWorkload workload = TraceWorkload::from_file(trace.path, base, 1.0);
     ASSERT_EQ(workload.size(), spec.num_requests);
     expected = report_fingerprint(server.run_reference(workload));
   }
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    SCOPED_TRACE("sim_threads=" + std::to_string(threads));
-    Server server = make_server(threads);
-    // A deliberately small chunk so the run crosses many refill boundaries.
-    StreamingTraceWorkload workload(trace.path, base, 1.0, /*chunk_bytes=*/512);
-    EXPECT_EQ(report_fingerprint(server.serve(workload)), expected);
-    EXPECT_EQ(workload.rows_streamed(), spec.num_requests);
-  }
+  Server server = make_server();
+  // A deliberately small chunk so the run crosses many refill boundaries.
+  StreamingTraceWorkload workload(trace.path, base, 1.0, /*chunk_bytes=*/512);
+  EXPECT_EQ(report_fingerprint(server.serve(workload)), expected);
+  EXPECT_EQ(workload.rows_streamed(), spec.num_requests);
 }
 
 /// Satellite regression: replaying a >100k-row trace keeps the reader's

@@ -8,9 +8,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
+#include "core/compiler.hpp"
 #include "core/engine.hpp"
+#include "core/plan_cache.hpp"
 #include "serve/fleet.hpp"
 #include "serve/metrics.hpp"
 #include "serve/scheduler.hpp"
@@ -748,6 +751,99 @@ TEST(Serve, ClosedLoopHonoursClientPopulation) {
       }
     }
     EXPECT_LE(in_system, 2u) << "at cycle " << probe.arrival;
+  }
+}
+
+/// The class key and the plan-cache key are committed bytes: class keys land
+/// in every Outcome::class_key and key every serving memo, plan keys key the
+/// fleet plan cache. Both serving loops share the serializer, so the
+/// loop-vs-loop differentials cannot see a byte move; these literals can.
+TEST(Serve, ClassAndPlanKeysMatchGoldenBytes) {
+  const graph::Dataset cora = graph::make_dataset_by_name("cora", 1, /*with_features=*/false);
+  const std::string fingerprint = core::graph_fingerprint(cora.graph);
+
+  struct Case {
+    const char* name;
+    core::SimulationRequest sim;
+    const char* class_key;
+    const char* plan_key;
+  };
+  std::vector<Case> cases;
+  {
+    Case c{"table4 gcn timing", timing_sim("cora", gnn::LayerKind::kGcn),
+           "gd1a451d0957f6a30|gcn;0,1433,16,1;0,16,7,0|"
+           "gnnerator,1,64x64,1,2097152,2097152,2097152,32,32,24117248,1048576,256,100,64|"
+           "1,0,-1,0,0|0",
+           "gd1a451d0957f6a30|gcn;0,1433,16,1;0,16,7,0|"
+           "gnnerator,1,64x64,1,2097152,2097152,2097152,32,32,24117248,1048576,256,100,64|"
+           "0|L0.S0:B64,n2708,S1,dst,pipe,cache;L1.S0:B16,n2708,S1,dst,pipe,cache"};
+    cases.push_back(c);
+  }
+  {
+    // Doubles that need all 17 significant digits to round-trip.
+    Case c{"17-digit doubles", timing_sim("cora", gnn::LayerKind::kGcn),
+           "gd1a451d0957f6a30|gcn;0,1433,16,1;0,16,7,0|"
+           "gnnerator,0.69999999999999996,64x64,1,2097152,2097152,2097152,32,32,24117248,"
+           "1048576,0.66666666666666663,100,64|"
+           "1,0,-1,0,0|0",
+           "gd1a451d0957f6a30|gcn;0,1433,16,1;0,16,7,0|"
+           "gnnerator,0.69999999999999996,64x64,1,2097152,2097152,2097152,32,32,24117248,"
+           "1048576,0.66666666666666663,100,64|"
+           "0|L0.S0:B64,n2708,S1,dst,pipe,cache;L1.S0:B16,n2708,S1,dst,pipe,cache"};
+    c.sim.config.clock_ghz = 0.7;
+    c.sim.config.dram.bytes_per_cycle = 2.0 / 3.0;
+    cases.push_back(c);
+  }
+  {
+    Case c{"functional weight seed", timing_sim("cora", gnn::LayerKind::kSageMean),
+           "gd1a451d0957f6a30|gsage;1,1433,16,1;1,16,7,0|"
+           "gnnerator,1,64x64,1,2097152,2097152,2097152,32,32,24117248,1048576,256,100,64|"
+           "1,0,-1,0,0|1,w1234567",
+           "gd1a451d0957f6a30|gsage;1,1433,16,1;1,16,7,0|"
+           "gnnerator,1,64x64,1,2097152,2097152,2097152,32,32,24117248,1048576,256,100,64|"
+           "0|L0.S0:B64,n2708,S1,dst,pipe,cache;L1.S0:B16,n2708,S1,dst,pipe,cache"};
+    c.sim.mode = core::SimMode::kFunctional;
+    c.sim.weight_seed = 1234567;
+    cases.push_back(c);
+  }
+  {
+    Case c{"pinned traversal", timing_sim("cora", gnn::LayerKind::kSagePool),
+           "gd1a451d0957f6a30|gsage-max;2,1433,16,1;2,16,7,0|"
+           "gnnerator,1,64x64,1,2097152,2097152,2097152,32,32,24117248,1048576,256,100,64|"
+           "0,32,1,0,0|0",
+           "gd1a451d0957f6a30|gsage-max;2,1433,16,1;2,16,7,0|"
+           "gnnerator,1,64x64,1,2097152,2097152,2097152,32,32,24117248,1048576,256,100,64|"
+           "0|L0.S1:B16,n2708,S1,dst,pipe,cache;L1.S1:B7,n2708,S1,dst,pipe,cache"};
+    c.sim.dataflow.traversal = shard::Traversal::kDestStationary;
+    c.sim.dataflow.block_size = 32;
+    c.sim.dataflow.feature_blocking = false;
+    cases.push_back(c);
+  }
+  {
+    Case c{"sparsity + autotune", timing_sim("cora", gnn::LayerKind::kGcn),
+           "gd1a451d0957f6a30|gcn;0,1433,16,1;0,16,7,0|"
+           "gnnerator,1,64x64,1,2097152,2097152,2097152,32,32,24117248,1048576,256,100,64|"
+           "1,0,-1,1,1|0",
+           "gd1a451d0957f6a30|gcn;0,1433,16,1;0,16,7,0|"
+           "gnnerator,1,64x64,1,2097152,2097152,2097152,32,32,24117248,1048576,256,100,64|"
+           "1|L0.S0:B64,n2708,S1,dst,pipe,cache;L1.S0:B16,n2708,S1,dst,pipe,cache"};
+    c.sim.dataflow.sparsity_elimination = true;
+    c.sim.dataflow.autotune = true;
+    cases.push_back(c);
+  }
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string class_key = request_class_key(fingerprint, c.sim);
+    EXPECT_EQ(class_key, c.class_key);
+    core::Compiler compiler(cora.graph, c.sim.config, c.sim.dataflow);
+    const std::string plan_key = core::plan_cache_key(
+        fingerprint, c.sim.model, c.sim.config, c.sim.dataflow, compiler.resolve(c.sim.model));
+    EXPECT_EQ(plan_key, c.plan_key);
+    // Exact capacity: a queued request and its record each hold one key, so
+    // slack left over from building the string would scale with the queue.
+    EXPECT_EQ(class_key.capacity(), class_key.size());
+    EXPECT_EQ(plan_key.capacity(), plan_key.size());
   }
 }
 
