@@ -16,9 +16,9 @@ ExecutionResult Accelerator::run(const LoweredModel& plan, RuntimeState* state,
     // Functional arithmetic is decoupled from the cycle simulation: the
     // executor runs the plan's compute program up front (on the Engine's
     // pool when given), then the timing kernel runs without closures.
-    // Work-item order within each conflict chain matches engine issue
-    // order, so outputs are bit-identical to the old inline path and
-    // invariant to the pool size.
+    // Each row band runs its phase's items in engine issue order, so
+    // outputs are bit-identical to the old inline path and invariant to
+    // the pool size.
     FunctionalExecutor(pool).execute(plan, *state);
   }
   ExecutionResult result = run_timing(plan, tracer);

@@ -88,9 +88,8 @@ ExecutionResult Engine::run_impl(const graph::Dataset& dataset, const gnn::Model
 
   GNNERATOR_CHECK_MSG(!dataset.features.empty(),
                       "functional simulation needs materialised dataset features");
-  gnn::Tensor features(dataset.spec.num_nodes, dataset.spec.feature_dim, dataset.features);
   const gnn::ModelWeights weights = gnn::init_weights(model, request.weight_seed);
-  RuntimeState state(*plan, features, weights);
+  RuntimeState state(*plan, dataset.features, weights);
   return Accelerator::run(*plan, &state, tracer, functional_pool);
 }
 

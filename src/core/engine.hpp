@@ -40,9 +40,9 @@ struct EngineOptions {
 /// One configured Engine serves many requests:
 ///   * repeated identical requests reuse the compiled LoweredModel instead
 ///     of re-running the compiler (observable via cache_stats()),
-///   * functional-mode arithmetic runs on the worker pool, partitioned into
-///     conflict-free chains — outputs are bitwise identical for every
-///     thread count,
+///   * functional-mode arithmetic runs on the worker pool, split into row
+///     bands that keep every element's order of operations — outputs are
+///     bitwise identical for every thread count,
 ///   * run_batch executes independent requests concurrently.
 ///
 /// The timing simulation itself stays deterministic and single-threaded per

@@ -1,7 +1,6 @@
 #include "core/executor.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <map>
 #include <utility>
 
@@ -9,115 +8,27 @@
 
 namespace gnnerator::core {
 
-// ---------------------------------------------------------------------------
-// FunctionalExecutor
-// ---------------------------------------------------------------------------
-
 namespace {
 
 /// One plan work item, tagged with which program it came from. Items keep
-/// their program order inside a phase/chain.
+/// their program order inside a phase.
 struct Item {
   bool is_gemm = false;
   std::uint32_t index = 0;
 };
 
-/// Merges half-open intervals on one axis into maximal overlapping
-/// segments; maps an interval back to the segment containing it. Two work
-/// items overlap on the axis iff they land in the same segment (strictly
-/// adjacent intervals stay distinct).
-class SegmentIndex {
- public:
-  void add(std::uint32_t begin, std::uint32_t end) { intervals_.emplace_back(begin, end); }
+/// Bands per pool thread: more bands than threads evens out bands of
+/// unequal cost (hub destinations, partial row tiles).
+constexpr std::size_t kBandsPerThread = 4;
 
-  void build() {
-    std::sort(intervals_.begin(), intervals_.end());
-    for (const auto& [begin, end] : intervals_) {
-      if (!merged_.empty() && begin < merged_.back().second) {
-        merged_.back().second = std::max(merged_.back().second, end);
-      } else {
-        merged_.emplace_back(begin, end);
-      }
+void run_items(RuntimeState& state, const LoweredModel& plan, const std::vector<Item>& items,
+               RowBand band) {
+  for (const Item& item : items) {
+    if (item.is_gemm) {
+      state.run_gemm(plan.dense_program[item.index], band);
+    } else {
+      state.run_agg(plan.graph_program[item.index], band);
     }
-  }
-
-  [[nodiscard]] std::size_t segment_of(std::uint32_t begin) const {
-    // Last segment with segment.begin <= begin.
-    auto it = std::upper_bound(merged_.begin(), merged_.end(),
-                               std::make_pair(begin, std::numeric_limits<std::uint32_t>::max()));
-    GNNERATOR_CHECK(it != merged_.begin());
-    return static_cast<std::size_t>(std::prev(it) - merged_.begin());
-  }
-
- private:
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> intervals_;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> merged_;
-};
-
-/// Partitions one phase's GEMM ops into conflict chains: ops whose
-/// [row) x [n) write regions overlap share a chain (k-splits and
-/// different-series chunks accumulate into the same tile and must keep
-/// program order); disjoint regions may run concurrently. Overlap is
-/// resolved through merged segments per axis — conservative (transitively
-/// merged segments may group ops that do not pairwise overlap) but never
-/// splits a genuine conflict.
-std::vector<std::vector<Item>> gemm_chains(const LoweredModel& plan,
-                                           const std::vector<Item>& items) {
-  SegmentIndex n_segments;
-  for (const Item& item : items) {
-    const GemmWork& op = plan.dense_program[item.index];
-    n_segments.add(op.n_begin, op.n_end);
-  }
-  n_segments.build();
-
-  std::map<std::size_t, SegmentIndex> rows_of_nseg;
-  for (const Item& item : items) {
-    const GemmWork& op = plan.dense_program[item.index];
-    rows_of_nseg[n_segments.segment_of(op.n_begin)].add(op.row_begin, op.row_end);
-  }
-  for (auto& [nseg, rows] : rows_of_nseg) {
-    rows.build();
-  }
-
-  std::map<std::pair<std::size_t, std::size_t>, std::vector<Item>> chains;
-  for (const Item& item : items) {
-    const GemmWork& op = plan.dense_program[item.index];
-    const std::size_t nseg = n_segments.segment_of(op.n_begin);
-    const std::size_t rseg = rows_of_nseg.at(nseg).segment_of(op.row_begin);
-    chains[{nseg, rseg}].push_back(item);
-  }
-
-  std::vector<std::vector<Item>> result;
-  result.reserve(chains.size());
-  for (auto& [key, chain] : chains) {
-    result.push_back(std::move(chain));
-  }
-  return result;
-}
-
-/// Shard tasks write the [destination interval x feature block] region of
-/// the stage accumulator: the grid's column intervals and the block grid are
-/// both disjoint partitions, so (column, d_begin) is an exact region key.
-std::vector<std::vector<Item>> agg_chains(const LoweredModel& plan,
-                                          const std::vector<Item>& items) {
-  std::map<std::pair<std::uint32_t, std::uint32_t>, std::vector<Item>> chains;
-  for (const Item& item : items) {
-    const AggWork& task = plan.graph_program[item.index];
-    chains[{task.coord.col, task.d_begin}].push_back(item);
-  }
-  std::vector<std::vector<Item>> result;
-  result.reserve(chains.size());
-  for (auto& [key, chain] : chains) {
-    result.push_back(std::move(chain));
-  }
-  return result;
-}
-
-void run_item(RuntimeState& state, const LoweredModel& plan, const Item& item) {
-  if (item.is_gemm) {
-    state.run_gemm(plan.dense_program[item.index]);
-  } else {
-    state.run_agg(plan.graph_program[item.index]);
   }
 }
 
@@ -133,8 +44,22 @@ void FunctionalExecutor::execute(const LoweredModel& plan, RuntimeState& state) 
   }
   for (std::uint32_t i = 0; i < plan.graph_program.size(); ++i) {
     const AggWork& task = plan.graph_program[i];
+    GNNERATOR_CHECK_MSG(task.agg_stage < plan.agg_stages.size(),
+                        "aggregation task " << task.tag << " names stage " << task.agg_stage
+                                            << " of " << plan.agg_stages.size());
     const TensorRef out = plan.agg_stages[task.agg_stage].output;
     phases[{out.layer, out.stage}].push_back(Item{false, i});
+  }
+
+  const std::size_t parallelism = pool_ == nullptr ? 1 : pool_->parallelism();
+  const std::size_t num_rows = plan.agg_graph->num_nodes();
+  const std::size_t num_bands =
+      parallelism == 1 ? 1 : std::min(num_rows, kBandsPerThread * parallelism);
+  std::vector<RowBand> bands;
+  bands.reserve(num_bands);
+  for (std::size_t b = 0; b < num_bands; ++b) {
+    bands.push_back(RowBand{static_cast<std::uint32_t>(num_rows * b / num_bands),
+                            static_cast<std::uint32_t>(num_rows * (b + 1) / num_bands)});
   }
 
   for (const auto& [key, items] : phases) {
@@ -145,24 +70,14 @@ void FunctionalExecutor::execute(const LoweredModel& plan, RuntimeState& state) 
       GNNERATOR_CHECK(item.is_gemm == items.front().is_gemm);
     }
 
-    if (pool_ == nullptr || pool_->parallelism() == 1) {
-      // Serial: program order is chain order for every chain at once.
-      for (const Item& item : items) {
-        run_item(state, plan, item);
-      }
+    if (parallelism == 1) {
+      run_items(state, plan, items, RowBand{});
       continue;
     }
-
-    const std::vector<std::vector<Item>> chains =
-        items.front().is_gemm ? gemm_chains(plan, items) : agg_chains(plan, items);
     std::vector<std::function<void()>> tasks;
-    tasks.reserve(chains.size());
-    for (const std::vector<Item>& chain : chains) {
-      tasks.emplace_back([&state, &plan, &chain] {
-        for (const Item& item : chain) {
-          run_item(state, plan, item);
-        }
-      });
+    tasks.reserve(bands.size());
+    for (const RowBand band : bands) {
+      tasks.emplace_back([&state, &plan, &items, band] { run_items(state, plan, items, band); });
     }
     pool_->run_all(tasks);
   }

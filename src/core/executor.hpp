@@ -16,21 +16,18 @@ using ThreadPool = util::ThreadPool;
 ///
 /// Work items are grouped into *phases*, one per (layer, stage) output
 /// tensor, executed in stage order so every input tensor is complete before
-/// a consumer reads it. Within a phase, items are partitioned into *conflict
-/// chains*: items whose write regions overlap (k-split GEMM accumulation
-/// onto one output tile, shard tasks accumulating into one destination
-/// interval x feature block) land in the same chain and run in program
-/// order; distinct chains write disjoint regions and run concurrently.
-/// Region overlap is computed by merging row and column intervals, not by
-/// exact-key matching — the compiler's h-part and z̄-part series tile the
-/// same rows with different chunk sizes.
+/// a consumer reads it. Within a phase, the V output rows are split into
+/// *row bands*, a few per pool thread. Each band runs every item of the
+/// phase in program order, clipped to its rows: a GEMM op to its row range,
+/// an aggregation task to the destinations in the band. Bands write
+/// disjoint rows and run concurrently.
 ///
-/// Because chains only ever interleave writes to disjoint regions, the
-/// output is bitwise identical for every pool size, including the serial
-/// in-issue-order execution the one-shot simulator used.
+/// Every output element therefore sees the operations of the serial
+/// in-program-order execution in the same order, so the output is bitwise
+/// identical for every pool size.
 class FunctionalExecutor {
  public:
-  /// `pool` == nullptr runs every chain on the calling thread.
+  /// `pool` == nullptr runs the whole program on the calling thread.
   explicit FunctionalExecutor(ThreadPool* pool = nullptr) : pool_(pool) {}
 
   void execute(const LoweredModel& plan, RuntimeState& state) const;

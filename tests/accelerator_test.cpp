@@ -5,16 +5,26 @@
 // correctly.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <iomanip>
+#include <sstream>
+#include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "core/accelerator.hpp"
 #include "core/compiler.hpp"
+#include "core/executor.hpp"
 #include "core/gnnerator.hpp"
 #include "core/runtime.hpp"
 #include "gnn/reference.hpp"
 #include "gnn/weights.hpp"
+#include "graph/builder.hpp"
 #include "graph/generate.hpp"
 #include "util/prng.hpp"
+#include "util/thread_pool.hpp"
 #include "util/units.hpp"
 
 namespace gnnerator {
@@ -52,7 +62,36 @@ gnn::Tensor random_features(std::size_t rows, std::size_t cols, std::uint64_t se
   return t;
 }
 
-/// Runs the accelerator functionally and compares against the reference.
+/// The plan's functional output, computed on a pool of `threads`.
+gnn::Tensor run_functional(const LoweredModel& plan, const gnn::Tensor& features,
+                           const gnn::ModelWeights& weights, std::size_t threads) {
+  util::ThreadPool pool(threads);
+  core::RuntimeState state(plan, features, weights);
+  core::FunctionalExecutor(&pool).execute(plan, state);
+  return state.final_output();
+}
+
+bool same_bits(const gnn::Tensor& a, const gnn::Tensor& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/// FNV-1a over a tensor's bytes as 16 hex digits.
+std::string output_bits_hex(const gnn::Tensor& t) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(t.data());
+  for (std::size_t i = 0; i < t.size() * sizeof(float); ++i) {
+    hash ^= bytes[i];
+    hash *= 0x100000001b3ULL;
+  }
+  std::ostringstream os;
+  os << std::hex << std::setw(16) << std::setfill('0') << hash;
+  return os.str();
+}
+
+/// Runs the accelerator functionally and compares against the reference,
+/// then checks that pools of 1, 2, 3 and 8 threads reproduce the serial
+/// output bitwise.
 void expect_matches_reference(const graph::Graph& g, const gnn::ModelSpec& model,
                               const AcceleratorConfig& config, const DataflowOptions& options,
                               float tolerance = 2e-4f) {
@@ -72,6 +111,11 @@ void expect_matches_reference(const graph::Graph& g, const gnn::ModelSpec& model
   EXPECT_LE(gnn::Tensor::max_abs_diff(*result.output, expected), tolerance)
       << "accelerator output diverges from reference";
   EXPECT_GT(result.cycles, 0u);
+
+  for (const std::size_t threads : {1, 2, 3, 8}) {
+    EXPECT_TRUE(same_bits(run_functional(plan, features, weights, threads), *result.output))
+        << "output on " << threads << " threads differs from the serial output";
+  }
 }
 
 graph::Graph test_graph(std::uint64_t seed, graph::NodeId n = 120, std::size_t edges = 600) {
@@ -109,6 +153,62 @@ TEST(AcceleratorFunctional, ThreeLayerGcnMatchesReference) {
   const auto g = test_graph(5);
   const auto model = gnn::ModelSpec::gcn(24, 12, 5, /*hidden_layers=*/2);
   expect_matches_reference(g, model, small_config(), DataflowOptions{});
+}
+
+/// Degenerate structure: a single vertex, no edges, isolated vertices,
+/// fewer vertices than an 8-thread pool has row bands, and a hub-heavy
+/// power-law graph.
+TEST(AcceleratorFunctional, DegenerateGraphsMatchReference) {
+  graph::GraphBuilder isolated(12);
+  isolated.add_undirected_edge(0, 1).add_undirected_edge(1, 2).add_undirected_edge(7, 8);
+  graph::GraphBuilder path(3);
+  path.add_undirected_edge(0, 1).add_undirected_edge(1, 2);
+  util::Prng prng(31);
+  const std::vector<std::pair<std::string, graph::Graph>> graphs = {
+      {"single vertex", graph::GraphBuilder(1).build()},
+      {"no edges", graph::GraphBuilder(9).build()},
+      {"isolated vertices", isolated.build()},
+      {"V = 3", path.build()},
+      {"hub-heavy power law", graph::symmetrized(graph::power_law(150, 900, 2.5, prng))},
+  };
+  graph::DatasetSpec spec;
+  spec.feature_dim = 20;
+  spec.num_classes = 3;
+  for (const auto& [name, g] : graphs) {
+    for (const gnn::LayerKind kind :
+         {gnn::LayerKind::kGcn, gnn::LayerKind::kSageMean, gnn::LayerKind::kSagePool}) {
+      SCOPED_TRACE(name + " " + std::string(gnn::layer_kind_name(kind)));
+      expect_matches_reference(g, core::table3_model(kind, spec, 8), small_config(),
+                               DataflowOptions{}, 1e-3f);
+    }
+  }
+}
+
+/// Golden output bits on multi-shard (S > 1) grids: a power-law graph
+/// under small_config(), three networks, pools of 1 to 8 threads.
+TEST(AcceleratorFunctional, PowerLawOutputsMatchGoldenBits) {
+  const char* const golden[] = {"690f8ce585596789", "c669e375fa269b4c", "7c110379b3154a93"};
+  const auto g = test_graph(37, 1000, 5000);
+  graph::DatasetSpec spec;
+  spec.feature_dim = 40;
+  spec.num_classes = 7;
+  std::size_t cell = 0;
+  for (const gnn::LayerKind kind :
+       {gnn::LayerKind::kGcn, gnn::LayerKind::kSageMean, gnn::LayerKind::kSagePool}) {
+    const gnn::ModelSpec model = core::table3_model(kind, spec);
+    const LoweredModel plan = core::compile_model(g, model, small_config(), DataflowOptions{});
+    for (const core::AggStagePlan& stage : plan.agg_stages) {
+      ASSERT_GT(stage.grid->dim(), 1u);
+    }
+    const gnn::Tensor features = random_features(g.num_nodes(), model.input_dim(), 99);
+    const gnn::ModelWeights weights = gnn::init_weights(model, 42);
+    for (const std::size_t threads : {1, 2, 3, 4, 8}) {
+      EXPECT_EQ(output_bits_hex(run_functional(plan, features, weights, threads)), golden[cell])
+          << gnn::layer_kind_name(kind) << " on " << threads
+          << " threads moved from the golden";
+    }
+    ++cell;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -4,7 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <future>
+#include <iomanip>
+#include <optional>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -211,27 +216,49 @@ TEST(Engine, DatasetRegistry) {
   EXPECT_THROW((void)engine.run(incomplete), util::CheckError);
 }
 
-/// Acceptance: functional outputs bitwise identical between 1-thread and
-/// N-thread executors, on two datasets x two layer kinds.
-TEST(Engine, FunctionalOutputsThreadCountInvariant) {
-  Engine serial(EngineOptions{.num_threads = 1});
-  Engine threaded(EngineOptions{.num_threads = 4});
+/// FNV-1a over a tensor's bytes as 16 hex digits.
+std::string output_bits_hex(const gnn::Tensor& t) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(t.data());
+  for (std::size_t i = 0; i < t.size() * sizeof(float); ++i) {
+    hash ^= bytes[i];
+    hash *= 0x100000001b3ULL;
+  }
+  std::ostringstream os;
+  os << std::hex << std::setw(16) << std::setfill('0') << hash;
+  return os.str();
+}
 
+/// Acceptance: functional outputs are bitwise identical for every pool
+/// size, on two datasets x three layer kinds, and equal to committed golden
+/// bits, so a kernel change that moves one rounding fails here even when
+/// every pool size agrees with every other.
+TEST(Engine, FunctionalOutputsThreadCountInvariant) {
+  const char* const golden[] = {
+      "ee828618c98000da", "db6dd33f098b1cf0", "1d23ac4ba00dc7af",  // cora
+      "3817dfae79783119", "ff2467025f1a65af", "22b052632c84306a",  // citeseer
+  };
+  std::size_t cell = 0;
   for (const char* ds_name : {"cora", "citeseer"}) {
     const graph::Dataset ds = graph::make_dataset_by_name(ds_name);
-    for (const gnn::LayerKind kind : {gnn::LayerKind::kGcn, gnn::LayerKind::kSageMean}) {
+    for (const gnn::LayerKind kind :
+         {gnn::LayerKind::kGcn, gnn::LayerKind::kSageMean, gnn::LayerKind::kSagePool}) {
       const auto model = table3_model(kind, ds.spec);
       SimulationRequest request;
       request.mode = SimMode::kFunctional;
-
-      const auto serial_result = serial.run(ds, model, request);
-      const auto threaded_result = threaded.run(ds, model, request);
-      ASSERT_TRUE(serial_result.output.has_value());
-      ASSERT_TRUE(threaded_result.output.has_value());
-      EXPECT_EQ(*serial_result.output, *threaded_result.output)
-          << ds_name << " " << gnn::layer_kind_name(kind)
-          << ": parallel functional output diverged";
-      EXPECT_EQ(serial_result.cycles, threaded_result.cycles);
+      std::optional<std::uint64_t> cycles;
+      for (const std::size_t threads : {1, 2, 3, 4, 8}) {
+        SCOPED_TRACE(std::string(ds_name) + " " + std::string(gnn::layer_kind_name(kind)) +
+                     " threads " + std::to_string(threads));
+        Engine engine(EngineOptions{.num_threads = threads});
+        const auto result = engine.run(ds, model, request);
+        ASSERT_TRUE(result.output.has_value());
+        EXPECT_EQ(output_bits_hex(*result.output), golden[cell])
+            << "functional output moved from the golden";
+        EXPECT_EQ(result.cycles, cycles.value_or(result.cycles));
+        cycles = result.cycles;
+      }
+      ++cell;
     }
   }
 }

@@ -2,6 +2,8 @@
 // configuration module, plus the sparsity-elimination extension.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "core/accelerator.hpp"
 #include "core/compiler.hpp"
 #include "core/gnnerator.hpp"
@@ -54,16 +56,18 @@ TEST(RuntimeState, ResolvesTensorRefs) {
   const auto weights = gnn::init_weights(model, 1);
   RuntimeState state(plan, features, weights);
 
-  // Layer 0 input == the dataset features.
-  EXPECT_EQ(&state.tensor(TensorRef{0, -1}), &features);
+  // Layer 0 input == the caller's features, borrowed: the same data, no copy.
+  const TensorView input = state.tensor(TensorRef{0, -1});
+  EXPECT_EQ(input.data, features.data());
+  EXPECT_EQ(input.rows, 6u);
+  EXPECT_EQ(input.cols, 4u);
   // Layer 1 input == layer 0's last stage output.
-  const gnn::Tensor& l0_out = state.tensor(TensorRef{0, 1});
-  EXPECT_EQ(&state.tensor(TensorRef{1, -1}), &l0_out);
+  EXPECT_EQ(state.tensor(TensorRef{1, -1}).data, state.mutable_tensor(TensorRef{0, 1}).data());
   // Stage shapes: L0 agg out is V x in_dim, L0 dense out is V x hidden.
-  EXPECT_EQ(state.tensor(TensorRef{0, 0}).cols(), 4u);
-  EXPECT_EQ(state.tensor(TensorRef{0, 1}).cols(), 3u);
+  EXPECT_EQ(state.tensor(TensorRef{0, 0}).cols, 4u);
+  EXPECT_EQ(state.tensor(TensorRef{0, 1}).cols, 3u);
   // Final output: last layer's last stage.
-  EXPECT_EQ(&state.final_output(), &state.tensor(TensorRef{1, 1}));
+  EXPECT_EQ(&state.final_output(), &state.mutable_tensor(TensorRef{1, 1}));
   // Layer inputs are read-only.
   EXPECT_THROW((void)state.mutable_tensor(TensorRef{0, -1}), util::CheckError);
 }
@@ -77,6 +81,78 @@ TEST(RuntimeState, ShapeMismatchesRejected) {
   EXPECT_THROW(RuntimeState(plan, wrong_rows, weights), util::CheckError);
   const gnn::Tensor wrong_cols = ramp_features(6, 5);
   EXPECT_THROW(RuntimeState(plan, wrong_cols, weights), util::CheckError);
+}
+
+/// Work that disagrees with the state's tensors is rejected before any
+/// element is read or written.
+TEST(RuntimeState, MalformedWorkRejected) {
+  const auto g = small_graph();
+  const auto model = gnn::ModelSpec::gcn(4, 3, 2);
+  const auto plan = compile_model(g, model, small_config(), DataflowOptions{});
+  const gnn::Tensor features = ramp_features(6, 4);
+  const auto weights = gnn::init_weights(model, 1);
+  ASSERT_EQ(plan.agg_stages.size(), 2u);
+  ASSERT_FALSE(plan.dense_program.empty());
+
+  // Layer 0 aggregates the 4-wide features into a 4-wide accumulator;
+  // layer 1 aggregates a 3-wide input into a 3-wide accumulator.
+  AggWork layer0;
+  layer0.agg_stage = 0;
+  layer0.d_begin = 0;
+  layer0.d_end = 4;
+  AggWork layer1 = layer0;
+  layer1.agg_stage = 1;
+  layer1.d_end = 3;
+  const auto agg_throws = [&](const LoweredModel& p, const AggWork& task, const char* what) {
+    RuntimeState state(p, features, weights);
+    EXPECT_THROW(state.run_agg(task), util::CheckError) << what;
+  };
+
+  AggWork bad = layer0;
+  bad.agg_stage = 2;
+  agg_throws(plan, bad, "aggregation stage out of range");
+  bad = layer0;
+  bad.d_end = 40;
+  agg_throws(plan, bad, "block past both widths");
+  bad = layer0;
+  bad.d_begin = 3;
+  bad.d_end = 2;
+  agg_throws(plan, bad, "reversed block");
+
+  LoweredModel narrow_input = plan;
+  narrow_input.agg_stages[0].input = TensorRef{0, 1};  // layer 0's 3-wide dense output
+  agg_throws(narrow_input, layer0, "block past the input width");
+
+  LoweredModel narrow_acc = plan;
+  narrow_acc.agg_stages[1].input = TensorRef{0, -1};  // the 4-wide features
+  bad = layer1;
+  bad.d_end = 4;
+  agg_throws(narrow_acc, bad, "block past the accumulator width");
+
+  LoweredModel in_place = plan;
+  in_place.agg_stages[0].input = in_place.agg_stages[0].output;
+  agg_throws(in_place, layer0, "input is the accumulator");
+
+  graph::GraphBuilder nine(9);
+  nine.add_undirected_edge(0, 8);
+  LoweredModel other_grid = plan;
+  other_grid.agg_stages[0].grid = std::make_shared<const shard::ShardGrid>(nine.build(), 9);
+  agg_throws(other_grid, layer0, "grid over another vertex count");
+
+  const auto gemm_throws = [&](const GemmWork& op, const char* what) {
+    RuntimeState state(plan, features, weights);
+    EXPECT_THROW(state.run_gemm(op), util::CheckError) << what;
+  };
+  GemmWork op = plan.dense_program.front();
+  op.row_end = 7;
+  gemm_throws(op, "rows past A and the output");
+  op = plan.dense_program.front();
+  op.row_begin = 4;
+  op.row_end = 2;
+  gemm_throws(op, "reversed rows");
+  op = plan.dense_program.front();
+  op.a = op.out;
+  gemm_throws(op, "A is the output");
 }
 
 TEST(RuntimeState, GemmFuncAccumulatesIntoOutput) {
@@ -98,7 +174,7 @@ TEST(RuntimeState, GemmFuncAccumulatesIntoOutput) {
   }
   const gnn::ReferenceExecutor reference(g);
   const gnn::Tensor expected = reference.aggregate(gnn::AggregateOp::kGcnNorm, features);
-  EXPECT_LE(gnn::Tensor::max_abs_diff(state.tensor(TensorRef{0, 0}), expected), 1e-5f);
+  EXPECT_LE(gnn::Tensor::max_abs_diff(state.mutable_tensor(TensorRef{0, 0}), expected), 1e-5f);
 }
 
 TEST(RuntimeState, MaxAggregationInitialisesToIdentity) {
