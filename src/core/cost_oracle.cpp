@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <string_view>
 
 #include "core/compiler.hpp"
 
@@ -71,37 +72,29 @@ std::uint64_t CostOracle::saturate_cycles(double cycles) {
   return static_cast<std::uint64_t>(std::llround(cycles));
 }
 
-void CostOracle::observe(const std::string& plan_class, const std::string& device_class,
-                         std::uint64_t cycles) {
-  windows_.record(plan_class, device_class, cycles);
+void CostOracle::observe(obs::ExecWindowLog::Id window, std::uint64_t cycles) {
+  windows_.record(window, cycles);
 }
 
-std::uint64_t CostOracle::blend(std::uint64_t analytic_cycles, std::string_view plan_class,
-                                std::string_view device_class) const {
-  if (!options_.blend_measurements) {
+std::uint64_t CostOracle::blend(std::uint64_t analytic_cycles,
+                                obs::ExecWindowLog::Id window) const {
+  const obs::ExecWindow& w = windows_.window(window);
+  if (!options_.blend_measurements || w.observations == 0) {
     return analytic_cycles;
   }
-  const obs::ExecWindow* w = windows_.find(plan_class, device_class);
-  if (w == nullptr || w->observations == 0) {
-    return analytic_cycles;
-  }
-  const double n = static_cast<double>(w->observations);
+  const double n = static_cast<double>(w.observations);
   const double weight = n / (n + std::max(options_.confidence, 0.0));
   const double blended =
-      (1.0 - weight) * static_cast<double>(analytic_cycles) + weight * w->ewma_cycles;
+      (1.0 - weight) * static_cast<double>(analytic_cycles) + weight * w.ewma_cycles;
   return saturate_cycles(blended);
 }
 
-std::optional<std::uint64_t> CostOracle::measured(std::string_view plan_class,
-                                                 std::string_view device_class) const {
-  if (!options_.blend_measurements) {
+std::optional<std::uint64_t> CostOracle::measured(obs::ExecWindowLog::Id window) const {
+  const obs::ExecWindow& w = windows_.window(window);
+  if (!options_.blend_measurements || w.observations == 0) {
     return std::nullopt;
   }
-  const obs::ExecWindow* w = windows_.find(plan_class, device_class);
-  if (w == nullptr || w->observations == 0) {
-    return std::nullopt;
-  }
-  return w->last_cycles;
+  return w.last_cycles;
 }
 
 std::uint64_t CostOracle::state_fingerprint() const {

@@ -4,7 +4,6 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <string_view>
 
 #include "core/compiler/ir.hpp"
 #include "core/gnnerator.hpp"
@@ -44,16 +43,19 @@ struct CostOracleOptions {
 ///      key is the plan-class key under the executing device's config, not
 ///      the device class *name*: two identically-configured classes share
 ///      measurements, which keeps the identical-class-fleet differential a
-///      bitwise no-op;
+///      bitwise no-op. Callers intern each pair once into a dense window id
+///      (`intern`) and observe, blend and read by id, so the hot path never
+///      builds or compares a key string;
 ///   3. the last exact measurement — engine executions are deterministic
 ///      per (plan class, execution identity), so `last_cycles` is not a
 ///      sample but the true value; affinity placement uses it directly.
 ///
 /// Determinism contract: the oracle is mutated only at event points
-/// (admission pricing, dispatch commit) in both Server::serve and
-/// Server::run_reference, in the same order — `state_fingerprint()` is
+/// (admission pricing, dispatch commit) in the one event loop behind both
+/// Server::serve and Server::run_reference — `state_fingerprint()` is
 /// byte-comparable across loops. The helpers `compute`, `blend` and
-/// `measured` never mutate state.
+/// `measured` never mutate state, and `intern` changes nothing the
+/// fingerprint sees (an interned pair stays invisible until observed).
 class CostOracle {
  public:
   explicit CostOracle(CostOracleOptions options = {});
@@ -80,23 +82,26 @@ class CostOracle {
   /// "pipeline runs once per class" counter.
   [[nodiscard]] std::size_t pipeline_runs() const { return pipeline_runs_; }
 
-  /// Folds one measured execution into the (plan class, device class) EWMA.
-  /// Call only at event points (see class comment).
-  void observe(const std::string& plan_class, const std::string& device_class,
-               std::uint64_t cycles);
+  /// The dense window id of a (plan class, execution identity) pair.
+  obs::ExecWindowLog::Id intern(const std::string& plan_class, const std::string& identity) {
+    return windows_.intern(plan_class, identity);
+  }
+
+  /// Folds one measured execution into the window's EWMA. Call only at
+  /// event points (see class comment).
+  void observe(obs::ExecWindowLog::Id window, std::uint64_t cycles);
 
   /// Confidence-weighted blend of the analytic prior with the measured EWMA:
   /// with n observations of the pair, the measurement carries weight
   /// n / (n + confidence). Returns `analytic_cycles` unchanged while the
   /// pair is unobserved or blending is disabled.
-  [[nodiscard]] std::uint64_t blend(std::uint64_t analytic_cycles, std::string_view plan_class,
-                                    std::string_view device_class) const;
+  [[nodiscard]] std::uint64_t blend(std::uint64_t analytic_cycles,
+                                    obs::ExecWindowLog::Id window) const;
 
   /// The last exact measurement for the pair, when one exists and blending
   /// is enabled. Engine executions are deterministic per pair, so this is
   /// the true device-cycle cost, not an estimate.
-  [[nodiscard]] std::optional<std::uint64_t> measured(std::string_view plan_class,
-                                                      std::string_view device_class) const;
+  [[nodiscard]] std::optional<std::uint64_t> measured(obs::ExecWindowLog::Id window) const;
 
   [[nodiscard]] const obs::ExecWindowLog& windows() const { return windows_; }
   [[nodiscard]] const CostOracleOptions& options() const { return options_; }

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -31,42 +30,34 @@ struct ExecWindow {
 
 /// Accumulates ExecWindows across serve runs (the Recorder owns one; it is
 /// not reset by begin_run — calibration history is long-lived, like the plan
-/// cache). Deterministic: backed by std::map, so snapshot order is the
-/// lexicographic (plan class, device class) order regardless of insertion.
+/// cache). A pair is interned once into a dense id, then recorded and read
+/// by id. An interned pair stays invisible until its first record: snapshot,
+/// size and total_observations see only observed windows, in lexicographic
+/// (plan class, device class) order regardless of insertion.
 class ExecWindowLog {
  public:
+  using Id = std::uint32_t;
+
   explicit ExecWindowLog(double ewma_alpha = 0.25) : alpha_(ewma_alpha) {}
 
-  void record(const std::string& plan_class, const std::string& device_class,
-              std::uint64_t cycles);
+  /// The pair's dense id, allocating an unobserved window on first sight.
+  Id intern(const std::string& plan_class, const std::string& device_class);
+  /// Folds one measured execution into the window's EWMA.
+  void record(Id id, std::uint64_t cycles);
+  /// The window of an interned pair (observations == 0 until recorded).
+  [[nodiscard]] const ExecWindow& window(Id id) const { return windows_[id]; }
 
-  /// All pairs, sorted by (plan class, device class).
+  /// All observed pairs, sorted by (plan class, device class).
   [[nodiscard]] std::vector<ExecWindow> snapshot() const;
-  /// Null when the pair has never been observed.
-  [[nodiscard]] const ExecWindow* find(std::string_view plan_class,
-                                       std::string_view device_class) const;
-  [[nodiscard]] std::size_t size() const { return windows_.size(); }
+  [[nodiscard]] std::size_t size() const { return observed_; }
   [[nodiscard]] std::uint64_t total_observations() const { return total_observations_; }
 
  private:
-  /// Transparent (plan class, device class) order: pre-C++23 std::pair has no
-  /// heterogeneous comparisons, so string_view probes need an explicit
-  /// comparator to avoid building two temporary strings per lookup.
-  struct PairLess {
-    using is_transparent = void;
-    template <typename A, typename B, typename C, typename D>
-    bool operator()(const std::pair<A, B>& lhs, const std::pair<C, D>& rhs) const {
-      const std::string_view lf{lhs.first};
-      const std::string_view rf{rhs.first};
-      if (lf != rf) {
-        return lf < rf;
-      }
-      return std::string_view{lhs.second} < std::string_view{rhs.second};
-    }
-  };
-
   double alpha_;
-  std::map<std::pair<std::string, std::string>, ExecWindow, PairLess> windows_;
+  std::vector<ExecWindow> windows_;  ///< by id
+  /// (plan class, device class) -> id, in snapshot order.
+  std::map<std::pair<std::string, std::string>, Id> ids_;
+  std::size_t observed_ = 0;
   std::uint64_t total_observations_ = 0;
 };
 

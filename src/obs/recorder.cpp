@@ -231,7 +231,7 @@ void Recorder::record_exec_window(const std::string& plan_class,
   if (!options_.exec_windows) {
     return;
   }
-  exec_log_.record(plan_class, device_class, cycles);
+  exec_log_.record(exec_log_.intern(plan_class, device_class), cycles);
 }
 
 }  // namespace gnnerator::obs

@@ -165,8 +165,8 @@ class Recorder {
   /// skipped: DMA overlaps compute on the same lane).
   [[nodiscard]] static std::vector<EngineWindow> windows_from_tracer(
       const sim::Tracer& tracer);
-  /// Memoizes the window template of one execution-memo key (parallels the
-  /// server's class_results_; persists across runs).
+  /// Memoizes the window template of one execution identity key (parallels
+  /// the server's memoized engine results; persists across runs).
   void store_engine_windows(const std::string& exec_key, std::vector<EngineWindow> windows);
   [[nodiscard]] const std::vector<EngineWindow>* engine_windows(
       const std::string& exec_key) const;
@@ -200,8 +200,9 @@ class Recorder {
   std::vector<Mark> marks_;
   /// One open busy span per device index (nullopt when idle).
   std::vector<std::optional<DeviceSpan>> open_busy_;
-  /// exec-memo key -> engine window template, in device cycles relative to
-  /// execution start. Persists across runs (mirrors class_results_).
+  /// execution identity key -> engine window template, in device cycles
+  /// relative to execution start. Persists across runs (mirrors the
+  /// server's memoized engine results).
   std::unordered_map<std::string, std::vector<EngineWindow>> engine_windows_;
   ExecWindowLog exec_log_;
   Registry registry_;

@@ -40,7 +40,7 @@ std::optional<double> parse_time_ms(std::string_view text) {
     text.remove_suffix(1);
   }
   const std::optional<double> value = util::parse_double(text);
-  if (!value.has_value() || *value < 0.0) {
+  if (!value.has_value() || !std::isfinite(*value) || *value < 0.0) {
     return std::nullopt;
   }
   return *value * unit_ms;
@@ -98,7 +98,10 @@ FaultPlan parse_fault_plan(std::string_view spec, double clock_ghz) {
     const std::optional<double> time_ms = parse_time_ms(rest.substr(0, colon));
     GNNERATOR_CHECK_MSG(time_ms.has_value(),
                         ctx << "malformed time '" << util::trim(rest.substr(0, colon))
-                            << "' (non-negative number, optional us/ms/s unit)");
+                            << "' (finite non-negative number, optional us/ms/s unit)");
+    GNNERATOR_CHECK_MSG(fits_cycles(*time_ms, clock_ghz),
+                        ctx << "time '" << util::trim(rest.substr(0, colon))
+                            << "' is past the range of the cycle clock");
     event.at = ms_to_cycles(*time_ms, clock_ghz);
 
     std::string_view target = util::trim(rest.substr(colon + 1));

@@ -1,5 +1,6 @@
 #include "serve/fleet.hpp"
 
+#include <cmath>
 #include <limits>
 #include <utility>
 
@@ -89,14 +90,15 @@ std::vector<RequestClass> parse_class_spec(std::string_view spec) {
     }
     if (fields.size() > 1 && !fields[1].empty()) {
       const std::optional<double> slo = util::parse_double(fields[1]);
-      GNNERATOR_CHECK_MSG(slo.has_value(),
+      GNNERATOR_CHECK_MSG(slo.has_value() && std::isfinite(*slo),
                           "request class '" << element << "': malformed slo_ms");
       klass.slo_ms = *slo;
     }
     if (fields.size() > 2 && !fields[2].empty()) {
       const std::optional<double> weight = util::parse_double(fields[2]);
-      GNNERATOR_CHECK_MSG(weight.has_value() && *weight > 0.0,
-                          "request class '" << element << "': weight must be a positive number");
+      GNNERATOR_CHECK_MSG(weight.has_value() && std::isfinite(*weight) && *weight > 0.0,
+                          "request class '" << element
+                                            << "': weight must be a finite positive number");
       klass.weight = *weight;
     }
     if (fields.size() > 3 && !fields[3].empty()) {

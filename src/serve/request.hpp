@@ -1,11 +1,13 @@
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
 
 #include "core/accelerator.hpp"
 #include "core/gnnerator.hpp"
+#include "util/check.hpp"
 
 namespace gnnerator::serve {
 
@@ -23,7 +25,25 @@ inline constexpr Cycle kNoDeadline = ~static_cast<Cycle>(0);
   return static_cast<double>(cycles) / (clock_ghz * 1e6);
 }
 
+/// Whether `ms` is a time the cycle clock can hold: finite, non-negative
+/// and under 2^63 cycles (so a deadline sum of two such times cannot wrap).
+[[nodiscard]] inline bool fits_cycles(double ms, double clock_ghz) {
+  const double cycles = ms * clock_ghz * 1e6;
+  return cycles >= 0.0 && cycles < 9223372036854775808.0;  // false for NaN
+}
+
+/// Whether an SLO setting is usable: finite, and either none (<= 0) or a
+/// deadline the clock can hold.
+[[nodiscard]] inline bool slo_fits(double slo_ms, double clock_ghz) {
+  return std::isfinite(slo_ms) && (slo_ms <= 0.0 || fits_cycles(slo_ms, clock_ghz));
+}
+
+/// Text input is range-checked where it is parsed; the check here is the
+/// backstop that keeps an unchecked value from reaching the cast, which is
+/// undefined for a non-finite or out-of-range double.
 [[nodiscard]] inline Cycle ms_to_cycles(double ms, double clock_ghz) {
+  GNNERATOR_CHECK_MSG(fits_cycles(ms, clock_ghz), "time " << ms << " ms is past the range of the "
+                                                          << clock_ghz << " GHz cycle clock");
   return static_cast<Cycle>(ms * clock_ghz * 1e6);
 }
 

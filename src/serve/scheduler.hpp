@@ -77,10 +77,10 @@ struct QueuedRequest {
   /// Index of the request class (SLO tier) the admission controller
   /// resolved; routes the request inside a TieredScheduler.
   std::size_t tier = 0;
-  /// Dense id the server interned `class_key` under (Server::serve; the
-  /// reference loop leaves it 0). Lets per-(plan class,
-  /// device class) memo lookups be array indexing instead of string
-  /// hashing. Never consulted by scheduler policies.
+  /// Dense plan-class id the server interned at admission (the exact key
+  /// for sampled requests). Lets per-(plan class, device class) memo
+  /// lookups be array indexing instead of string hashing. Never consulted
+  /// by scheduler policies.
   std::uint32_t class_id = 0;
 };
 

@@ -68,11 +68,18 @@ Server::Server(ServerOptions options)
     GNNERATOR_CHECK_MSG(!klass.name.empty(), "request class " << i << " needs a name");
     GNNERATOR_CHECK_MSG(klass.weight > 0.0,
                         "request class '" << klass.name << "' needs a positive weight");
+    GNNERATOR_CHECK_MSG(slo_fits(klass.slo_ms, options_.clock_ghz),
+                        "request class '" << klass.name << "' has slo_ms " << klass.slo_ms
+                                          << ", past the " << options_.clock_ghz
+                                          << " GHz cycle clock's range");
     for (std::size_t j = 0; j < i; ++j) {
       GNNERATOR_CHECK_MSG(request_classes_[j].name != klass.name,
                           "duplicate request class '" << klass.name << "'");
     }
   }
+  GNNERATOR_CHECK_MSG(slo_fits(options_.default_slo_ms, options_.clock_ghz),
+                      "default_slo_ms " << options_.default_slo_ms << " is past the "
+                                        << options_.clock_ghz << " GHz cycle clock's range");
 
   device_classes_ = options_.fleet;
   std::size_t total_devices = options_.num_devices;
@@ -147,12 +154,6 @@ std::size_t Server::intern_device_class(std::string_view name) {
   klass->count = 0;  // registry entry only; no configured workers
   klass->config.validate();
   device_classes_.push_back(std::move(*klass));
-  // Keep the pipeline's id-indexed exec-memo views in lockstep with the
-  // registry (a reclass mid-run must not index past the slot vectors).
-  while (results_by_id_.size() < device_classes_.size()) {
-    results_by_id_.emplace_back(plan_classes_.size());
-    estimates_by_id_.emplace_back(plan_classes_.size(), kNoEstimate);
-  }
   return device_classes_.size() - 1;
 }
 
@@ -220,11 +221,11 @@ const DeviceClass* Server::device_class(std::size_t device) const {
   return klass == kNoClass ? nullptr : &device_classes_[klass];
 }
 
-core::SimulationRequest Server::sim_for_device(const core::SimulationRequest& sim,
-                                               const Device& device) const {
+core::SimulationRequest Server::sim_for_slot(const core::SimulationRequest& sim,
+                                             std::size_t slot) const {
   core::SimulationRequest swapped = sim;
-  if (device.klass != kNoClass) {
-    swapped.config = device_classes_[device.klass].config;
+  if (!device_classes_.empty()) {
+    swapped.config = device_classes_[slot].config;
   }
   return swapped;
 }
@@ -256,19 +257,9 @@ std::uint64_t Server::cost_estimate(const core::SimulationRequest& sim) {
 }
 
 std::uint64_t Server::calibrated_cost_estimate(const core::SimulationRequest& sim) {
-  return blended_cost(cost_estimate(sim), class_key(sim));
-}
-
-std::uint64_t Server::blended_cost(std::uint64_t analytic, const std::string& class_key) const {
-  // Oracle windows are keyed (plan class, execution identity), where the
-  // execution identity is the plan-class key under the executing device's
-  // config (exec_key). The canonical estimate is priced under the canonical
-  // class's config — exactly what `class_key` itself encodes — so the
-  // canonical execution identity *is* the class key. Keying by config
-  // identity rather than class name is what lets two identically-configured
-  // device classes share measurements (the identical-class differential in
-  // tests/serve_property_test.cpp holds bitwise).
-  return cost_oracle_.blend(analytic, class_key, class_key);
+  // The canonical execution identity is the class key (see identity()).
+  const std::string key = class_key(sim);
+  return cost_oracle_.blend(cost_estimate(sim), cost_oracle_.intern(key, key));
 }
 
 Cycle Server::to_server_cycles(const Device& device, std::uint64_t device_cycles) const {
@@ -285,9 +276,9 @@ Cycle Server::to_server_cycles(const Device& device, std::uint64_t device_cycles
 std::uint64_t Server::device_cost_estimate(const core::SimulationRequest& sim,
                                            std::size_t device_index) {
   GNNERATOR_CHECK(device_index < devices_.size());
-  Device& device = devices_[device_index];
+  const Device& device = devices_[device_index];
   const RegisteredDataset& dataset = registered(sim.dataset);
-  const core::SimulationRequest swapped = sim_for_device(sim, device);
+  const core::SimulationRequest swapped = sim_for_slot(sim, exec_slot(device));
   const std::string key = request_class_key(dataset.fingerprint, swapped);
   const std::uint64_t device_cycles = cost_oracle_.analytic(*dataset.dataset, swapped, key);
   return to_server_cycles(device, device_cycles) + options_.per_request_overhead;
@@ -298,91 +289,115 @@ std::uint64_t Server::calibrated_device_cost_estimate(const core::SimulationRequ
   GNNERATOR_CHECK(device_index < devices_.size());
   const Device& device = devices_[device_index];
   const RegisteredDataset& dataset = registered(sim.dataset);
-  // The execution identity under this device — what exec_key computes for a
-  // queued request.
+  // The execution identity under this device — what identity() resolves for
+  // a queued request.
   const std::string identity =
-      request_class_key(dataset.fingerprint, sim_for_device(sim, device));
-  const auto exact = cost_oracle_.measured(class_key(sim), identity);
+      request_class_key(dataset.fingerprint, sim_for_slot(sim, exec_slot(device)));
+  const auto exact = cost_oracle_.measured(cost_oracle_.intern(class_key(sim), identity));
   if (exact.has_value()) {
     return to_server_cycles(device, *exact) + options_.per_request_overhead;
   }
   return device_cost_estimate(sim, device_index);
 }
 
-std::uint64_t Server::device_class_cycles(const QueuedRequest& queued,
-                                          std::size_t device_index) {
-  const Device& device = devices_[device_index];
-  // Legacy devices all estimate under the request's own config, so they
-  // share one memo slot ("L").
-  std::string memo_key =
-      device.klass == kNoClass ? std::string("L") : std::to_string(device.klass);
-  memo_key += '|';
-  // Sampled requests memo under their exact (per-frontier) key: requests in
-  // one fuse class still differ in subgraph shape, hence in cost.
-  memo_key += queued.sampled != nullptr ? queued.sampled->exact_key : queued.class_key;
-  const auto it = device_estimates_.find(memo_key);
-  if (it != device_estimates_.end()) {
-    return it->second;
+std::uint32_t Server::intern_class(const std::string& key) {
+  const auto [it, inserted] =
+      class_ids_.try_emplace(key, static_cast<std::uint32_t>(plan_classes_.size()));
+  if (inserted) {
+    plan_classes_.emplace_back();
   }
-  const core::SimulationRequest swapped = sim_for_device(queued.request.sim, device);
-  std::uint64_t device_cycles = 0;
-  if (queued.sampled != nullptr) {
-    const RegisteredDataset& base = registered(queued.request.sim.dataset);
-    const std::string key = request_class_key(
-        base.fingerprint + "~s" + queued.sampled->frontier->fingerprint, swapped);
-    device_cycles = cost_oracle_.analytic(*queued.sampled->dataset, swapped, key);
-  } else {
-    const RegisteredDataset& dataset = registered(queued.request.sim.dataset);
-    const std::string key = request_class_key(dataset.fingerprint, swapped);
-    device_cycles = cost_oracle_.analytic(*dataset.dataset, swapped, key);
-  }
-  device_estimates_.emplace(std::move(memo_key), device_cycles);
-  return device_cycles;
+  return it->second;
 }
 
-std::uint64_t Server::queued_cost_estimate(const QueuedRequest& queued,
-                                           std::size_t device_index) {
-  const Device& device = devices_[device_index];
-  return to_server_cycles(device, device_class_cycles(queued, device_index)) +
-         options_.per_request_overhead;
+Server::ExecIdentity& Server::identity(const QueuedRequest& queued, std::size_t slot) {
+  std::vector<ExecIdentity*>& identities = plan_classes_[queued.class_id].identities;
+  if (identities.size() <= slot) {
+    identities.resize(slot + 1, nullptr);
+  }
+  ExecIdentity*& cell = identities[slot];
+  if (cell != nullptr) {
+    return *cell;
+  }
+  // The plan-class key under the slot's config. Class keys carry the
+  // canonical (slot 0) config, so slot 0's identity key is the class key
+  // itself — the exact key for a sampled request, whose identity also
+  // names its frontier. Keying identities by config rather than by device
+  // class is what lets identically configured classes share one engine run
+  // and one measured window (the identical-class differential in
+  // tests/serve_property_test.cpp holds bitwise).
+  const core::SimulationRequest sim = sim_for_slot(queued.request.sim, slot);
+  const RegisteredDataset& dataset = registered(sim.dataset);
+  std::string key =
+      queued.sampled == nullptr
+          ? request_class_key(dataset.fingerprint, sim)
+          : request_class_key(dataset.fingerprint + "~s" + queued.sampled->frontier->fingerprint,
+                              sim);
+  auto it = identity_index_.find(key);
+  if (it == identity_index_.end()) {
+    ExecIdentity& created = identities_.emplace_back();
+    created.key = std::move(key);
+    if (queued.sampled == nullptr) {
+      created.window = cost_oracle_.intern(queued.class_key, created.key);
+    }
+    it = identity_index_.emplace(created.key, &created).first;
+  }
+  cell = it->second;
+  return *cell;
 }
 
-Cycle Server::placement_estimate(const QueuedRequest& queued, const Device& device,
-                                 std::uint64_t analytic_estimate) {
-  if (queued.sampled != nullptr) {
-    // Sampled requests execute as fused compositions; the per-composition
-    // windows say nothing exact about one frontier, so placement stays on
-    // the analytic per-frontier estimate.
-    return analytic_estimate;
+std::vector<std::pair<Server::ExecIdentity*, const QueuedRequest*>> Server::distinct_identities(
+    const DispatchBatch& batch, const Device& device) {
+  std::vector<std::pair<ExecIdentity*, const QueuedRequest*>> distinct;
+  for (const QueuedRequest& q : batch.requests) {
+    ExecIdentity* id = &identity(q, exec_slot(device));
+    const bool seen = std::any_of(distinct.begin(), distinct.end(),
+                                  [&](const auto& entry) { return entry.first == id; });
+    if (!seen) {
+      distinct.emplace_back(id, &q);
+    }
   }
-  const auto exact = cost_oracle_.measured(queued.class_key, exec_key(queued, device));
-  if (!exact.has_value()) {
-    return analytic_estimate;
+  return distinct;
+}
+
+std::uint64_t Server::analytic_cycles(ExecIdentity& identity, const QueuedRequest& queued,
+                                      std::size_t slot) {
+  if (identity.device_cycles == 0) {
+    const core::SimulationRequest sim = sim_for_slot(queued.request.sim, slot);
+    const graph::Dataset& dataset = queued.sampled != nullptr
+                                        ? *queued.sampled->dataset
+                                        : *registered(sim.dataset).dataset;
+    identity.device_cycles = cost_oracle_.analytic(dataset, sim, identity.key);
   }
-  return to_server_cycles(device, *exact) + options_.per_request_overhead;
+  return identity.device_cycles;
+}
+
+Cycle Server::placement_estimate(const QueuedRequest& queued, const Device& device) {
+  const std::size_t slot = exec_slot(device);
+  ExecIdentity& id = identity(queued, slot);
+  std::uint64_t device_cycles = analytic_cycles(id, queued, slot);
+  // Sampled requests execute as fused compositions; the per-composition
+  // windows say nothing exact about one frontier, so placement stays on
+  // the analytic per-frontier estimate.
+  if (queued.sampled == nullptr) {
+    if (const auto exact = cost_oracle_.measured(id.window)) {
+      device_cycles = *exact;
+    }
+  }
+  return to_server_cycles(device, device_cycles) + options_.per_request_overhead;
 }
 
 void Server::oracle_observe_dispatch(const Device& device, const DispatchBatch& batch) {
   if (batch.requests.empty() || batch.requests.front().sampled != nullptr) {
     return;  // fused sampled executions are not per-class measurements
   }
-  std::vector<const std::string*> seen;
-  seen.reserve(batch.requests.size());
-  for (const QueuedRequest& q : batch.requests) {
-    const bool dup = std::any_of(seen.begin(), seen.end(),
-                                 [&](const std::string* k) { return *k == q.class_key; });
-    if (dup) {
-      continue;
-    }
-    seen.push_back(&q.class_key);
-    const std::string& identity = exec_key(q, device);
-    const auto it = class_results_.find(identity);
-    GNNERATOR_CHECK_MSG(it != class_results_.end(), "dispatch committed without class result");
-    cost_oracle_.observe(q.class_key, identity, it->second->cycles);
+  for (const auto& [id, first] : distinct_identities(batch, device)) {
+    GNNERATOR_CHECK_MSG(id->result != nullptr, "dispatch committed without class result");
+    cost_oracle_.observe(id->window, id->result->cycles);
   }
 }
 
 std::uint64_t Server::wfq_charge_cost(const DispatchBatch& batch, const Device& device) {
+  const std::size_t slot = exec_slot(device);
   std::uint64_t cost = 0;
   for (const QueuedRequest& q : batch.requests) {
     std::uint64_t per_request = 0;
@@ -391,30 +406,12 @@ std::uint64_t Server::wfq_charge_cost(const DispatchBatch& batch, const Device& 
       // composition has no per-request measured counterpart.
       per_request = q.cost_estimate;
     } else {
-      const std::uint64_t raw = device_class_cycles(q, device_index(device));
-      per_request = cost_oracle_.blend(raw, q.class_key, exec_key(q, device));
+      ExecIdentity& id = identity(q, slot);
+      per_request = cost_oracle_.blend(analytic_cycles(id, q, slot), id.window);
     }
     cost += std::max<std::uint64_t>(per_request, 1);
   }
   return cost;
-}
-
-const std::string& Server::exec_key(const QueuedRequest& queued, const Device& device) {
-  if (device.klass == kNoClass) {
-    return queued.class_key;
-  }
-  std::string memo_key = std::to_string(device.klass);
-  memo_key += '|';
-  memo_key += queued.class_key;
-  auto it = exec_keys_.find(memo_key);
-  if (it == exec_keys_.end()) {
-    const core::SimulationRequest swapped = sim_for_device(queued.request.sim, device);
-    const RegisteredDataset& dataset = registered(swapped.dataset);
-    it = exec_keys_
-             .emplace(std::move(memo_key), request_class_key(dataset.fingerprint, swapped))
-             .first;
-  }
-  return it->second;
 }
 
 // ---- Sampled mini-batch serving (see server.hpp). --------------------------
@@ -481,15 +478,6 @@ std::shared_ptr<const SampledQuery> Server::sampled_for(const Request& request) 
   return query;
 }
 
-std::uint64_t Server::sampled_cost_estimate(const Request& request,
-                                            const SampledQuery& sampled) {
-  core::SimulationRequest canonical = request.sim;
-  if (!device_classes_.empty()) {
-    canonical.config = device_classes_.front().config;
-  }
-  return cost_oracle_.analytic(*sampled.dataset, canonical, sampled.exact_key);
-}
-
 std::vector<const SampledQuery*> Server::sampled_composition(const DispatchBatch& batch) {
   std::vector<const SampledQuery*> parts;
   parts.reserve(batch.requests.size());
@@ -528,7 +516,7 @@ void Server::ensure_sampled_results(Device& device, const DispatchBatch& batch) 
   }
   const std::vector<const SampledQuery*> parts = sampled_composition(batch);
   const QueuedRequest& front = batch.requests.front();
-  const core::SimulationRequest sim = sim_for_device(front.request.sim, device);
+  const core::SimulationRequest sim = sim_for_slot(front.request.sim, exec_slot(device));
   sim::Tracer tracer;
   sim::Tracer* tp = nullptr;
   if (obs_wants_engine_spans()) {
@@ -652,72 +640,51 @@ std::shared_ptr<const core::ExecutionResult> Server::sampled_result_for(
 }
 
 void Server::ensure_class_results(Device& device, const DispatchBatch& batch) {
-  std::vector<const QueuedRequest*> missing;
-  std::vector<const std::string*> missing_keys;
-  for (const QueuedRequest& q : batch.requests) {
-    const std::string& key = exec_key(q, device);
-    if (class_results_.contains(key)) {
-      continue;
-    }
-    const bool queued = std::any_of(missing_keys.begin(), missing_keys.end(),
-                                    [&](const std::string* k) { return *k == key; });
-    if (!queued) {
-      missing.push_back(&q);
-      missing_keys.push_back(&key);
+  const std::size_t slot = exec_slot(device);
+  std::vector<ExecIdentity*> missing;
+  std::vector<core::SimulationRequest> sims;
+  for (const auto& [id, first] : distinct_identities(batch, device)) {
+    if (id->result == nullptr) {
+      missing.push_back(id);
+      sims.push_back(sim_for_slot(first->request.sim, slot));
     }
   }
   if (missing.empty()) {
     return;
   }
-  // One run_batch per dispatch covers every distinct class the batch needs;
-  // the shared plan cache means at most one compile across the whole fleet.
-  std::vector<core::SimulationRequest> sims;
-  sims.reserve(missing.size());
-  for (const QueuedRequest* q : missing) {
-    sims.push_back(sim_for_device(q->request.sim, device));
-  }
+  // One run_batch per dispatch covers every distinct identity the batch
+  // needs; the shared plan cache means at most one compile across the fleet.
   std::vector<core::ExecutionResult> results;
   if (obs_wants_engine_spans()) {
     // Engine-span capture: serial traced executions (results are identical
     // to run_batch — each batch slot runs its functional arithmetic
-    // serially anyway), memoizing each class's window template.
+    // serially anyway), memoizing each identity's window template.
     results.reserve(sims.size());
     for (std::size_t i = 0; i < sims.size(); ++i) {
-      results.push_back(obs_traced_run(device, sims[i], *missing_keys[i]));
+      results.push_back(obs_traced_run(device, sims[i], missing[i]->key));
     }
   } else {
     results = device.engine->run_batch(sims);
   }
   for (std::size_t i = 0; i < missing.size(); ++i) {
     if (!options_.collect_results) {
-      // The memo only has to answer "how many cycles does this class
+      // The memo only has to answer "how many cycles does this identity
       // occupy a device for"; without collect_results, dropping the
       // functional output keeps a long mixed-seed run from pinning one
       // [V x out_dim] tensor per class forever.
       results[i].output.reset();
     }
-    class_results_.emplace(*missing_keys[i], std::make_shared<const core::ExecutionResult>(
-                                                 std::move(results[i])));
+    missing[i]->result = std::make_shared<const core::ExecutionResult>(std::move(results[i]));
   }
 }
 
 Cycle Server::batch_service_cycles(Device& device, const DispatchBatch& batch) {
-  // One accelerator execution per distinct class (coalesced requests share
-  // it), plus the per-request dispatch/response overhead. Device cycles are
-  // converted onto the server timeline through the class clock.
+  // Device cycles are converted onto the server timeline through the class
+  // clock.
   std::uint64_t device_cycles = 0;
-  std::vector<const std::string*> seen;
-  for (const QueuedRequest& q : batch.requests) {
-    const std::string& key = exec_key(q, device);
-    const bool counted = std::any_of(seen.begin(), seen.end(),
-                                     [&](const std::string* k) { return *k == key; });
-    if (counted) {
-      continue;
-    }
-    seen.push_back(&key);
-    const auto it = class_results_.find(key);
-    GNNERATOR_CHECK_MSG(it != class_results_.end(), "class result missing at dispatch");
-    device_cycles += it->second->cycles;
+  for (const auto& [id, first] : distinct_identities(batch, device)) {
+    GNNERATOR_CHECK_MSG(id->result != nullptr, "class result missing at dispatch");
+    device_cycles += id->result->cycles;
   }
   return scaled_service(device,
                         to_server_cycles(device, device_cycles) +
@@ -829,7 +796,7 @@ void Server::obs_dispatch(Device& device, const DispatchBatch& batch, Cycle now)
   // Measured execution windows (cost-oracle feed) and, when captured, the
   // engine compute sub-spans — one entry per distinct class in the batch,
   // anchored back-to-back at `now` exactly as the service-time sum prices
-  // them. All lookups hit memos both loops warmed at the same points.
+  // them. All lookups hit memos the dispatch has already filled.
   std::vector<obs::EngineWindow> windows;
   if (opts.exec_windows || (opts.engine_spans && opts.device_timeline)) {
     const std::string& dclass = obs_device_class_name(device);
@@ -857,23 +824,13 @@ void Server::obs_dispatch(Device& device, const DispatchBatch& batch, Cycle now)
       }
     } else {
       Cycle offset = 0;
-      std::vector<const std::string*> seen;
-      for (const QueuedRequest& q : batch.requests) {
-        const std::string& key = exec_key(q, device);
-        const bool counted = std::any_of(seen.begin(), seen.end(),
-                                         [&](const std::string* k) { return *k == key; });
-        if (counted) {
-          continue;
-        }
-        seen.push_back(&key);
-        const auto it = class_results_.find(key);
-        GNNERATOR_CHECK_MSG(it != class_results_.end(),
-                            "class result missing at obs dispatch");
-        obs_->record_exec_window(q.class_key, dclass, it->second->cycles);
+      for (const auto& [id, first] : distinct_identities(batch, device)) {
+        GNNERATOR_CHECK_MSG(id->result != nullptr, "class result missing at obs dispatch");
+        obs_->record_exec_window(first->class_key, dclass, id->result->cycles);
         if (opts.engine_spans && opts.device_timeline) {
-          anchor(key, offset);
+          anchor(id->key, offset);
         }
-        offset += scaled_service(device, to_server_cycles(device, it->second->cycles));
+        offset += scaled_service(device, to_server_cycles(device, id->result->cycles));
       }
     }
   }
@@ -1067,8 +1024,8 @@ void Server::elastic_on_complete(ElasticRun& er, const Outcome& outcome) const {
   }
 }
 
-void Server::abort_inflight(ElasticRun& er, Device& device, Cycle now,
-                            std::vector<Outcome>& records, const FeedBack& feed_back) {
+void Server::abort_inflight(EventLoop& loop, Device& device) {
+  const Cycle now = loop.now;
   if (!device.inflight_reqs.empty()) {
     GNNERATOR_CHECK_MSG(device.busy_until >= now, "aborting an already-completed batch");
     // Refund the unserved remainder: the device was only busy until the
@@ -1080,10 +1037,10 @@ void Server::abort_inflight(ElasticRun& er, Device& device, Cycle now,
       obs_->close_busy(di, now, /*aborted=*/true);
     }
     for (QueuedRequest& q : device.inflight_reqs) {
-      Outcome& record = records[q.request.id];
+      Outcome& record = loop.records[q.request.id];
       // Strip the dispatch stamps: the record reverts to "admitted, not yet
-      // served" (identical in both loops — the reference loop never stamped
-      // its records before completion).
+      // served" (identical in both loops — the reference loop stamps its
+      // in-flight copies, never the records, before completion).
       record.dispatch = 0;
       record.device = 0;
       record.batch_size = 1;
@@ -1110,10 +1067,7 @@ void Server::abort_inflight(ElasticRun& er, Device& device, Cycle now,
       }
       if (fail) {
         record.failed = true;
-        record.dispatch = now;
-        record.completion = now;
-        obs_terminal(record, now);
-        feed_back(record);
+        end_unserved(loop, record);
       } else {
         ++record.requeues;
         if (obs_ != nullptr) {
@@ -1125,18 +1079,17 @@ void Server::abort_inflight(ElasticRun& er, Device& device, Cycle now,
           ev.value = ready;
           obs_->request_event(std::move(ev));
         }
-        er.requeues.push(ElasticRun::Requeue{ready, er.requeue_seq++, std::move(q)});
+        loop.er.requeues.push(ElasticRun::Requeue{ready, loop.er.requeue_seq++, std::move(q)});
       }
     }
   }
   device.inflight.clear();
-  device.inflight_ids.clear();
   device.inflight_reqs.clear();
   device.busy_until = 0;
 }
 
-void Server::apply_fault_event(ElasticRun& er, const FaultEvent& event, Cycle now,
-                               std::vector<Outcome>& records, const FeedBack& feed_back) {
+void Server::apply_fault_event(EventLoop& loop, const FaultEvent& event) {
+  const Cycle now = loop.now;
   GNNERATOR_CHECK_MSG(event.device < devices_.size(),
                       "fault plan targets dev" << event.device << " but the fleet has "
                                                << devices_.size() << " devices");
@@ -1166,7 +1119,7 @@ void Server::apply_fault_event(ElasticRun& er, const FaultEvent& event, Cycle no
   switch (event.kind) {
     case FaultKind::kCrash:
       device.stats.crashes += 1;
-      abort_inflight(er, device, now, records, feed_back);
+      abort_inflight(loop, device);
       set_device_health(device, DeviceHealth::kCrashed, now);
       break;
     case FaultKind::kRecover:
@@ -1226,14 +1179,16 @@ bool Server::scale_down(Cycle now) {
   return false;  // every active device is mid-batch; decision lapses
 }
 
-void Server::elastic_process(ElasticRun& er, Cycle now, Scheduler& scheduler,
-                             std::vector<Outcome>& records, const FeedBack& feed_back) {
+void Server::elastic_process(EventLoop& loop) {
+  ElasticRun& er = loop.er;
   if (!er.enabled) {
     return;
   }
+  const Cycle now = loop.now;
+  Scheduler& scheduler = *loop.scheduler;
   while (er.fault_cursor < options_.faults.events.size() &&
          options_.faults.events[er.fault_cursor].at <= now) {
-    apply_fault_event(er, options_.faults.events[er.fault_cursor], now, records, feed_back);
+    apply_fault_event(loop, options_.faults.events[er.fault_cursor]);
     ++er.fault_cursor;
   }
   while (!er.requeues.empty() && er.requeues.top().at <= now) {
@@ -1266,234 +1221,70 @@ void Server::elastic_process(ElasticRun& er, Cycle now, Scheduler& scheduler,
   }
 }
 
-ServeReport Server::run_reference(WorkloadSource& workload) {
-  obs_begin_run();
-  const std::unique_ptr<Scheduler> scheduler =
-      make_scheduler(options_.policy, options_.limits, request_classes_);
+// ---- The event loop (see server.hpp). -------------------------------------
 
-  struct PendingArrival {
+/// run_reference's bookkeeping: one heap holding every arrival — the
+/// workload's up-front arrivals, materialized at once, and closed-loop
+/// reissues — ordered by (cycle, emission seq), and in-flight records held
+/// as Outcome copies that are written back at completion.
+struct Server::Reference final : EventLoop {
+  struct Pending {
     Cycle at = 0;
     std::uint64_t seq = 0;  ///< emission order: total tie-break at equal cycles
     Request request;
   };
-  const auto later = [](const PendingArrival& a, const PendingArrival& b) {
-    return std::tie(a.at, a.seq) > std::tie(b.at, b.seq);
+  struct PendingLater {
+    bool operator()(const Pending& a, const Pending& b) const {
+      return std::tie(a.at, a.seq) > std::tie(b.at, b.seq);
+    }
   };
-  std::priority_queue<PendingArrival, std::vector<PendingArrival>, decltype(later)> arrivals(
-      later);
+  std::priority_queue<Pending, std::vector<Pending>, PendingLater> arrivals;
   std::uint64_t seq = 0;
-  for (Request& request : workload.initial_arrivals()) {
-    const Cycle at = request.arrival;
-    arrivals.push(PendingArrival{at, seq++, std::move(request)});
+
+  explicit Reference(WorkloadSource& source) : EventLoop(source) {
+    for (Request& request : workload.initial_arrivals()) {
+      const Cycle at = request.arrival;
+      arrivals.push(Pending{at, seq++, std::move(request)});
+    }
   }
 
-  std::vector<Outcome> records;
-  util::RunningStats depth_stats;
-  std::size_t max_depth = 0;
-  Cycle now = 0;
-  std::uint64_t events = 0;
-  ElasticRun er = make_elastic_run();
+  Cycle next_arrival() override { return arrivals.empty() ? kNoDeadline : arrivals.top().at; }
 
-  const FeedBack feed_back = [&](const Outcome& outcome) {
-    for (Request& request : workload.on_outcome(outcome)) {
-      const Cycle at = std::max(request.arrival, now);
-      arrivals.push(PendingArrival{at, seq++, std::move(request)});
-    }
-  };
-  const auto admit = [&](Request request) {
-    GNNERATOR_CHECK_MSG(!request.sim.dataset.empty(), "serve request needs a dataset id");
-    GNNERATOR_CHECK_MSG(!request.sim.model.layers.empty(), "serve request needs a model");
+  Request take_arrival() override {
+    // priority_queue::top is const; the element is discarded by pop.
+    Request request = std::move(const_cast<Pending&>(arrivals.top()).request);
+    request.arrival = arrivals.top().at;
+    arrivals.pop();
+    return request;
+  }
 
-    std::size_t tier = 0;
-    if (!request.klass.empty()) {
-      tier = request_classes_.size();
-      for (std::size_t t = 0; t < request_classes_.size(); ++t) {
-        if (request_classes_[t].name == request.klass) {
-          tier = t;
-          break;
-        }
-      }
-      GNNERATOR_CHECK_MSG(tier < request_classes_.size(),
-                          "request names unknown class '" << request.klass << "'");
-    }
-    const RequestClass& klass = request_classes_[tier];
+  void hold(Cycle at, Request request) override {
+    arrivals.push(Pending{at, seq++, std::move(request)});
+  }
 
-    request.id = static_cast<std::uint64_t>(records.size());
-    QueuedRequest queued;
-    queued.tier = tier;
-    if (request.is_sampled()) {
-      // Sampling stage: draw (or reuse) the request's k-hop frontier before
-      // any compile/cost decision. The fuse key is the batching class, so
-      // distinct frontiers of one (dataset, fanout, model, config, dataflow)
-      // class coalesce into mixed batches downstream.
-      queued.sampled = sampled_for(request);
-      queued.class_key = queued.sampled->fuse_key;
-      queued.cost_estimate = sampled_cost_estimate(request, *queued.sampled);
-    } else {
-      queued.class_key = class_key(request.sim);
-      // Blend at admission — a sequential event point in both serving
-      // loops, so the oracle state consulted here is identical whichever
-      // loop runs. (Sampled requests stay analytic: fused-composition
-      // windows are not per-frontier measurements.)
-      queued.cost_estimate = blended_cost(cost_estimate(request.sim), queued.class_key);
-    }
+  Outcome& dispatch_record(Device& device, std::uint64_t id) override {
+    device.inflight.push_back(records[id]);
+    return device.inflight.back();
+  }
 
-    Outcome record;
-    record.id = request.id;
-    record.arrival = request.arrival;
-    record.class_key = queued.class_key;
-    record.klass = klass.name;
-    record.applied_slo_ms = request.slo_ms > 0.0   ? request.slo_ms
-                            : klass.slo_ms > 0.0   ? klass.slo_ms
-                                                   : options_.default_slo_ms;
-    records.push_back(record);
-    obs_admit(records.back(), tier, queued.sampled.get());
+  const Outcome& complete_record(Device& device, std::size_t i) override {
+    Outcome& outcome = device.inflight[i];
+    outcome.completion = now;
+    records[outcome.id] = outcome;
+    return records[outcome.id];
+  }
+};
 
-    if (options_.queue_capacity > 0 && scheduler->depth() >= options_.queue_capacity) {
-      Outcome& shed = records.back();
-      shed.shed = true;
-      shed.dispatch = now;
-      shed.completion = now;
-      obs_terminal(shed, now);
-      feed_back(shed);
-      return;
-    }
-    queued.request = std::move(request);
-    scheduler->enqueue(std::move(queued), now);
-  };
+ServeReport Server::run_reference(WorkloadSource& workload) {
+  Reference reference(workload);
+  return run_loop(reference);
+}
 
-  /// SLO admission control + device occupation for one popped batch on one
-  /// device. A request whose batch would complete past its deadline is shed
-  /// *before* occupying the device; shedding shrinks the batch (and
-  /// possibly its class set), which can rescue the rest — iterate to the
-  /// fixpoint. Returns true when the device was occupied (the batch was
-  /// not fully shed).
-  const auto dispatch_batch_to = [&](Device& device, std::uint32_t di, DispatchBatch batch) {
-    const bool sampled =
-        !batch.requests.empty() && batch.requests.front().sampled != nullptr;
-    while (!batch.requests.empty()) {
-      if (sampled) {
-        ensure_sampled_results(device, batch);
-      } else {
-        ensure_class_results(device, batch);
-      }
-      const Cycle service = sampled ? sampled_batch_service(device, batch)
-                                    : batch_service_cycles(device, batch);
-      const std::size_t before = batch.requests.size();
-      std::erase_if(batch.requests, [&](const QueuedRequest& queued) {
-        const double slo_ms = records[queued.request.id].applied_slo_ms;
-        if (slo_ms <= 0.0) {
-          return false;
-        }
-        const Cycle deadline =
-            queued.request.arrival + ms_to_cycles(slo_ms, options_.clock_ghz);
-        if (now + service <= deadline) {
-          return false;
-        }
-        Outcome& record = records[queued.request.id];
-        // A fault-retried request that runs out of SLO is a failure, not a
-        // shed: the system took it on and lost it.
-        if (record.retries > 0) {
-          record.failed = true;
-        } else {
-          record.shed = true;
-        }
-        record.dispatch = now;
-        record.completion = now;
-        obs_terminal(record, now);
-        feed_back(record);
-        return true;
-      });
-      if (batch.requests.size() == before) {
-        break;
-      }
-    }
-    if (batch.requests.empty()) {
-      return false;
-    }
-
-    const Cycle service = sampled ? sampled_batch_service(device, batch)
-                                  : batch_service_cycles(device, batch);
-    if (sampled) {
-      // The batch is committed to the device: apply the feature-cache LRU
-      // effects once, at this sequential point, in both serving loops.
-      commit_sampled_gather(batch);
-    }
-    obs_dispatch(device, batch, now);
-    oracle_observe_dispatch(device, batch);
-    if (request_classes_.size() > 1) {
-      // WFQ accounting at dispatch commit: charge the tier with the cost of
-      // the device class that actually executes the batch, not the
-      // canonical-class estimate it was queued with.
-      scheduler->charge(batch.requests.front().tier, wfq_charge_cost(batch, device));
-    }
-    for (const QueuedRequest& queued : batch.requests) {
-      Outcome outcome = records[queued.request.id];
-      outcome.dispatch = now;
-      outcome.device = di;
-      outcome.batch_size = static_cast<std::uint32_t>(batch.requests.size());
-      outcome.service_cycles = service;
-      if (options_.collect_results) {
-        outcome.result = sampled ? sampled_result_for(queued, device, batch)
-                                 : class_results_.at(exec_key(queued, device));
-      }
-      device.inflight.push_back(std::move(outcome));
-    }
-    device.inflight_reqs = std::move(batch.requests);
-    device.busy_until = now + service;
-    device.stats.busy_cycles += service;
-    device.stats.batches += 1;
-    device.stats.requests += static_cast<std::uint64_t>(device.inflight_reqs.size());
-    return true;
-  };
-
-  /// Affinity-aware (HEFT) dispatch: scan dispatchable requests in policy
-  /// order and place each on the device with the earliest estimated finish
-  /// time (cost model under each device class's config). A request whose
-  /// best device is busy is *held* — its preferred device finishing is a
-  /// completion event, so the hold always resolves without extra wake-ups.
-  /// Each placement changes busy states, so rescan until a full pass
-  /// places nothing.
-  const auto dispatch_affinity = [&] {
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      for (const QueuedRequest* q : scheduler->ready(now)) {
-        std::size_t best = devices_.size();
-        Cycle best_eft = kNoDeadline;
-        bool best_busy = true;
-        for (std::size_t di = 0; di < devices_.size(); ++di) {
-          const Device& device = devices_[di];
-          if (device.health != DeviceHealth::kActive) {
-            continue;  // crashed / scaled-out devices take no placements
-          }
-          const bool busy = !device.inflight.empty();
-          const Cycle start = busy ? device.busy_until : now;
-          const Cycle eft = start + placement_estimate(*q, device, queued_cost_estimate(*q, di));
-          // Total order: earliest finish, then idle before busy, then the
-          // lower device index (the scan order).
-          if (best == devices_.size() || eft < best_eft ||
-              (eft == best_eft && !busy && best_busy)) {
-            best = di;
-            best_eft = eft;
-            best_busy = busy;
-          }
-        }
-        if (best_busy) {
-          continue;  // held for a busy device
-        }
-        std::optional<QueuedRequest> taken = scheduler->try_take(q->request.id);
-        GNNERATOR_CHECK_MSG(taken.has_value(), "affinity scheduler lost a ready request");
-        DispatchBatch batch;
-        batch.requests.push_back(std::move(*taken));
-        (void)dispatch_batch_to(devices_[best], static_cast<std::uint32_t>(best),
-                                std::move(batch));
-        progress = true;
-        break;  // the ready view is invalidated; rescan
-      }
-    }
-  };
-
+ServeReport Server::run_loop(EventLoop& loop) {
+  obs_begin_run();
+  loop.scheduler = make_scheduler(options_.policy, options_.limits, request_classes_);
+  loop.er = make_elastic_run();
+  Scheduler& scheduler = *loop.scheduler;
   while (true) {
     // ---- Next event: earliest of (batch completion, arrival, scheduler
     // window expiry — only meaningful while an active device is idle,
@@ -1501,17 +1292,15 @@ ServeReport Server::run_reference(WorkloadSource& workload) {
     Cycle next = kNoDeadline;
     bool any_idle = false;
     for (const Device& device : devices_) {
-      if (!device.inflight.empty()) {
+      if (!device.inflight_reqs.empty()) {
         next = std::min(next, device.busy_until);
       } else if (device.health == DeviceHealth::kActive) {
         any_idle = true;
       }
     }
-    if (!arrivals.empty()) {
-      next = std::min(next, arrivals.top().at);
-    }
+    next = std::min(next, loop.next_arrival());
     if (any_idle) {
-      next = std::min(next, scheduler->next_ready(now));
+      next = std::min(next, scheduler.next_ready(loop.now));
     }
     // Elastic events (faults, requeue releases, autoscaler ticks) only
     // matter while there is work for them to act on: gating them on
@@ -1519,54 +1308,34 @@ ServeReport Server::run_reference(WorkloadSource& workload) {
     // than workload, while a pending recover/scale-up still wakes the loop
     // for queued work no current device can take.
     const bool work_pending =
-        next != kNoDeadline || scheduler->depth() > 0 || !er.requeues.empty();
+        next != kNoDeadline || scheduler.depth() > 0 || !loop.er.requeues.empty();
     if (work_pending) {
-      next = std::min(next, elastic_next_event(er));
+      next = std::min(next, elastic_next_event(loop.er));
     }
     if (next == kNoDeadline) {
-      if (scheduler->depth() == 0) {
+      if (scheduler.depth() == 0) {
         break;
       }
-      // Terminal starvation: queued work, but no active device and nothing
-      // left (no recover event, no autoscaler) to ever revive capacity.
-      // Fail the stranded queue at the scheduler's own release point and
-      // keep looping — failure feedback may reissue closed-loop arrivals.
-      const Cycle ready_at = scheduler->next_ready(now);
-      if (ready_at != kNoDeadline && ready_at > now) {
-        now = ready_at;
-      }
-      ++events;
-      const std::size_t before = scheduler->depth();
-      while (std::optional<DispatchBatch> popped = scheduler->pop(now)) {
-        for (QueuedRequest& q : popped->requests) {
-          Outcome& record = records[q.request.id];
-          record.failed = true;
-          record.dispatch = now;
-          record.completion = now;
-          obs_terminal(record, now);
-          feed_back(record);
-        }
-      }
-      GNNERATOR_CHECK_MSG(scheduler->depth() < before,
-                          "serve loop stalled with queued work");
+      // Keep looping after the drain: failure feedback may reissue
+      // closed-loop arrivals.
+      fail_stranded(loop);
       continue;
     }
-    GNNERATOR_CHECK_MSG(next >= now, "serve event loop time went backwards");
-    now = next;
-    ++events;
+    GNNERATOR_CHECK_MSG(next >= loop.now, "serve event loop time went backwards");
+    loop.now = next;
+    ++loop.events;
 
     // ---- Completions (device-index order). ------------------------------
     for (Device& device : devices_) {
-      if (device.inflight.empty() || device.busy_until != now) {
+      if (device.inflight_reqs.empty() || device.busy_until != loop.now) {
         continue;
       }
-      obs_device_complete(device, now);
-      for (Outcome& outcome : device.inflight) {
-        outcome.completion = now;
-        records[outcome.id] = outcome;
-        obs_complete(records[outcome.id], now);
-        elastic_on_complete(er, records[outcome.id]);
-        feed_back(records[outcome.id]);
+      obs_device_complete(device, loop.now);
+      for (std::size_t i = 0; i < device.inflight_reqs.size(); ++i) {
+        const Outcome& record = loop.complete_record(device, i);
+        obs_complete(record, loop.now);
+        elastic_on_complete(loop.er, record);
+        loop.feed_back(record);
       }
       device.inflight.clear();
       device.inflight_reqs.clear();
@@ -1574,32 +1343,29 @@ ServeReport Server::run_reference(WorkloadSource& workload) {
 
     // ---- Elastic events due at `now` (before arrivals: a crashed or
     // scaled fleet is what admission and dispatch must see). ---------------
-    elastic_process(er, now, *scheduler, records, feed_back);
+    elastic_process(loop);
 
-    // ---- Arrivals at `now` (emission order). -----------------------------
-    while (!arrivals.empty() && arrivals.top().at == now) {
-      // priority_queue::top is const; the element is discarded by pop.
-      Request request = std::move(const_cast<PendingArrival&>(arrivals.top()).request);
-      request.arrival = arrivals.top().at;
-      arrivals.pop();
-      admit(std::move(request));
+    // ---- Arrivals at `now`, in the order the bookkeeping defines: the
+    // workload's emission order, every up-front arrival ahead of any
+    // reissue at the same cycle. ------------------------------------------
+    while (loop.next_arrival() == loop.now) {
+      admit(loop, loop.take_arrival());
     }
 
     // ---- Dispatch (device-index order; affinity places jointly). ---------
     if (options_.policy == SchedulingPolicy::kAffinity) {
-      dispatch_affinity();
+      dispatch_affinity(loop);
     } else {
-      for (std::uint32_t di = 0; di < devices_.size(); ++di) {
-        Device& device = devices_[di];
+      for (Device& device : devices_) {
         if (device.health != DeviceHealth::kActive) {
           continue;
         }
-        while (device.inflight.empty()) {
-          std::optional<DispatchBatch> popped = scheduler->pop(now);
+        while (device.inflight_reqs.empty()) {
+          std::optional<DispatchBatch> popped = scheduler.pop(loop.now);
           if (!popped) {
             break;
           }
-          if (dispatch_batch_to(device, di, std::move(*popped))) {
+          if (dispatch_batch_to(loop, device, std::move(*popped))) {
             break;  // device occupied; move to the next device
           }
           // fully shed: try the next batch for this device
@@ -1607,24 +1373,231 @@ ServeReport Server::run_reference(WorkloadSource& workload) {
       }
     }
 
-    depth_stats.add(static_cast<double>(scheduler->depth()));
-    max_depth = std::max(max_depth, scheduler->depth());
+    loop.depth_stats.add(static_cast<double>(scheduler.depth()));
+    loop.max_depth = std::max(loop.max_depth, scheduler.depth());
   }
-  GNNERATOR_CHECK_MSG(scheduler->depth() == 0, "serve loop ended with queued work");
-
-  return assemble_report(std::move(records), now, depth_stats, max_depth, events, er);
+  GNNERATOR_CHECK_MSG(scheduler.depth() == 0, "serve loop ended with queued work");
+  return assemble_report(loop);
 }
 
-ServeReport Server::assemble_report(std::vector<Outcome>&& records, Cycle now,
-                                    const util::RunningStats& depth_stats,
-                                    std::size_t max_depth, std::uint64_t events,
-                                    const ElasticRun& er) {
+void Server::admit(EventLoop& loop, Request request) {
+  GNNERATOR_CHECK_MSG(!request.sim.dataset.empty(), "serve request needs a dataset id");
+  GNNERATOR_CHECK_MSG(!request.sim.model.layers.empty(), "serve request needs a model");
+  std::size_t tier = 0;
+  if (!request.klass.empty()) {
+    tier = request_classes_.size();
+    for (std::size_t t = 0; t < request_classes_.size(); ++t) {
+      if (request_classes_[t].name == request.klass) {
+        tier = t;
+        break;
+      }
+    }
+    GNNERATOR_CHECK_MSG(tier < request_classes_.size(),
+                        "request names unknown class '" << request.klass << "'");
+  }
+  request.id = static_cast<std::uint64_t>(loop.records.size());
+  GNNERATOR_CHECK_MSG(slo_fits(request.slo_ms, options_.clock_ghz),
+                      "request " << request.id << " has slo_ms " << request.slo_ms
+                                 << ", past the " << options_.clock_ghz
+                                 << " GHz cycle clock's range");
+
+  QueuedRequest queued;
+  queued.tier = tier;
+  if (request.is_sampled()) {
+    // Sampling stage: draw (or reuse) the request's k-hop frontier before
+    // any compile/cost decision. The fuse key is the batching class, so
+    // distinct frontiers of one (dataset, fanout, model, config, dataflow)
+    // class coalesce into mixed batches downstream; the class id is the
+    // exact (frontier) key, since cost and result memos distinguish
+    // subgraph shapes even inside one fuse class.
+    queued.sampled = sampled_for(request);
+    queued.class_key = queued.sampled->fuse_key;
+    queued.class_id = intern_class(queued.sampled->exact_key);
+  } else {
+    queued.class_key = class_key(request.sim);
+    queued.class_id = intern_class(queued.class_key);
+  }
+  queued.request = std::move(request);
+  // The queue cost is the canonical identity's analytic cycles, priced
+  // through the oracle's memo the first time the class is admitted.
+  ExecIdentity& canonical = identity(queued, 0);
+  const std::uint64_t analytic = analytic_cycles(canonical, queued, 0);
+
+  const Request& admitted = queued.request;
+  const RequestClass& klass = request_classes_[tier];
+  Outcome& record = loop.records.emplace_back();
+  record.id = admitted.id;
+  record.arrival = admitted.arrival;
+  record.class_key = queued.class_key;  // the fuse class for sampled requests
+  record.klass = klass.name;
+  record.applied_slo_ms = admitted.slo_ms > 0.0 ? admitted.slo_ms
+                          : klass.slo_ms > 0.0  ? klass.slo_ms
+                                                : options_.default_slo_ms;
+  obs_admit(record, tier, queued.sampled.get());
+
+  if (options_.queue_capacity > 0 && loop.scheduler->depth() >= options_.queue_capacity) {
+    record.shed = true;
+    end_unserved(loop, record);
+    return;
+  }
+  // Blend with the measured history at admission. (Sampled requests stay
+  // analytic: fused-composition windows are not per-frontier measurements.)
+  queued.cost_estimate =
+      queued.sampled != nullptr ? analytic : cost_oracle_.blend(analytic, canonical.window);
+  loop.scheduler->enqueue(std::move(queued), loop.now);
+}
+
+bool Server::dispatch_batch_to(EventLoop& loop, Device& device, DispatchBatch batch) {
+  const bool sampled = !batch.requests.empty() && batch.requests.front().sampled != nullptr;
+  Cycle service = 0;
+  while (true) {
+    if (batch.requests.empty()) {
+      return false;
+    }
+    if (sampled) {
+      ensure_sampled_results(device, batch);
+      service = sampled_batch_service(device, batch);
+    } else {
+      ensure_class_results(device, batch);
+      service = batch_service_cycles(device, batch);
+    }
+    const std::size_t before = batch.requests.size();
+    std::erase_if(batch.requests, [&](const QueuedRequest& queued) {
+      Outcome& record = loop.records[queued.request.id];
+      if (record.applied_slo_ms <= 0.0) {
+        return false;
+      }
+      const Cycle deadline =
+          queued.request.arrival + ms_to_cycles(record.applied_slo_ms, options_.clock_ghz);
+      if (loop.now + service <= deadline) {
+        return false;
+      }
+      // A fault-retried request that runs out of SLO is a failure, not a
+      // shed: the system took it on and lost it.
+      if (record.retries > 0) {
+        record.failed = true;
+      } else {
+        record.shed = true;
+      }
+      end_unserved(loop, record);
+      return true;
+    });
+    if (batch.requests.size() == before) {
+      break;  // nothing shed: `service` prices exactly this batch
+    }
+  }
+
+  if (sampled) {
+    // The batch is committed to the device: apply the feature-cache LRU
+    // effects once, at this sequential point.
+    commit_sampled_gather(batch);
+  }
+  obs_dispatch(device, batch, loop.now);
+  oracle_observe_dispatch(device, batch);
+  if (request_classes_.size() > 1) {
+    // WFQ accounting at dispatch commit: charge the tier with the cost of
+    // the device class that actually executes the batch, not the
+    // canonical-class estimate it was queued with.
+    loop.scheduler->charge(batch.requests.front().tier, wfq_charge_cost(batch, device));
+  }
+  for (const QueuedRequest& queued : batch.requests) {
+    Outcome& record = loop.dispatch_record(device, queued.request.id);
+    record.dispatch = loop.now;
+    record.device = device_index(device);
+    record.batch_size = static_cast<std::uint32_t>(batch.requests.size());
+    record.service_cycles = service;
+    if (options_.collect_results) {
+      record.result = sampled ? sampled_result_for(queued, device, batch)
+                              : identity(queued, exec_slot(device)).result;
+    }
+  }
+  device.inflight_reqs = std::move(batch.requests);
+  device.busy_until = loop.now + service;
+  device.stats.busy_cycles += service;
+  device.stats.batches += 1;
+  device.stats.requests += static_cast<std::uint64_t>(device.inflight_reqs.size());
+  return true;
+}
+
+void Server::dispatch_affinity(EventLoop& loop) {
+  bool progress = true;
+  while (progress) {
+    progress = false;
+    for (const QueuedRequest* q : loop.scheduler->ready(loop.now)) {
+      std::size_t best = devices_.size();
+      Cycle best_eft = kNoDeadline;
+      bool best_busy = true;
+      for (std::size_t di = 0; di < devices_.size(); ++di) {
+        const Device& device = devices_[di];
+        if (device.health != DeviceHealth::kActive) {
+          continue;  // crashed / scaled-out devices take no placements
+        }
+        const bool busy = !device.inflight_reqs.empty();
+        const Cycle start = busy ? device.busy_until : loop.now;
+        const Cycle eft = start + placement_estimate(*q, device);
+        // Total order: earliest finish, then idle before busy, then the
+        // lower device index (the scan order).
+        if (best == devices_.size() || eft < best_eft ||
+            (eft == best_eft && !busy && best_busy)) {
+          best = di;
+          best_eft = eft;
+          best_busy = busy;
+        }
+      }
+      if (best_busy) {
+        continue;  // held for a busy device
+      }
+      std::optional<QueuedRequest> taken = loop.scheduler->try_take(q->request.id);
+      GNNERATOR_CHECK_MSG(taken.has_value(), "affinity scheduler lost a ready request");
+      DispatchBatch batch;
+      batch.requests.push_back(std::move(*taken));
+      (void)dispatch_batch_to(loop, devices_[best], std::move(batch));
+      progress = true;
+      break;  // the ready view is invalidated; rescan
+    }
+  }
+}
+
+void Server::fail_stranded(EventLoop& loop) {
+  Scheduler& scheduler = *loop.scheduler;
+  const Cycle ready_at = scheduler.next_ready(loop.now);
+  if (ready_at != kNoDeadline && ready_at > loop.now) {
+    loop.now = ready_at;
+  }
+  ++loop.events;
+  const std::size_t before = scheduler.depth();
+  while (std::optional<DispatchBatch> popped = scheduler.pop(loop.now)) {
+    for (QueuedRequest& q : popped->requests) {
+      Outcome& record = loop.records[q.request.id];
+      record.failed = true;
+      end_unserved(loop, record);
+    }
+  }
+  GNNERATOR_CHECK_MSG(scheduler.depth() < before, "serve loop stalled with queued work");
+}
+
+void Server::end_unserved(EventLoop& loop, Outcome& record) {
+  record.dispatch = loop.now;
+  record.completion = loop.now;
+  obs_terminal(record, loop.now);
+  loop.feed_back(record);
+}
+
+ServeReport Server::assemble_report(EventLoop& loop) {
+  const Cycle now = loop.now;
+  std::vector<Outcome>& records = loop.records;
+  for (const Outcome& record : records) {
+    GNNERATOR_CHECK_MSG(record.arrival <= record.dispatch && record.dispatch <= record.completion,
+                        "request " << record.id << " ended with arrival " << record.arrival
+                                   << ", dispatch " << record.dispatch << ", completion "
+                                   << record.completion);
+  }
   ServeReport report;
   report.end_cycle = now;
   report.clock_ghz = options_.clock_ghz;
-  report.events = events;
-  report.scale_ups = er.scale_ups;
-  report.scale_downs = er.scale_downs;
+  report.events = loop.events;
+  report.scale_ups = loop.er.scale_ups;
+  report.scale_downs = loop.er.scale_downs;
   Metrics metrics(options_.clock_ghz);
   for (const Outcome& record : records) {
     metrics.add(record);
@@ -1644,6 +1617,10 @@ ServeReport Server::assemble_report(std::vector<Outcome>&& records, Cycle now,
                         device.health_since, now);
     }
     flush_device_accounting(device, now);
+    GNNERATOR_CHECK_MSG(device.stats.busy_cycles <= device.stats.active_cycles,
+                        "device " << device_index(device) << " was busy "
+                                  << device.stats.busy_cycles << " cycles but active only "
+                                  << device.stats.active_cycles);
     device.stats.klass = device.klass == kNoClass ? "" : device_classes_[device.klass].name;
     report.devices.push_back(device.stats);
     // Reset for the next serve() run: stats restart, and the fleet reverts
@@ -1656,7 +1633,6 @@ ServeReport Server::assemble_report(std::vector<Outcome>&& records, Cycle now,
     device.slow_factor = 1.0;
     device.health_since = 0;
     device.inflight.clear();
-    device.inflight_ids.clear();
     device.inflight_reqs.clear();
   }
   std::erase_if(devices_, [](const Device& device) { return device.ephemeral; });
@@ -1665,8 +1641,8 @@ ServeReport Server::assemble_report(std::vector<Outcome>&& records, Cycle now,
   for (const auto& [name, cache] : feature_caches_) {
     report.feature_cache.merge(cache.stats());
   }
-  report.mean_queue_depth = depth_stats.count() > 0 ? depth_stats.mean() : 0.0;
-  report.max_queue_depth = max_depth;
+  report.mean_queue_depth = loop.depth_stats.count() > 0 ? loop.depth_stats.mean() : 0.0;
+  report.max_queue_depth = loop.max_depth;
   if (obs_ != nullptr) {
     obs_finish_run(report, now);
   }

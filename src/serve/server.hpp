@@ -1,7 +1,8 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
+#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -10,6 +11,7 @@
 #include <string_view>
 #include <tuple>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/cost_oracle.hpp"
@@ -138,11 +140,10 @@ struct ServerOptions {
 /// admission id, so two runs over the same (workload, seed, options) are
 /// bit-identical — policies can be compared on p99s without noise.
 ///
-/// The per-(plan class, device class) execution result is memoized
+/// The per-(plan class, device config) execution result is memoized
 /// (identical requests provably compute identical results on the same
-/// device class), so driving tens of thousands of requests through the
-/// fleet costs one accelerator simulation per distinct class pair — this
-/// is what PR 2's time-skipping kernel and PR 1/3's plan cache bought.
+/// device config), so driving tens of thousands of requests through the
+/// fleet costs one accelerator simulation per distinct pair.
 class Server {
  public:
   explicit Server(ServerOptions options = {});
@@ -158,20 +159,24 @@ class Server {
   ///
   /// This is the production event loop (src/serve/server_pipeline.cpp),
   /// single-threaded like the simulation it drives: arrivals stream in
-  /// sorted chunks (bounded memory for a StreamingWorkloadSource), memo
-  /// lookups index dense plan-class ids, and completion records are
-  /// stamped in place. The report is bitwise identical to run_reference()
-  /// — the differential matrix in tests/serve_property_test.cpp enforces
-  /// it, against committed golden fingerprints too. Note: comparing
-  /// the two paths needs fresh Server instances (or identical prior
-  /// history), since the plan cache and memos staying warm across calls is
-  /// part of the report.
+  /// sorted chunks (bounded memory for a StreamingWorkloadSource), only
+  /// closed-loop reissues wait in a heap, and records are stamped in place.
+  /// Admission, dispatch, placement and every memo are shared with
+  /// run_reference(), whose report it reproduces bitwise — the
+  /// differential matrix in tests/serve_property_test.cpp enforces it,
+  /// against committed golden fingerprints too. Note: comparing the two
+  /// paths needs fresh Server instances (or identical prior history),
+  /// since the plan cache and memos staying warm across calls is part of
+  /// the report.
   ServeReport serve(WorkloadSource& workload);
 
-  /// The naive event loop serve() is differentially tested against: one
-  /// priority queue of materialized arrivals, string-keyed memos, no
-  /// chunking — small, obviously-correct code kept as the trusted baseline
-  /// (the serving counterpart of sim::SimKernel::run_reference).
+  /// The naive bookkeeping serve() is differentially tested against: one
+  /// priority queue holding every arrival, materialized up front, and
+  /// in-flight records held as Outcome copies until completion. It runs the
+  /// same event loop, admission, dispatch and memos as serve(), so it checks
+  /// serve()'s intake and record stamping; the committed goldens check what
+  /// the two share (the serving counterpart of
+  /// sim::SimKernel::run_reference).
   ServeReport run_reference(WorkloadSource& workload);
 
   [[nodiscard]] core::PlanCacheStats cache_stats() const { return plan_cache_->stats(); }
@@ -209,8 +214,9 @@ class Server {
   [[nodiscard]] const ServerOptions& options() const { return options_; }
   [[nodiscard]] bool has_dataset(std::string_view name) const;
   /// How many times the cost oracle actually ran the analytic compiler
-  /// pipeline (one per distinct (plan class, device class) pair; the
-  /// memoization regression asserts this stays flat in trace length).
+  /// pipeline (one per distinct execution identity — a plan class under one
+  /// device config; the memoization regression asserts this stays flat in
+  /// trace length).
   [[nodiscard]] std::size_t cost_oracle_runs() const { return cost_oracle_.pipeline_runs(); }
 
   // ---- Runtime fleet mutation (FGNN-style role/capacity changes). ----------
@@ -245,16 +251,13 @@ class Server {
     /// Index into classes (expanded fleet); kNoClass on a legacy fleet.
     std::size_t klass = 0;
     Cycle busy_until = 0;
-    /// Outcomes of the batch in flight (empty when idle); completion is
-    /// stamped when the batch finishes. Used by run_reference only.
+    /// run_reference's in-flight records: Outcome copies stamped at
+    /// dispatch and written back at completion (always empty in serve()).
     std::vector<Outcome> inflight;
-    /// The pipeline loop's in-flight representation: record ids only —
-    /// dispatch fields are stamped into the record vector in place, so a
-    /// completion never copies Outcome strings around.
-    std::vector<std::uint64_t> inflight_ids;
-    /// The queued requests of the batch in flight, kept by BOTH loops so a
-    /// crash can requeue exactly the aborted work with its annotations
-    /// (moved from the dispatch batch — no copies on the happy path).
+    /// The queued requests of the batch in flight (empty when idle), kept by
+    /// both loops: busy checks read it, completions walk it, and a crash
+    /// requeues exactly the aborted work with its annotations (moved from
+    /// the dispatch batch — no copies on the happy path).
     std::vector<QueuedRequest> inflight_reqs;
     DeviceStats stats;
     // ---- Elastic state. ----------------------------------------------------
@@ -276,22 +279,75 @@ class Server {
   };
 
   static constexpr std::size_t kNoClass = ~static_cast<std::size_t>(0);
-  /// estimates_by_id_ sentinel ("not yet priced on this device class").
-  static constexpr std::uint64_t kNoEstimate = ~static_cast<std::uint64_t>(0);
+  /// ExecIdentity::window of sampled identities, which are never measured.
+  static constexpr obs::ExecWindowLog::Id kNoWindow = ~static_cast<obs::ExecWindowLog::Id>(0);
 
   [[nodiscard]] const RegisteredDataset& registered(const std::string& name) const;
 
+  // ---- The one key space: plan classes and execution identities. ----------
+
+  /// The plan-class key under one exec slot's config — what executes when a
+  /// request of that class runs on a device of that slot. Identically
+  /// configured slots produce the same key and share one identity, hence
+  /// one engine run and one measured window.
+  struct ExecIdentity {
+    /// The identity key: names the oracle's analytic memo entry, the
+    /// oracle's (plan class, identity) window and the recorder's
+    /// engine-window template.
+    std::string key;
+    /// The memoized engine execution (full-graph classes; null until the
+    /// identity first dispatches).
+    std::shared_ptr<const core::ExecutionResult> result;
+    /// Analytic device cycles (no clock conversion, no overhead); 0 until
+    /// priced — the oracle clamps its estimates to >= 1.
+    std::uint64_t device_cycles = 0;
+    /// The oracle window of (plan class, key); kNoWindow for sampled
+    /// identities, whose fused executions are not per-frontier measurements.
+    obs::ExecWindowLog::Id window = kNoWindow;
+  };
+
+  /// One interned plan class (sampled requests intern their exact key).
+  struct PlanClass {
+    /// Execution identity per exec slot, resolved on first use. Slot 0's
+    /// is the canonical identity, whose key is the class key itself and
+    /// whose analytic cycles are the class's admission-time cost.
+    std::vector<ExecIdentity*> identities;
+  };
+
+  /// The plan class's dense id, allocating one on first sight.
+  std::uint32_t intern_class(const std::string& key);
+  /// The execution identity of a queued request on exec slot `slot`.
+  ExecIdentity& identity(const QueuedRequest& queued, std::size_t slot);
+  /// The batch's distinct execution identities on `device`, in
+  /// first-appearance order, each with the first request that has it
+  /// (coalesced requests share one execution).
+  std::vector<std::pair<ExecIdentity*, const QueuedRequest*>> distinct_identities(
+      const DispatchBatch& batch, const Device& device);
+  /// Analytic device cycles of the identity, priced through the oracle's
+  /// memo on first use.
+  std::uint64_t analytic_cycles(ExecIdentity& identity, const QueuedRequest& queued,
+                                std::size_t slot);
+  /// Exec slot of a device: its device class index (one shared slot 0 on a
+  /// legacy fleet, where every device runs the request's own config).
+  [[nodiscard]] static std::size_t exec_slot(const Device& device) {
+    return device.klass == kNoClass ? 0 : device.klass;
+  }
+  /// The request with exec slot `slot`'s config substituted (unchanged on a
+  /// legacy fleet).
+  [[nodiscard]] core::SimulationRequest sim_for_slot(const core::SimulationRequest& sim,
+                                                     std::size_t slot) const;
+
   // ---- Sampled mini-batch serving (k-hop frontiers, mixed-batch fusion,
-  // pre-sampling feature cache). Both event loops call these at identical
-  // points, which keeps sampled runs bitwise identical across loops.
+  // pre-sampling feature cache). The shared admit and dispatch paths call
+  // these; composition memos stay string-keyed, since nearly every fused
+  // batch is a new composition.
 
   /// sample_memo_ key of a sampled request: plan-compatibility class | seed
   /// | fanout. The class component matters: the memoized SampledQuery
   /// embeds model-dependent fuse/exact keys, so two requests may only share
   /// an entry when their (model, config, dataflow) class matches —
   /// otherwise whichever model sampled a seed vertex first would leak its
-  /// keys into the other's requests (and the two event loops could resolve
-  /// the race differently).
+  /// keys into the other's requests.
   [[nodiscard]] std::string sampled_memo_key(const Request& request) const;
   /// Resolves a sampled request's frontier, subgraph dataset and
   /// compatibility keys. Pure: the sampling PRNG is seeded from
@@ -300,12 +356,8 @@ class Server {
   /// coalescing.
   [[nodiscard]] std::shared_ptr<const SampledQuery> make_sampled_query(
       const Request& request) const;
-  /// Memoized make_sampled_query (both loops' admit path).
+  /// Memoized make_sampled_query (the admit path).
   [[nodiscard]] std::shared_ptr<const SampledQuery> sampled_for(const Request& request);
-  /// Canonical (first device class) cost estimate of a sampled request,
-  /// memoized under its exact key.
-  [[nodiscard]] std::uint64_t sampled_cost_estimate(const Request& request,
-                                                    const SampledQuery& sampled);
   /// Distinct frontiers of a sampled batch in first-appearance order — the
   /// fused composition. Requests sharing a seed share one block.
   [[nodiscard]] static std::vector<const SampledQuery*> sampled_composition(
@@ -339,22 +391,15 @@ class Server {
   static void sampled_gather_rows(const DispatchBatch& batch,
                                   std::vector<graph::NodeId>& rows);
 
-  /// The execution-memo key of one queued request on one device: the plan
-  /// class with the device class's config substituted (equal to class_key
-  /// on a legacy fleet). Memoized.
-  [[nodiscard]] const std::string& exec_key(const QueuedRequest& queued,
-                                            const Device& device);
-  /// The memoized canonical execution of one (plan class, device class);
-  /// runs the missing classes of `batch` through `device`'s engine (one
-  /// run_batch call).
+  /// Runs the batch's identities that have no memoized execution through
+  /// `device`'s engine (one run_batch call, first-appearance order).
   void ensure_class_results(Device& device, const DispatchBatch& batch);
-  /// Device occupancy of a batch on `device`, on the server timeline.
+  /// Device occupancy of a batch on `device`, on the server timeline: one
+  /// execution per distinct identity plus the per-request overhead.
   [[nodiscard]] Cycle batch_service_cycles(Device& device, const DispatchBatch& batch);
   /// Converts device cycles of `device`'s class onto the server timeline
   /// (identity on a legacy fleet and whenever the clocks match).
   [[nodiscard]] Cycle to_server_cycles(const Device& device, std::uint64_t device_cycles) const;
-  [[nodiscard]] core::SimulationRequest sim_for_device(const core::SimulationRequest& sim,
-                                                       const Device& device) const;
 
   ServerOptions options_;
   /// Raw view of options_.recorder (hot-path null check); set once in the
@@ -369,20 +414,18 @@ class Server {
   std::vector<Device> devices_;
   std::map<std::string, RegisteredDataset, std::less<>> datasets_;
   /// The one estimator every consumer asks: analytic prior memo + measured
-  /// (plan class, device class) execution windows (core/cost_oracle.hpp).
+  /// (plan class, execution identity) windows (core/cost_oracle.hpp).
   core::CostOracle cost_oracle_;
-  /// class key -> canonical execution result (cycles + output), computed
-  /// once per (plan class, device class) for the whole fleet.
-  std::unordered_map<std::string, std::shared_ptr<const core::ExecutionResult>> class_results_;
-  /// (device class index, plan class key) -> execution-memo key.
-  std::unordered_map<std::string, std::string> exec_keys_;
-  /// (device class index, plan class key) -> analytic *device* cycles (no
-  /// clock conversion, no overhead). Raw so WFQ charges and affinity
-  /// placement can blend against measured windows, which are recorded in
-  /// device cycles; queued_cost_estimate converts onto the server timeline.
-  std::unordered_map<std::string, std::uint64_t> device_estimates_;
+  /// Plan-class registry: key -> dense id, and id -> per-slot identities.
+  std::unordered_map<std::string, std::uint32_t> class_ids_;
+  std::vector<PlanClass> plan_classes_;
+  /// Every execution identity (a deque: PlanClass cells and the index point
+  /// into it), and its index by key. Like the plan cache, both persist
+  /// across serve runs.
+  std::deque<ExecIdentity> identities_;
+  std::unordered_map<std::string_view, ExecIdentity*> identity_index_;
   /// (dataset | seed | fanout) -> resolved sampled query, so repeated seeds
-  /// sample once and coalesce (the sampled analogue of class_results_).
+  /// sample once and coalesce.
   std::unordered_map<std::string, std::shared_ptr<const SampledQuery>> sample_memo_;
   /// (device class | fuse key | composition fingerprint) -> fused execution
   /// of a sampled batch composition.
@@ -392,45 +435,27 @@ class Server {
   /// iteration when the report aggregates their stats).
   std::map<std::string, FeatureCache> feature_caches_;
 
-  [[nodiscard]] std::uint64_t queued_cost_estimate(const QueuedRequest& queued,
-                                                   std::size_t device_index);
-
-  // ---- Cost-oracle plumbing (shared by both event loops). ------------------
+  // ---- Cost-oracle plumbing. -----------------------------------------------
   // All mutation happens at the event points (admission pricing, dispatch
-  // commit) in the identical order in serve() and run_reference(), so
+  // commit) of the one event loop both serve() and run_reference() run, so
   // oracle state — and every decision derived from it — stays bitwise
   // comparable across loops.
 
-  /// The admission-time queue cost: the canonical analytic estimate blended
-  /// with the measured history of the canonical execution identity (the
-  /// class key itself — see the definition for why).
-  [[nodiscard]] std::uint64_t blended_cost(std::uint64_t analytic,
-                                           const std::string& class_key) const;
-  /// Feeds the batch's measured executions (one per distinct class) into
+  /// Feeds the batch's measured executions (one per distinct identity) into
   /// the oracle. Called at dispatch commit, right after obs_dispatch;
   /// sampled batches are skipped (a fused composition's cycles are not a
   /// per-frontier measurement).
   void oracle_observe_dispatch(const Device& device, const DispatchBatch& batch);
   /// WFQ virtual-time charge of a committed batch: per-request blended cost
-  /// under the device class that actually executes (bug fix: the queue-time
-  /// canonical-class estimate misprices tiers on heterogeneous fleets).
+  /// under the device class that actually executes (the queue-time
+  /// canonical-class estimate would misprice tiers on heterogeneous fleets).
   [[nodiscard]] std::uint64_t wfq_charge_cost(const DispatchBatch& batch, const Device& device);
-  /// Raw analytic device cycles of one request on one device's class,
-  /// memoized in device_estimates_.
-  [[nodiscard]] std::uint64_t device_class_cycles(const QueuedRequest& queued,
-                                                  std::size_t device_index);
-  /// Affinity EFT: swaps the analytic estimate for the measured-exact
-  /// service time once the oracle has observed the request's execution
-  /// identity on this device's class. Non-const: interns the identity key.
-  [[nodiscard]] Cycle placement_estimate(const QueuedRequest& queued, const Device& device,
-                                         std::uint64_t analytic_estimate);
+  /// Affinity EFT service estimate on the server timeline: the identity's
+  /// measured-exact cycles once the oracle has observed it, its analytic
+  /// cycles otherwise (always, for sampled requests).
+  [[nodiscard]] Cycle placement_estimate(const QueuedRequest& queued, const Device& device);
 
-  // ---- Elastic serving machinery (faults, requeues, autoscaling). ----------
-  // Both event loops drive one ElasticRun through the same Server hooks at
-  // the same event points (completions -> elastic_process -> arrivals ->
-  // dispatch), which is what keeps any fault plan bitwise identical between
-  // serve() and run_reference(). With faults and autoscale unset every hook
-  // is a no-op and the loops behave exactly as before.
+  // ---- The event loop (shared by serve() and run_reference()). -------------
 
   /// Per-run elastic state: the fault-plan cursor, the aborted-work requeue
   /// heap, the autoscaler, and the scale counters.
@@ -455,30 +480,100 @@ class Server {
     std::uint64_t scale_downs = 0;
   };
 
-  /// Closed-loop reissue sink of the running event loop (each loop passes
-  /// its own; the elastic hooks feed failed outcomes through it exactly
-  /// like the loops feed shed/completed ones).
-  using FeedBack = std::function<void(const Outcome&)>;
+  /// One serving run's state, plus the bookkeeping in which serve() and
+  /// run_reference() differ: how arrivals wait until they are due, and
+  /// where a request's dispatch and completion stamps are written.
+  /// Everything else — admission, dispatch, placement, faults, the order of
+  /// every scheduler, oracle, RNG and obs mutation — is Server code both
+  /// run through run_loop.
+  class EventLoop {
+   public:
+    explicit EventLoop(WorkloadSource& source) : workload(source) {}
+    virtual ~EventLoop() = default;
+    EventLoop(const EventLoop&) = delete;
+    EventLoop& operator=(const EventLoop&) = delete;
+
+    /// Cycle of the earliest pending arrival; kNoDeadline when none is left.
+    virtual Cycle next_arrival() = 0;
+    /// Removes the next arrival (due at `now`), stamped with its due cycle.
+    virtual Request take_arrival() = 0;
+    /// Holds a closed-loop reissue until cycle `at`.
+    virtual void hold(Cycle at, Request request) = 0;
+    /// The Outcome that record `id`'s dispatch onto `device` is stamped into.
+    virtual Outcome& dispatch_record(Device& device, std::uint64_t id) = 0;
+    /// Stamps completion of the device's i-th in-flight request at `now`
+    /// and returns its record.
+    virtual const Outcome& complete_record(Device& device, std::size_t i) = 0;
+
+    /// Hands a terminal outcome to the workload; reissues are held until due.
+    void feed_back(const Outcome& outcome) {
+      for (Request& request : workload.on_outcome(outcome)) {
+        const Cycle at = std::max(request.arrival, now);
+        hold(at, std::move(request));
+      }
+    }
+
+    WorkloadSource& workload;
+    std::unique_ptr<Scheduler> scheduler;
+    std::vector<Outcome> records;
+    util::RunningStats depth_stats;
+    std::size_t max_depth = 0;
+    Cycle now = 0;
+    std::uint64_t events = 0;
+    ElasticRun er;
+  };
+  struct Pipeline;   ///< serve()'s bookkeeping (server_pipeline.cpp)
+  struct Reference;  ///< run_reference()'s bookkeeping (server.cpp)
+
+  /// Runs the event loop over `loop`'s arrivals until the workload drains
+  /// and every device idles, then assembles the report.
+  ServeReport run_loop(EventLoop& loop);
+  /// The annotate-and-admit path: validation, SLO tier, sampling or class
+  /// key, interning, pricing, the record, the queue-capacity shed and the
+  /// admission-time blend.
+  void admit(EventLoop& loop, Request request);
+  /// SLO admission control + device occupation for one popped batch on one
+  /// device. A request whose batch would complete past its deadline is shed
+  /// *before* occupying the device; shedding shrinks the batch (and
+  /// possibly its class set), which can rescue the rest — iterate to the
+  /// fixpoint, then commit. Returns true when the device was occupied.
+  bool dispatch_batch_to(EventLoop& loop, Device& device, DispatchBatch batch);
+  /// Affinity-aware (HEFT) dispatch: scan dispatchable requests in policy
+  /// order and place each on the device with the earliest estimated finish
+  /// time. A request whose best device is busy is *held* — its preferred
+  /// device finishing is a completion event, so the hold always resolves
+  /// without extra wake-ups. Each placement changes busy states, so rescan
+  /// until a full pass places nothing.
+  void dispatch_affinity(EventLoop& loop);
+  /// Terminal starvation: queued work, but no active device and nothing
+  /// left (no recover event, no autoscaler) to ever revive capacity. Fails
+  /// the stranded queue at the scheduler's own release point.
+  void fail_stranded(EventLoop& loop);
+  /// Ends a shed or failed record at `now` (dispatch = completion = now),
+  /// closes its span and feeds it back to the workload.
+  void end_unserved(EventLoop& loop, Outcome& record);
+
+  // ---- Elastic serving machinery (faults, requeues, autoscaling). ----------
+  // The event loop calls these at fixed points (completions ->
+  // elastic_process -> arrivals -> dispatch). With faults and autoscale
+  // unset every hook is a no-op.
 
   [[nodiscard]] ElasticRun make_elastic_run() const;
   /// Earliest pending elastic event: next fault, next requeue release, or
-  /// the autoscaler's next tick. The loops only consult it while work is
+  /// the autoscaler's next tick. The loop only consults it while work is
   /// pending (a leftover fault schedule must not keep an otherwise-finished
   /// run alive).
   [[nodiscard]] Cycle elastic_next_event(const ElasticRun& er) const;
   /// Fires everything due at `now`: fault events (plan order), requeue
   /// releases (backoff-expiry order), then one autoscaler evaluation.
-  void elastic_process(ElasticRun& er, Cycle now, Scheduler& scheduler,
-                       std::vector<Outcome>& records, const FeedBack& feed_back);
+  void elastic_process(EventLoop& loop);
   /// Feeds a completed outcome's latency into the autoscaler window.
   void elastic_on_complete(ElasticRun& er, const Outcome& outcome) const;
-  void apply_fault_event(ElasticRun& er, const FaultEvent& event, Cycle now,
-                         std::vector<Outcome>& records, const FeedBack& feed_back);
+  void apply_fault_event(EventLoop& loop, const FaultEvent& event);
   /// Crash path: refunds the unserved device time, strips the dispatch
   /// stamps from every in-flight record, and requeues each (backoff, retry
   /// budget) or fails it (budget/SLO exhausted -> Outcome::failed).
-  void abort_inflight(ElasticRun& er, Device& device, Cycle now,
-                      std::vector<Outcome>& records, const FeedBack& feed_back);
+  void abort_inflight(EventLoop& loop, Device& device);
   /// Scale up: reactivate the lowest-index removed device, else append an
   /// ephemeral one of the scale class (canonical class 0 / legacy).
   bool scale_up(Cycle now);
@@ -489,17 +584,17 @@ class Server {
   /// Closes the device's current health span into active/downtime cycles.
   void flush_device_accounting(Device& device, Cycle now);
   std::size_t append_device(std::size_t klass, bool ephemeral, Cycle now);
-  /// Device-class index for a name, appending a count-0 registry entry (and
-  /// the matching exec-memo slots) when the fleet has not used it yet.
+  /// Device-class index for a name, appending a count-0 registry entry when
+  /// the fleet has not used it yet (its exec slot fills in on first use).
   std::size_t intern_device_class(std::string_view name);
   /// Applies the device's gray-failure slow factor to a service time.
   [[nodiscard]] Cycle scaled_service(const Device& device, Cycle cycles) const;
 
   // ---- Observability hooks (src/obs/). --------------------------------------
-  // Every hook fires at a sequential event point with the DES cycle, and
-  // both event loops call the same hook at the same point — that is the
-  // whole determinism argument for byte-identical trace exports. Each is a
-  // no-op behind one pointer check when no recorder is attached.
+  // Every hook fires at a sequential event point of the event loop with the
+  // DES cycle — that is the whole determinism argument for byte-identical
+  // trace exports across serve() and run_reference(). Each is a no-op
+  // behind one pointer check when no recorder is attached.
 
   /// Starts the recorder's per-run streams with the fleet snapshot.
   void obs_begin_run();
@@ -539,38 +634,12 @@ class Server {
     return static_cast<std::uint32_t>(&device - devices_.data());
   }
 
-  // ---- Serving-pipeline state (server_pipeline.cpp). -----------------------
-  /// The optimized event loop behind serve(); nested so it can reach the
-  /// memo tables without widening the public surface.
-  struct Pipeline;
-
-  /// One plan class in the dense registry.
-  struct PlanClass {
-    std::string key;  ///< canonical class key (class_key())
-    std::uint64_t cost_estimate = 0;  ///< canonical cost-oracle value
-  };
-
-  /// Dense plan-class registry: key -> id and id -> key + canonical cost.
-  /// The id-indexed side tables below turn the pipeline's hot memo lookups
-  /// (execution results, affinity EFT estimates) into array indexing; the
-  /// string-keyed maps above stay the source of truth shared with
-  /// run_reference, so either loop warms the other.
-  std::unordered_map<std::string, std::uint32_t> class_ids_;
-  std::vector<PlanClass> plan_classes_;
-  /// [exec slot][class id]; exec slot = device class index (a single
-  /// shared slot on a legacy fleet). Entries are null / kNoDeadline until
-  /// first touched.
-  std::vector<std::vector<std::shared_ptr<const core::ExecutionResult>>> results_by_id_;
-  std::vector<std::vector<std::uint64_t>> estimates_by_id_;
-
-  /// Report assembly shared by both loops — one code path, so the two
-  /// cannot drift in how metrics/devices/cache stats are folded in. Also
-  /// the end-of-run fleet reset: health/class/slow-factor restored to
-  /// baselines, ephemeral autoscaler devices erased, so repeated serve
-  /// calls see the configured fleet.
-  ServeReport assemble_report(std::vector<Outcome>&& records, Cycle now,
-                              const util::RunningStats& depth_stats, std::size_t max_depth,
-                              std::uint64_t events, const ElasticRun& er);
+  /// Report assembly at the end of run_loop. Checks the serving invariants
+  /// (causal record stamps, busy <= active per device), then resets the
+  /// fleet: health/class/slow-factor restored to baselines, ephemeral
+  /// autoscaler devices erased, so repeated serve calls see the configured
+  /// fleet.
+  ServeReport assemble_report(EventLoop& loop);
 };
 
 }  // namespace gnnerator::serve

@@ -180,10 +180,10 @@ std::vector<MmppState> parse_mmpp_spec(std::string_view spec) {
                         ctx() << ": expected rate:dwell-ms");
     const std::optional<double> rate = util::parse_double(tok.substr(0, colon));
     const std::optional<double> dwell = util::parse_double(tok.substr(colon + 1));
-    GNNERATOR_CHECK_MSG(rate.has_value() && *rate > 0.0,
-                        ctx() << ": malformed or non-positive rate");
-    GNNERATOR_CHECK_MSG(dwell.has_value() && *dwell > 0.0,
-                        ctx() << ": malformed or non-positive dwell");
+    GNNERATOR_CHECK_MSG(rate.has_value() && std::isfinite(*rate) && *rate > 0.0,
+                        ctx() << ": malformed, non-finite or non-positive rate");
+    GNNERATOR_CHECK_MSG(dwell.has_value() && std::isfinite(*dwell) && *dwell > 0.0,
+                        ctx() << ": malformed, non-finite or non-positive dwell");
     states.push_back({*rate, *dwell});
     ++index;
     if (comma == std::string_view::npos) {
@@ -329,15 +329,21 @@ std::optional<Request> parse_trace_row(const std::vector<std::string>& row, std:
   // garbage ("1.5x") is a malformed row, never a silent truncation.
   const std::optional<double> arrival_ms = util::parse_double(row[0]);
   const std::optional<double> slo_ms = util::parse_double(row[3]);
-  GNNERATOR_CHECK_MSG(arrival_ms.has_value(),
+  GNNERATOR_CHECK_MSG(arrival_ms.has_value() && std::isfinite(*arrival_ms),
                       "trace row " << r << ": malformed arrival_ms '" << row[0] << "'");
-  GNNERATOR_CHECK_MSG(slo_ms.has_value(),
+  GNNERATOR_CHECK_MSG(slo_ms.has_value() && std::isfinite(*slo_ms),
                       "trace row " << r << ": malformed slo_ms '" << row[3] << "'");
   request.slo_ms = *slo_ms;
   GNNERATOR_CHECK_MSG(*arrival_ms >= 0.0,
                       "trace row " << r << ": negative arrival_ms " << *arrival_ms);
   GNNERATOR_CHECK_MSG(request.slo_ms >= 0.0,
                       "trace row " << r << ": negative slo_ms " << request.slo_ms);
+  GNNERATOR_CHECK_MSG(fits_cycles(*arrival_ms, clock_ghz),
+                      "trace row " << r << ": arrival_ms " << *arrival_ms
+                                   << " is past the range of the cycle clock");
+  GNNERATOR_CHECK_MSG(slo_fits(request.slo_ms, clock_ghz),
+                      "trace row " << r << ": slo_ms " << request.slo_ms
+                                   << " is past the range of the cycle clock");
   request.arrival = ms_to_cycles(*arrival_ms, clock_ghz);
   const std::string dataset_name(util::trim(row[1]));
   const std::optional<graph::DatasetSpec> spec = graph::find_dataset(dataset_name);

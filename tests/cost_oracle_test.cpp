@@ -133,8 +133,9 @@ TEST(CostOracle, ColdStartIsTheAnalyticPrior) {
   EXPECT_EQ(oracle.analytic(dataset, sim, "k"), analytic);
   EXPECT_EQ(oracle.pipeline_runs(), 1u);
   // Unobserved pairs blend to the prior and report no measurement.
-  EXPECT_EQ(oracle.blend(analytic, "k", "k"), analytic);
-  EXPECT_FALSE(oracle.measured("k", "k").has_value());
+  const auto k = oracle.intern("k", "k");
+  EXPECT_EQ(oracle.blend(analytic, k), analytic);
+  EXPECT_FALSE(oracle.measured(k).has_value());
   // A new key runs the pipeline again.
   EXPECT_EQ(oracle.analytic(dataset, sim, "k2"), analytic);
   EXPECT_EQ(oracle.pipeline_runs(), 2u);
@@ -149,10 +150,11 @@ TEST(CostOracle, BlendConvergesToMeasurementWithObservations) {
   const std::uint64_t analytic = 1'000'000;
   const std::uint64_t measured = 4'000'000;
 
+  const auto pd = oracle.intern("p", "d");
   std::uint64_t previous = analytic;
   for (std::uint64_t n = 1; n <= 16; ++n) {
-    oracle.observe("p", "d", measured);
-    const std::uint64_t blended = oracle.blend(analytic, "p", "d");
+    oracle.observe(pd, measured);
+    const std::uint64_t blended = oracle.blend(analytic, pd);
     // Every observation equals `measured`, so the EWMA is exact and the
     // blend is analytic + (measured - analytic) * n / (n + confidence).
     const double weight = static_cast<double>(n) / (static_cast<double>(n) + 2.0);
@@ -163,10 +165,10 @@ TEST(CostOracle, BlendConvergesToMeasurementWithObservations) {
     previous = blended;
   }
   EXPECT_GT(previous, (analytic + measured) / 2) << "16 observations should dominate";
-  ASSERT_TRUE(oracle.measured("p", "d").has_value());
-  EXPECT_EQ(*oracle.measured("p", "d"), measured);
+  ASSERT_TRUE(oracle.measured(pd).has_value());
+  EXPECT_EQ(*oracle.measured(pd), measured);
   // Other pairs are untouched.
-  EXPECT_EQ(oracle.blend(analytic, "p", "other"), analytic);
+  EXPECT_EQ(oracle.blend(analytic, oracle.intern("p", "other")), analytic);
 }
 
 TEST(CostOracle, LowerConfidenceTrustsMeasurementsSooner) {
@@ -178,11 +180,13 @@ TEST(CostOracle, LowerConfidenceTrustsMeasurementsSooner) {
   wary.confidence = 8.0;
   core::CostOracle a(eager);
   core::CostOracle b(wary);
+  const auto pa = a.intern("p", "d");
+  const auto pb = b.intern("p", "d");
   for (int n = 0; n < 4; ++n) {
-    a.observe("p", "d", measured);
-    b.observe("p", "d", measured);
-    const std::uint64_t blend_a = a.blend(analytic, "p", "d");
-    const std::uint64_t blend_b = b.blend(analytic, "p", "d");
+    a.observe(pa, measured);
+    b.observe(pb, measured);
+    const std::uint64_t blend_a = a.blend(analytic, pa);
+    const std::uint64_t blend_b = b.blend(analytic, pb);
     // Identical histories: the lower-confidence oracle is always at least
     // as close to the measurement.
     EXPECT_LE(measured - blend_a, measured - blend_b);
@@ -193,11 +197,12 @@ TEST(CostOracle, BlendDisabledStaysAnalyticButStillRecords) {
   core::CostOracleOptions options;
   options.blend_measurements = false;
   core::CostOracle oracle(options);
+  const auto pd = oracle.intern("p", "d");
   for (int n = 0; n < 8; ++n) {
-    oracle.observe("p", "d", 5'000'000);
+    oracle.observe(pd, 5'000'000);
   }
-  EXPECT_EQ(oracle.blend(1'000'000, "p", "d"), 1'000'000u);
-  EXPECT_FALSE(oracle.measured("p", "d").has_value());
+  EXPECT_EQ(oracle.blend(1'000'000, pd), 1'000'000u);
+  EXPECT_FALSE(oracle.measured(pd).has_value());
   // The history is still recorded — the control arm's state fingerprint
   // stays comparable with the calibrated arm's.
   EXPECT_EQ(oracle.windows().total_observations(), 8u);
@@ -215,9 +220,12 @@ TEST(CostOracle, StateFingerprintCoversMemoAndWindows) {
   EXPECT_NE(a.state_fingerprint(), b.state_fingerprint());
   (void)b.analytic(dataset, sim, "k");
   EXPECT_EQ(a.state_fingerprint(), b.state_fingerprint());
-  a.observe("p", "d", 777);
+  // Interning alone is not state: the window counts once it is observed.
+  const auto pa = a.intern("p", "d");
+  EXPECT_EQ(a.state_fingerprint(), b.state_fingerprint());
+  a.observe(pa, 777);
   EXPECT_NE(a.state_fingerprint(), b.state_fingerprint());
-  b.observe("p", "d", 777);
+  b.observe(b.intern("p", "d"), 777);
   EXPECT_EQ(a.state_fingerprint(), b.state_fingerprint());
 }
 
@@ -306,8 +314,9 @@ TEST(CostOracleServe, SjfOrdersByBlendedCost) {
   // legacy single-device fleet keys windows by (class key, class key).
   const std::string light_key = server.class_key(light);
   const std::uint64_t huge = 50'000'000'000ULL;
+  const auto light_window = server.mutable_cost_oracle().intern(light_key, light_key);
   for (int n = 0; n < 32; ++n) {
-    server.mutable_cost_oracle().observe(light_key, light_key, huge);
+    server.mutable_cost_oracle().observe(light_window, huge);
   }
   // The public analytic estimate never consults measurements...
   EXPECT_EQ(server.cost_estimate(light), analytic_light);
@@ -377,8 +386,9 @@ TEST(CostOracleServe, AffinityPlacesSecondWaveOnMeasuredCycles) {
   const std::uint64_t analytic_nextgen = server.device_cost_estimate(sim, 1);
   ASSERT_LT(analytic_nextgen, server.device_cost_estimate(sim, 0));
   const std::uint64_t huge = 50'000'000'000ULL;
+  const auto nextgen_window = server.mutable_cost_oracle().intern(plan_key, nextgen_identity);
   for (int n = 0; n < 64; ++n) {
-    server.mutable_cost_oracle().observe(plan_key, nextgen_identity, huge);
+    server.mutable_cost_oracle().observe(nextgen_window, huge);
   }
   EXPECT_GT(server.calibrated_device_cost_estimate(sim, 1), analytic_nextgen)
       << "the calibrated estimate must reflect the measurement";

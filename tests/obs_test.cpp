@@ -366,11 +366,19 @@ TEST(Registry, TextSnapshotIsDeterministicAndWellFormed) {
 
 TEST(ExecWindowLog, EwmaTracksObservationsAndSnapshotIsSorted) {
   ExecWindowLog log(/*alpha=*/0.5);
-  log.record("planB", "baseline", 100);
-  log.record("planB", "baseline", 200);  // ewma = 0.5*200 + 0.5*100 = 150
-  log.record("planA", "nextgen", 40);
-  log.record("planA", "baseline", 10);
+  const ExecWindowLog::Id b_base = log.intern("planB", "baseline");
+  const ExecWindowLog::Id unobserved = log.intern("planA", "2x-bw");
+  EXPECT_EQ(log.intern("planB", "baseline"), b_base) << "a pair interns to one id";
+  log.record(b_base, 100);
+  log.record(b_base, 200);  // ewma = 0.5*200 + 0.5*100 = 150
+  log.record(log.intern("planA", "nextgen"), 40);
+  log.record(log.intern("planA", "baseline"), 10);
+  EXPECT_EQ(log.window(b_base).observations, 2u);
+  EXPECT_EQ(log.window(unobserved).observations, 0u);
 
+  // Interned but never recorded: invisible to the snapshot and the counts.
+  EXPECT_EQ(log.size(), 3u);
+  EXPECT_EQ(log.total_observations(), 4u);
   const std::vector<ExecWindow> snap = log.snapshot();
   ASSERT_EQ(snap.size(), 3u);
   // Sorted by (plan_class, device_class).

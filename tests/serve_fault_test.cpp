@@ -112,6 +112,15 @@ TEST(FaultPlanParse, ErrorsNameTheTokenAndPosition) {
                    kMinSlowFactor);
   EXPECT_THROW((void)parse_fault_plan("reclass@1ms:dev0", 1.0), util::CheckError);
   EXPECT_THROW((void)parse_fault_plan("", 1.0), util::CheckError);
+  // Times must become cycles: non-finite, or at or past 2^63 cycles.
+  EXPECT_THROW((void)parse_fault_plan("crash@inf:dev0", 1.0), util::CheckError);
+  EXPECT_THROW((void)parse_fault_plan("crash@nan:dev0", 1.0), util::CheckError);
+  EXPECT_THROW((void)parse_fault_plan("crash@1e300ms:dev0", 1.0), util::CheckError);
+  EXPECT_THROW((void)parse_fault_plan("crash@1e308s:dev0", 1.0), util::CheckError);
+  const std::string range_msg = thrown_message(
+      [] { (void)parse_fault_plan("crash@1ms:dev0,recover@1e300ms:dev0", 1.0); });
+  EXPECT_NE(range_msg.find("element 1"), std::string::npos) << range_msg;
+  EXPECT_NE(range_msg.find("offset 15"), std::string::npos) << range_msg;
 }
 
 TEST(AutoscaleParse, SpecAndErrors) {
@@ -433,6 +442,9 @@ TEST(ServeWorkload, MmppIsSortedDeterministicAndComplete) {
   EXPECT_NE(msg.find("'oops'"), std::string::npos) << msg;
   EXPECT_THROW((void)parse_mmpp_spec("2000:-1"), util::CheckError);
   EXPECT_THROW((void)parse_mmpp_spec(""), util::CheckError);
+  EXPECT_THROW((void)parse_mmpp_spec("1000:inf"), util::CheckError);
+  EXPECT_THROW((void)parse_mmpp_spec("inf:5"), util::CheckError);
+  EXPECT_THROW((void)parse_mmpp_spec("1000:nan"), util::CheckError);
 }
 
 TEST(ServeWorkload, FlashCrowdConcentratesArrivalsInSpikes) {

@@ -338,6 +338,10 @@ TEST(ServeProperty, IdenticalClassFleetMatchesHomogeneousBitwise) {
         SchedulingPolicy::kAffinity}) {
     SCOPED_TRACE(std::string(policy_name(policy)));
 
+    struct Run {
+      ServeReport report;
+      std::size_t oracle_runs = 0;
+    };
     const auto run = [&](bool heterogeneous) {
       ServerOptions options;
       options.policy = policy;
@@ -368,11 +372,20 @@ TEST(ServeProperty, IdenticalClassFleetMatchesHomogeneousBitwise) {
       }
       PoissonWorkload workload(mix, /*rate_rps=*/15000.0, /*num_requests=*/200,
                                options.clock_ghz, /*seed=*/77);
-      return server.serve(workload);
+      ServeReport report = server.serve(workload);
+      return Run{std::move(report), server.cost_oracle_runs()};
     };
 
-    const ServeReport homogeneous = run(false);
-    const ServeReport heterogeneous = run(true);
+    const Run homogeneous_run = run(false);
+    const Run heterogeneous_run = run(true);
+    const ServeReport& homogeneous = homogeneous_run.report;
+    const ServeReport& heterogeneous = heterogeneous_run.report;
+    // Identically configured classes share one execution per plan class:
+    // a second engine run (a plan-cache hit) or a second analytic pricing
+    // would mean the memos split by device class rather than by config.
+    EXPECT_EQ(homogeneous.plan_cache.hits, heterogeneous.plan_cache.hits);
+    EXPECT_EQ(homogeneous.plan_cache.misses, heterogeneous.plan_cache.misses);
+    EXPECT_EQ(homogeneous_run.oracle_runs, heterogeneous_run.oracle_runs);
     ASSERT_EQ(homogeneous.outcomes.size(), heterogeneous.outcomes.size());
     EXPECT_EQ(homogeneous.end_cycle, heterogeneous.end_cycle);
     for (std::size_t i = 0; i < homogeneous.outcomes.size(); ++i) {
@@ -545,6 +558,64 @@ TEST(ServeDifferential, RandomFaultPlansMatchReference) {
     EXPECT_EQ(report_fingerprint(got), expected)
         << "serve() diverged from run_reference under a fault plan";
     EXPECT_EQ(got.metrics.completed + got.metrics.shed + got.metrics.failed, num_requests);
+  }
+}
+
+/// Mid-run reclass faults switch a device to a device class the fleet has
+/// not used yet, so the per-class memos gain a slot while work is queued
+/// and in flight; a crash and recover strand and requeue work around it.
+/// Both loops must match each other and the committed goldens: the report
+/// and the cost oracle's end state.
+TEST(ServeDifferential, ReclassFaultPlansMatchReference) {
+  const SchedulingPolicy policies[] = {SchedulingPolicy::kAffinity, SchedulingPolicy::kSjf,
+                                       SchedulingPolicy::kFifo};
+  // Per policy: (report, oracle state).
+  const char* const golden[][2] = {{"939a9e8cad0bddb1", "a528a376a2d5b4da"},
+                                   {"14711b4f240648f2", "297cb927cddef606"},
+                                   {"17f629ddd2bd1e88", "48a788ec9e885940"}};
+  std::size_t cell = 0;
+  for (const SchedulingPolicy policy : policies) {
+    ServerOptions options;
+    options.policy = policy;
+    options.fleet = parse_fleet_spec("2xbaseline,1xnextgen");
+    options.classes = parse_class_spec("interactive:3:4:1,bulk:0:1:0");
+    options.faults = parse_fault_plan(
+        "reclass@1ms:dev1=2x-dense,reclass@3ms:dev2=baseline,crash@4ms:dev0,"
+        "recover@5ms:dev0,reclass@6ms:dev1=nextgen",
+        options.clock_ghz);
+
+    const auto run = [&](bool reference) {
+      Server server(options);
+      server.add_dataset(graph::make_dataset_by_name("cora", 1, /*with_features=*/false));
+      server.add_dataset(graph::make_dataset_by_name("citeseer", 1, /*with_features=*/false));
+      std::vector<RequestTemplate> mix;
+      for (const char* dataset : {"cora", "citeseer"}) {
+        for (const gnn::LayerKind kind : {gnn::LayerKind::kGcn, gnn::LayerKind::kSageMean}) {
+          RequestTemplate t;
+          t.sim = timing_sim(dataset, kind);
+          t.klass = mix.size() % 2 == 0 ? "interactive" : "bulk";
+          mix.push_back(std::move(t));
+        }
+      }
+      PoissonWorkload workload(mix, /*rate_rps=*/9000.0, /*num_requests=*/150,
+                               options.clock_ghz, /*seed=*/31);
+      const ServeReport report =
+          reference ? server.run_reference(workload) : server.serve(workload);
+      EXPECT_EQ(report.metrics.completed + report.metrics.shed + report.metrics.failed, 150u);
+      std::ostringstream oracle;
+      oracle << std::hex << std::setw(16) << std::setfill('0')
+             << server.cost_oracle().state_fingerprint();
+      return std::pair{report_fingerprint(report), oracle.str()};
+    };
+
+    SCOPED_TRACE(std::string(policy_name(policy)));
+    const auto [expected, expected_oracle] = run(/*reference=*/true);
+    EXPECT_EQ(fnv1a_hex(expected), golden[cell][0]) << "report moved from the golden";
+    EXPECT_EQ(expected_oracle, golden[cell][1]) << "oracle state moved from the golden";
+    const auto [got, got_oracle] = run(/*reference=*/false);
+    EXPECT_EQ(got, expected) << "serve() diverged from run_reference under reclass faults";
+    EXPECT_EQ(got_oracle, expected_oracle);
+    ++cell;
   }
 }
 

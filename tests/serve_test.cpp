@@ -422,6 +422,31 @@ TEST(Serve, TraceReaderHandlesFuzzedEdgeCases) {
   EXPECT_THROW((void)TraceWorkload::from_csv(
                    "arrival_ms,dataset,model,slo_ms,frobnicate\n", base, 1.0),
                util::CheckError);
+  // Times must become cycles: a non-finite value, or one at or past 2^63
+  // cycles, names its row instead of arriving at cycle 0 or setting an SLO
+  // that can never be missed.
+  for (const char* row : {"inf,cora,gcn,0", "1e300,cora,gcn,0", "0,cora,gcn,inf",
+                          "0,cora,gcn,1e300", "nan,cora,gcn,0"}) {
+    SCOPED_TRACE(row);
+    const std::string bad = std::string("arrival_ms,dataset,model,slo_ms\n") + row + "\n";
+    EXPECT_THROW((void)TraceWorkload::from_csv(bad, base, 1.0), util::CheckError);
+  }
+
+  // The same bound holds for an SLO set on a request directly: admission
+  // names the request.
+  ServerOptions one;
+  one.num_devices = 1;
+  Server direct(one);
+  direct.add_dataset(graph::make_dataset_by_name("cora", 1, /*with_features=*/false));
+  Request huge_slo = at_cycle(0, timing_sim("cora", gnn::LayerKind::kGcn));
+  huge_slo.slo_ms = 1e300;
+  FixedWorkload unfit({huge_slo});
+  try {
+    (void)direct.serve(unfit);
+    ADD_FAILURE() << "an SLO past the cycle clock's range was admitted";
+  } catch (const util::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("request 0"), std::string::npos) << e.what();
+  }
 }
 
 /// The optional seed,fanout trace column pair: sampled rows parse into
@@ -529,6 +554,17 @@ TEST(Serve, FleetAndClassSpecParsing) {
   EXPECT_THROW((void)parse_class_spec("a:1,a:2"), util::CheckError);       // duplicate
   EXPECT_THROW((void)parse_class_spec("a:1:-2"), util::CheckError);        // bad weight
   EXPECT_THROW((void)parse_class_spec("a:1:1:huge"), util::CheckError);    // bad priority
+  EXPECT_THROW((void)parse_class_spec("a:inf"), util::CheckError);         // non-finite slo
+  EXPECT_THROW((void)parse_class_spec("a:nan"), util::CheckError);
+  EXPECT_THROW((void)parse_class_spec("a:1:inf"), util::CheckError);       // non-finite weight
+  // A finite SLO the server's cycle clock cannot hold is rejected where the
+  // clock is known.
+  ServerOptions unfit;
+  unfit.classes = parse_class_spec("a:1e300");
+  EXPECT_THROW(Server{unfit}, util::CheckError);
+  ServerOptions unfit_default;
+  unfit_default.default_slo_ms = 1e300;
+  EXPECT_THROW(Server{unfit_default}, util::CheckError);
 }
 
 /// A higher-priority tier with ready work always dispatches before a lower
