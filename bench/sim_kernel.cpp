@@ -1,27 +1,36 @@
 // Measures the event-driven time-skipping kernel against the exhaustive
 // reference loop on the paper's sparse benchmark datasets: wall-clock
-// speedup, skip ratio, and (as a hard invariant) identical cycle counts.
-// This is the bench that tracks simulator throughput itself — the quantity
-// design-space sweeps are bound by — rather than simulated latency.
+// speedup, skip ratio, and (as a hard invariant) identical cycle counts and
+// stats. This is the bench that tracks simulator throughput itself — the
+// quantity sampled serving is bound by — rather than simulated latency.
 //
 //   ./sim_kernel [--json BENCH_sim_kernel.json] [--datasets cora,citeseer]
 //                [--iters N]
+//
+// Each dataset contributes its full-graph GCN point. cora also contributes
+// `cora-sampled-gcn`: 64 fused plans of nine frontiers each, sampled at
+// fanout 10/5 from a fixed seed — the plan shape a sampled serving dispatch
+// simulates. A point's fields sum over its plans.
 //
 // With --json, results are written as a flat JSON object (cycles, wall
 // seconds per kernel, speedup, skip ratio per point plus totals) so CI can
 // archive the perf trajectory per PR.
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <iostream>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "core/accelerator.hpp"
+#include "graph/sample.hpp"
 #include "util/args.hpp"
 #include "util/check.hpp"
+#include "util/prng.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -44,6 +53,27 @@ std::vector<std::string> split_csv(const std::string& csv) {
   return out;
 }
 
+/// A named set of plans whose timing runs are measured and summed together.
+struct KernelPoint {
+  std::string name;
+  std::vector<std::shared_ptr<const core::LoweredModel>> plans;
+};
+
+/// `count` fused GCN plans over cora, each fusing `frontiers` single-seed
+/// frontiers sampled at fanout 10/5, all drawn from one fixed-seed PRNG.
+KernelPoint sampled_point(const graph::Dataset& cora, std::size_t count,
+                          std::size_t frontiers) {
+  const graph::FanoutSpec fanout = graph::parse_fanout("10/5");
+  util::Prng prng(2021);
+  KernelPoint point{"cora-sampled-gcn", {}};
+  for (std::size_t p = 0; p < count; ++p) {
+    const graph::Dataset fused = graph::sample_fused_dataset(cora, frontiers, fanout, prng);
+    point.plans.push_back(std::make_shared<const core::LoweredModel>(core::compile_for(
+        fused, core::table3_model(gnn::LayerKind::kGcn, fused.spec), core::SimulationRequest{})));
+  }
+  return point;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -58,44 +88,65 @@ int main(int argc, char** argv) {
   double total_event_s = 0.0;
   double total_reference_s = 0.0;
 
+  std::vector<KernelPoint> points;
   for (const std::string& ds : datasets) {
     core::SimulationRequest request;  // timing-only, blocked dataflow
     const graph::Dataset& dataset = bench::dataset(ds);
     const gnn::ModelSpec model = core::table3_model(gnn::LayerKind::kGcn, dataset.spec);
-    const auto plan = bench::engine().plan_for(dataset, model, request);
+    points.push_back(KernelPoint{ds + "-gcn", {bench::engine().plan_for(dataset, model, request)}});
+    if (ds == "cora") {
+      points.push_back(sampled_point(dataset, /*count=*/64, /*frontiers=*/9));
+    }
+  }
 
+  for (const KernelPoint& point : points) {
     // Best-of-N for the fast kernel (it is minutes-to-microseconds level
     // sensitive to noise); single shot for the slow reference.
-    core::ExecutionResult event_result;
+    std::vector<core::ExecutionResult> event_results(point.plans.size());
     double event_s = std::numeric_limits<double>::infinity();
     for (int i = 0; i < std::max(1, iters); ++i) {
       const auto start = std::chrono::steady_clock::now();
-      event_result = core::Accelerator::run_timing(*plan, nullptr,
-                                                   core::TimingKernel::kEventDriven);
+      for (std::size_t p = 0; p < point.plans.size(); ++p) {
+        event_results[p] = core::Accelerator::run_timing(*point.plans[p], nullptr,
+                                                         core::TimingKernel::kEventDriven);
+      }
       event_s = std::min(event_s, seconds_since(start));
     }
+    std::vector<core::ExecutionResult> reference_results(point.plans.size());
     const auto start = std::chrono::steady_clock::now();
-    const auto reference_result =
-        core::Accelerator::run_timing(*plan, nullptr, core::TimingKernel::kReference);
+    for (std::size_t p = 0; p < point.plans.size(); ++p) {
+      reference_results[p] = core::Accelerator::run_timing(*point.plans[p], nullptr,
+                                                           core::TimingKernel::kReference);
+    }
     const double reference_s = seconds_since(start);
 
-    GNNERATOR_CHECK_MSG(event_result.cycles == reference_result.cycles,
-                        ds << ": event kernel diverged from reference");
-    GNNERATOR_CHECK_MSG(event_result.stats.counters() == reference_result.stats.counters(),
-                        ds << ": event kernel stats diverged from reference");
+    std::uint64_t cycles = 0;
+    std::uint64_t ticked = 0;
+    std::uint64_t skipped = 0;
+    for (std::size_t p = 0; p < point.plans.size(); ++p) {
+      const core::ExecutionResult& event = event_results[p];
+      const core::ExecutionResult& reference = reference_results[p];
+      GNNERATOR_CHECK_MSG(event.cycles == reference.cycles,
+                          point.name << " plan " << p << ": event kernel diverged from reference");
+      GNNERATOR_CHECK_MSG(event.stats.counters() == reference.stats.counters(),
+                          point.name << " plan " << p
+                                     << ": event kernel stats diverged from reference");
+      cycles += event.cycles;
+      ticked += event.kernel_cycles_ticked;
+      skipped += event.kernel_cycles_skipped;
+    }
 
-    const double skip_ratio = static_cast<double>(event_result.kernel_cycles_skipped) /
-                              static_cast<double>(event_result.cycles);
+    const double skip_ratio = static_cast<double>(skipped) / static_cast<double>(cycles);
     const double speedup = reference_s / event_s;
     total_event_s += event_s;
     total_reference_s += reference_s;
 
-    const std::string name = ds + "-gcn";
-    table.add_row({name, std::to_string(event_result.cycles),
-                   util::Table::fixed(100.0 * skip_ratio, 1), util::Table::fixed(event_s, 4),
-                   util::Table::fixed(reference_s, 4), util::Table::speedup(speedup)});
-    json.set(name + ".cycles", event_result.cycles);
-    json.set(name + ".cycles_ticked", event_result.kernel_cycles_ticked);
+    const std::string& name = point.name;
+    table.add_row({name, std::to_string(cycles), util::Table::fixed(100.0 * skip_ratio, 1),
+                   util::Table::fixed(event_s, 4), util::Table::fixed(reference_s, 4),
+                   util::Table::speedup(speedup)});
+    json.set(name + ".cycles", cycles);
+    json.set(name + ".cycles_ticked", ticked);
     json.set(name + ".skip_ratio", skip_ratio);
     json.set(name + ".wall_s_event", event_s);
     json.set(name + ".wall_s_reference", reference_s);

@@ -85,9 +85,9 @@ ExecutionResult Accelerator::run_timing(const LoweredModel& plan, sim::Tracer* t
   GNNERATOR_CHECK_MSG(controller.board().num_signaled() == controller.board().size(),
                       "simulation finished with " << controller.pending_summary());
 
-  result.stats.merge(dram.stats());
-  result.stats.merge(dense_engine.stats());
-  result.stats.merge(graph_engine.stats());
+  dram.export_stats(result.stats);
+  dense_engine.export_stats(result.stats);
+  graph_engine.export_stats(result.stats);
   result.stats.add("cycles", result.cycles);
   result.stats.add("tokens", controller.board().size());
   return result;

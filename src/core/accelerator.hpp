@@ -18,7 +18,8 @@ namespace gnnerator::core {
 /// Result of one simulated inference.
 struct ExecutionResult {
   std::uint64_t cycles = 0;
-  /// Merged counters from the DRAM model, both engines and the controller.
+  /// Counters of the DRAM model and both engines, each exported once when
+  /// the run ends, plus `cycles` and `tokens`.
   sim::StatSet stats;
   /// Present in functional mode: the network output [V x output_dim].
   std::optional<gnn::Tensor> output;

@@ -4,26 +4,6 @@
 
 namespace gnnerator::core {
 
-sim::TokenId GnneratorController::column_token(std::uint32_t layer, std::uint32_t stage,
-                                               std::uint32_t block, std::uint32_t column) {
-  std::ostringstream os;
-  os << "L" << layer << ".S" << stage << ".b" << block << ".col" << column;
-  return board_.create(os.str());
-}
-
-sim::TokenId GnneratorController::interval_token(std::uint32_t layer, std::uint32_t stage,
-                                                 std::uint32_t block, std::uint32_t interval) {
-  std::ostringstream os;
-  os << "L" << layer << ".S" << stage << ".b" << block << ".ivl" << interval;
-  return board_.create(os.str());
-}
-
-sim::TokenId GnneratorController::layer_token(std::uint32_t layer) {
-  std::ostringstream os;
-  os << "L" << layer << ".done";
-  return board_.create(os.str());
-}
-
 std::string GnneratorController::pending_summary(std::size_t max_items) const {
   const auto pending = board_.pending_names();
   std::ostringstream os;

@@ -23,16 +23,6 @@ class GnneratorController {
   [[nodiscard]] sim::SyncBoard& board() { return board_; }
   [[nodiscard]] const sim::SyncBoard& board() const { return board_; }
 
-  /// Structured token constructors (names show up in deadlock diagnostics).
-  /// "column aggregated": block b of destination column c, layer l stage s.
-  sim::TokenId column_token(std::uint32_t layer, std::uint32_t stage, std::uint32_t block,
-                            std::uint32_t column);
-  /// "z produced": block b of source interval r, layer l stage s.
-  sim::TokenId interval_token(std::uint32_t layer, std::uint32_t stage, std::uint32_t block,
-                              std::uint32_t interval);
-  /// "layer output in DRAM".
-  sim::TokenId layer_token(std::uint32_t layer);
-
   /// Diagnostic string listing unsignalled tokens.
   [[nodiscard]] std::string pending_summary(std::size_t max_items = 8) const;
 

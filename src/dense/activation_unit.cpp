@@ -9,7 +9,7 @@ void ActivationUnit::apply(gnn::Activation act, std::span<float> values) {
   for (float& x : values) {
     x = gnn::apply_activation(act, x);
   }
-  stats_.add("ops", values.size());
+  ops_ += values.size();
 }
 
 }  // namespace gnnerator::dense

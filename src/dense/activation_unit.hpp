@@ -1,9 +1,9 @@
 #pragma once
 
+#include <cstdint>
 #include <span>
 
 #include "gnn/layers.hpp"
-#include "sim/stats.hpp"
 
 namespace gnnerator::dense {
 
@@ -12,15 +12,14 @@ namespace gnnerator::dense {
 /// contribute is functional semantics and op counting.
 class ActivationUnit {
  public:
-  ActivationUnit() : stats_("activation") {}
-
   /// Applies `act` in place and counts ops.
   void apply(gnn::Activation act, std::span<float> values);
 
-  [[nodiscard]] const sim::StatSet& stats() const { return stats_; }
+  /// Activations applied so far (kNone is free and counts none).
+  [[nodiscard]] std::uint64_t ops() const { return ops_; }
 
  private:
-  sim::StatSet stats_;
+  std::uint64_t ops_ = 0;
 };
 
 }  // namespace gnnerator::dense

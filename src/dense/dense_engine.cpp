@@ -7,17 +7,28 @@
 namespace gnnerator::dense {
 
 namespace {
-constexpr const char* kDmaClient = "dense";
-}
+
+constexpr std::string_view kStatPrefix = "dense.";
+/// Indexed by DenseEngine::Stat.
+constexpr std::string_view kStatNames[] = {
+    "ops_enqueued",    "ops_completed",   "macs",
+    "a_bytes",         "w_bytes",         "psum_read_bytes",
+    "out_write_bytes", "sram_read_bytes", "sram_write_bytes"};
+/// Indexed by mem::PipelineStat.
+constexpr std::string_view kPipelineStatNames[] = {
+    "compute_cycles", "stall_dma_cycles", "stall_token_cycles", "busy_cycles",
+    "array_idle_cycles"};
+
+}  // namespace
 
 DenseEngine::DenseEngine(DenseEngineConfig config, mem::DramModel& dram, sim::SyncBoard& sync,
                          sim::Tracer* tracer)
     : sim::Component("dense-engine"),
       config_(config),
       dram_(dram),
+      dma_client_(dram.intern_client("dense")),
       sync_(sync),
       tracer_(tracer),
-      stats_("dense"),
       input_buf_("dense.input", config.input_bank_bytes()),
       weight_buf_("dense.weight", config.weight_bank_bytes()),
       output_buf_("dense.output", config.output_bank_bytes()) {}
@@ -32,7 +43,7 @@ void DenseEngine::enqueue(GemmOp op) {
   GNNERATOR_CHECK_MSG(op.psum_read_bytes + op.out_write_bytes <=
                           2 * config_.output_bank_bytes(),
                       "GemmOp psum traffic exceeds output buffer");
-  stats_.add("ops_enqueued");
+  stats_.add(Stat::kOpsEnqueued);
   queue_.push_back(std::move(op));
 }
 
@@ -42,7 +53,7 @@ void DenseEngine::tick(sim::Cycle now) {
 
   // Compute stage.
   if (computing_.has_value()) {
-    stats_.add("compute_cycles");
+    pipeline_stats_.add(mem::PipelineStat::kComputeCycles);
     GNNERATOR_CHECK(compute_remaining_ > 0);
     if (--compute_remaining_ == 0) {
       finish_compute(now);
@@ -52,9 +63,9 @@ void DenseEngine::tick(sim::Cycle now) {
   advance_fetch(now);
 
   if (was_busy) {
-    stats_.add("busy_cycles");
+    pipeline_stats_.add(mem::PipelineStat::kBusyCycles);
     if (!computing_.has_value()) {
-      stats_.add("array_idle_cycles");
+      pipeline_stats_.add(mem::PipelineStat::kIdleCycles);
     }
   }
 }
@@ -64,19 +75,19 @@ void DenseEngine::finish_compute(sim::Cycle now) {
   if (op.compute) {
     op.compute();  // functional payload (GEMM arithmetic + activation)
   }
-  stats_.add("macs", op.shape.macs());
-  stats_.add("ops_completed");
+  stats_.add(Stat::kMacs, op.shape.macs());
+  stats_.add(Stat::kOpsCompleted);
   ++ops_completed_;
   if (tracer_ != nullptr) {
     tracer_->emit(now, name(), "gemm done tag=" + std::to_string(op.tag));
   }
 
   output_buf_.front().record_write(op.shape.m * op.shape.n * sizeof(float));
-  stats_.add("sram_write_bytes", op.shape.m * op.shape.n * sizeof(float));
+  stats_.add(Stat::kSramWriteBytes, op.shape.m * op.shape.n * sizeof(float));
   if (op.out_write_bytes > 0) {
-    stats_.add("out_write_bytes", op.out_write_bytes);
-    const mem::DmaId dma = dram_.submit(mem::MemOp::kWrite, op.out_write_bytes, kDmaClient);
-    writebacks_.push_back(InFlightWriteback{dma, op.produce_token});
+    stats_.add(Stat::kOutWriteBytes, op.out_write_bytes);
+    const mem::DmaId dma = dram_.submit(mem::MemOp::kWrite, op.out_write_bytes, dma_client_);
+    writebacks_.push_back(mem::Writeback{dma, op.produce_token});
     output_buf_.swap();
   } else if (op.produce_token != sim::kNoToken) {
     // Result stays on-chip (shared scratchpad hand-off): consumer may start
@@ -95,7 +106,7 @@ void DenseEngine::try_start_compute(sim::Cycle now) {
   compute_remaining_ = gemm_cycles(config_.array, computing_->shape);
   input_buf_.front().record_read(computing_->shape.m * computing_->shape.k * sizeof(float));
   weight_buf_.front().record_read(computing_->shape.k * computing_->shape.n * sizeof(float));
-  stats_.add("sram_read_bytes",
+  stats_.add(Stat::kSramReadBytes,
              (computing_->shape.m * computing_->shape.k + computing_->shape.k * computing_->shape.n) *
                  sizeof(float));
   if (tracer_ != nullptr) {
@@ -126,7 +137,7 @@ void DenseEngine::advance_fetch(sim::Cycle now) {
         tracer_->emit(now, name(), "fetch done tag=" + std::to_string(ready_->tag));
       }
     } else if (!all_done && !computing_.has_value()) {
-      stats_.add("stall_dma_cycles");
+      pipeline_stats_.add(mem::PipelineStat::kStallDmaCycles);
     }
     return;
   }
@@ -138,22 +149,22 @@ void DenseEngine::advance_fetch(sim::Cycle now) {
   const GemmOp& head = queue_.front();
   if (!sync_.is_signaled(head.wait_token)) {
     if (!computing_.has_value() && !ready_.has_value()) {
-      stats_.add("stall_token_cycles");
+      pipeline_stats_.add(mem::PipelineStat::kStallTokenCycles);
     }
     return;
   }
   InFlightFetch fetch;
   fetch.op = std::move(queue_.front());
   queue_.pop_front();
-  fetch.dmas.push_back(dram_.submit(mem::MemOp::kRead, fetch.op.a_dma_bytes, kDmaClient));
-  fetch.dmas.push_back(dram_.submit(mem::MemOp::kRead, fetch.op.w_dma_bytes, kDmaClient));
-  fetch.dmas.push_back(dram_.submit(mem::MemOp::kRead, fetch.op.psum_read_bytes, kDmaClient));
+  fetch.dmas = {dram_.submit(mem::MemOp::kRead, fetch.op.a_dma_bytes, dma_client_),
+                dram_.submit(mem::MemOp::kRead, fetch.op.w_dma_bytes, dma_client_),
+                dram_.submit(mem::MemOp::kRead, fetch.op.psum_read_bytes, dma_client_)};
   input_buf_.back().record_write(fetch.op.a_dma_bytes);
   weight_buf_.back().record_write(fetch.op.w_dma_bytes);
-  stats_.add("sram_write_bytes", fetch.op.a_dma_bytes + fetch.op.w_dma_bytes);
-  stats_.add("a_bytes", fetch.op.a_dma_bytes);
-  stats_.add("w_bytes", fetch.op.w_dma_bytes);
-  stats_.add("psum_read_bytes", fetch.op.psum_read_bytes);
+  stats_.add(Stat::kSramWriteBytes, fetch.op.a_dma_bytes + fetch.op.w_dma_bytes);
+  stats_.add(Stat::kABytes, fetch.op.a_dma_bytes);
+  stats_.add(Stat::kWBytes, fetch.op.w_dma_bytes);
+  stats_.add(Stat::kPsumReadBytes, fetch.op.psum_read_bytes);
   if (tracer_ != nullptr) {
     tracer_->emit(now, name(), "fetch start tag=" + std::to_string(fetch.op.tag));
   }
@@ -171,10 +182,7 @@ mem::PipelineState DenseEngine::pipeline_state() const {
   if (fetching_.has_value()) {
     state.fetch_dmas = fetching_->dmas;
   }
-  state.writeback_dmas.reserve(writebacks_.size());
-  for (const InFlightWriteback& wb : writebacks_) {
-    state.writeback_dmas.push_back(wb.dma);
-  }
+  state.writebacks = writebacks_;
   state.queue_nonempty = !queue_.empty();
   if (state.queue_nonempty) {
     state.queue_token_signaled = sync_.is_signaled(queue_.front().wait_token);
@@ -187,8 +195,7 @@ sim::Cycle DenseEngine::next_event(sim::Cycle now) const {
 }
 
 void DenseEngine::skip(sim::Cycle from, sim::Cycle to) {
-  mem::pipeline_skip(pipeline_state(), from, to, stats_, "array_idle_cycles",
-                     compute_remaining_);
+  mem::pipeline_skip(pipeline_state(), from, to, pipeline_stats_, compute_remaining_);
 }
 
 void DenseEngine::drain_writebacks(sim::Cycle) {
@@ -203,6 +210,17 @@ void DenseEngine::drain_writebacks(sim::Cycle) {
       ++it;
     }
   }
+}
+
+void DenseEngine::export_stats(sim::StatSet& out) const {
+  pipeline_stats_.export_to(out, kStatPrefix, kPipelineStatNames);
+  stats_.export_to(out, kStatPrefix, kStatNames);
+}
+
+sim::StatSet DenseEngine::stats() const {
+  sim::StatSet out;
+  export_stats(out);
+  return out;
 }
 
 bool DenseEngine::busy() const {

@@ -1,10 +1,10 @@
 #pragma once
 
+#include <array>
 #include <deque>
 #include <optional>
 #include <vector>
 
-#include "dense/activation_unit.hpp"
 #include "dense/gemm_op.hpp"
 #include "dense/systolic.hpp"
 #include "mem/dram.hpp"
@@ -65,29 +65,41 @@ class DenseEngine : public sim::Component {
   void skip(sim::Cycle from, sim::Cycle to) override;
 
   [[nodiscard]] const DenseEngineConfig& config() const { return config_; }
-  [[nodiscard]] const sim::StatSet& stats() const { return stats_; }
-  [[nodiscard]] const ActivationUnit& activation_unit() const { return activation_; }
-  [[nodiscard]] ActivationUnit& activation_unit() { return activation_; }
+
+  /// Adds every counter this engine touched to `out` as "dense.<name>".
+  void export_stats(sim::StatSet& out) const;
+  /// The same names and values, exported into a fresh set.
+  [[nodiscard]] sim::StatSet stats() const;
 
   /// Ops completed so far (compute finished; writeback may still drain).
   [[nodiscard]] std::uint64_t ops_completed() const { return ops_completed_; }
 
  private:
+  enum class Stat {
+    kOpsEnqueued,
+    kOpsCompleted,
+    kMacs,
+    kABytes,
+    kWBytes,
+    kPsumReadBytes,
+    kOutWriteBytes,
+    kSramReadBytes,
+    kSramWriteBytes,
+    kCount
+  };
+
   struct InFlightFetch {
     GemmOp op;
-    std::vector<mem::DmaId> dmas;
-  };
-  struct InFlightWriteback {
-    mem::DmaId dma = mem::kInvalidDma;
-    sim::TokenId token = sim::kNoToken;
+    std::array<mem::DmaId, mem::kFetchDmas> dmas{};  ///< A, W, psum reload
   };
 
   DenseEngineConfig config_;
   mem::DramModel& dram_;
+  mem::DmaClient dma_client_;
   sim::SyncBoard& sync_;
   sim::Tracer* tracer_;
-  sim::StatSet stats_;
-  ActivationUnit activation_;
+  sim::Counters<Stat> stats_;
+  mem::PipelineCounters pipeline_stats_;
 
   mem::DoubleBuffer input_buf_;
   mem::DoubleBuffer weight_buf_;
@@ -98,7 +110,7 @@ class DenseEngine : public sim::Component {
   std::optional<GemmOp> ready_;
   std::optional<GemmOp> computing_;
   std::uint64_t compute_remaining_ = 0;
-  std::vector<InFlightWriteback> writebacks_;
+  std::vector<mem::Writeback> writebacks_;
   std::uint64_t ops_completed_ = 0;
 
   void finish_compute(sim::Cycle now);

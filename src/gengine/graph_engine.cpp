@@ -7,9 +7,18 @@
 namespace gnnerator::gengine {
 
 namespace {
-constexpr const char* kEdgeClient = "graph.edge";
-constexpr const char* kFeatClient = "graph.feat";
-constexpr const char* kWbClient = "graph.wb";
+
+constexpr std::string_view kStatPrefix = "graph.";
+/// Indexed by GraphEngine::Stat.
+constexpr std::string_view kStatNames[] = {
+    "tasks_enqueued",    "tasks_completed", "edges_processed",  "lane_ops",
+    "edge_dma_bytes",    "src_dma_bytes",   "dst_load_bytes",   "dst_write_bytes",
+    "onchip_edge_bytes", "sram_read_bytes", "sram_write_bytes"};
+/// Indexed by mem::PipelineStat.
+constexpr std::string_view kPipelineStatNames[] = {
+    "compute_cycles", "stall_dma_cycles", "stall_token_cycles", "busy_cycles",
+    "gpe_idle_cycles"};
+
 }  // namespace
 
 GraphEngine::GraphEngine(GraphEngineConfig config, mem::DramModel& dram, sim::SyncBoard& sync,
@@ -17,9 +26,11 @@ GraphEngine::GraphEngine(GraphEngineConfig config, mem::DramModel& dram, sim::Sy
     : sim::Component("graph-engine"),
       config_(config),
       dram_(dram),
+      edge_client_(dram.intern_client("graph.edge")),
+      feat_client_(dram.intern_client("graph.feat")),
+      wb_client_(dram.intern_client("graph.wb")),
       sync_(sync),
       tracer_(tracer),
-      stats_("graph"),
       feature_buf_("graph.feat", config.feature_scratch_bytes / 2),
       edge_buf_("graph.edge", config.edge_buffer_bytes / 2) {}
 
@@ -28,7 +39,7 @@ void GraphEngine::enqueue(ShardTask task) {
                       "shard working set " << task.src_dma_bytes + task.dst_load_bytes
                                            << " B exceeds feature bank "
                                            << feature_buf_.bytes_per_bank() << " B");
-  stats_.add("tasks_enqueued");
+  stats_.add(Stat::kTasksEnqueued);
   queue_.push_back(std::move(task));
 }
 
@@ -37,7 +48,7 @@ void GraphEngine::tick(sim::Cycle now) {
   drain_writebacks(now);
 
   if (computing_.has_value()) {
-    stats_.add("compute_cycles");
+    pipeline_stats_.add(mem::PipelineStat::kComputeCycles);
     GNNERATOR_CHECK(compute_remaining_ > 0);
     if (--compute_remaining_ == 0) {
       finish_compute(now);
@@ -47,9 +58,9 @@ void GraphEngine::tick(sim::Cycle now) {
   advance_fetch(now);
 
   if (was_busy) {
-    stats_.add("busy_cycles");
+    pipeline_stats_.add(mem::PipelineStat::kBusyCycles);
     if (!computing_.has_value()) {
-      stats_.add("gpe_idle_cycles");
+      pipeline_stats_.add(mem::PipelineStat::kIdleCycles);
     }
   }
 }
@@ -59,18 +70,18 @@ void GraphEngine::finish_compute(sim::Cycle now) {
   if (task.compute) {
     task.compute();  // functional Apply/Reduce arithmetic
   }
-  stats_.add("edges_processed", task.num_edges);
-  stats_.add("lane_ops", task.lane_ops);
-  stats_.add("tasks_completed");
+  stats_.add(Stat::kEdgesProcessed, task.num_edges);
+  stats_.add(Stat::kLaneOps, task.lane_ops);
+  stats_.add(Stat::kTasksCompleted);
   ++tasks_completed_;
   if (tracer_ != nullptr) {
     tracer_->emit(now, name(), "shard done tag=" + std::to_string(task.tag));
   }
 
   if (task.dst_write_bytes > 0) {
-    const mem::DmaId dma = dram_.submit(mem::MemOp::kWrite, task.dst_write_bytes, kWbClient);
-    stats_.add("dst_write_bytes", task.dst_write_bytes);
-    writebacks_.push_back(InFlightWriteback{
+    const mem::DmaId dma = dram_.submit(mem::MemOp::kWrite, task.dst_write_bytes, wb_client_);
+    stats_.add(Stat::kDstWriteBytes, task.dst_write_bytes);
+    writebacks_.push_back(mem::Writeback{
         dma, task.signal_after_writeback ? task.produce_token : sim::kNoToken});
     if (!task.signal_after_writeback && task.produce_token != sim::kNoToken) {
       sync_.signal(task.produce_token);
@@ -91,13 +102,13 @@ void GraphEngine::try_start_compute(sim::Cycle now) {
   compute_remaining_ = std::max<std::uint64_t>(1, computing_->compute_cycles);
   if (computing_->onchip_edge_bytes > 0) {
     edge_buf_.front().record_read(computing_->onchip_edge_bytes);
-    stats_.add("onchip_edge_bytes", computing_->onchip_edge_bytes);
+    stats_.add(Stat::kOnchipEdgeBytes, computing_->onchip_edge_bytes);
   }
   // Compute-side SRAM reads: edge records plus one source-feature row read
   // per edge per block pass (apply) and one accumulator read-modify-write.
   const std::uint64_t edge_bytes =
       std::max(computing_->edge_dma_bytes, computing_->onchip_edge_bytes);
-  stats_.add("sram_read_bytes", edge_bytes + 2 * computing_->lane_ops * sizeof(float));
+  stats_.add(Stat::kSramReadBytes, edge_bytes + 2 * computing_->lane_ops * sizeof(float));
   if (tracer_ != nullptr) {
     tracer_->emit(now, name(), "shard start tag=" + std::to_string(computing_->tag) +
                                    " cycles=" + std::to_string(compute_remaining_));
@@ -125,7 +136,7 @@ void GraphEngine::advance_fetch(sim::Cycle now) {
         tracer_->emit(now, name(), "fetch done tag=" + std::to_string(ready_->tag));
       }
     } else if (!all_done && !computing_.has_value()) {
-      stats_.add("stall_dma_cycles");
+      pipeline_stats_.add(mem::PipelineStat::kStallDmaCycles);
     }
     return;
   }
@@ -136,7 +147,7 @@ void GraphEngine::advance_fetch(sim::Cycle now) {
   const ShardTask& head = queue_.front();
   if (!sync_.is_signaled(head.wait_token)) {
     if (!computing_.has_value() && !ready_.has_value()) {
-      stats_.add("stall_token_cycles");
+      pipeline_stats_.add(mem::PipelineStat::kStallTokenCycles);
     }
     return;
   }
@@ -145,15 +156,15 @@ void GraphEngine::advance_fetch(sim::Cycle now) {
   queue_.pop_front();
   // Shard Edge Fetch and Shard Feature Fetch units "work in parallel":
   // independent DMA streams on their own clients.
-  fetch.dmas.push_back(dram_.submit(mem::MemOp::kRead, fetch.task.edge_dma_bytes, kEdgeClient));
-  fetch.dmas.push_back(dram_.submit(mem::MemOp::kRead, fetch.task.src_dma_bytes, kFeatClient));
-  fetch.dmas.push_back(dram_.submit(mem::MemOp::kRead, fetch.task.dst_load_bytes, kFeatClient));
-  stats_.add("edge_dma_bytes", fetch.task.edge_dma_bytes);
-  stats_.add("src_dma_bytes", fetch.task.src_dma_bytes);
-  stats_.add("dst_load_bytes", fetch.task.dst_load_bytes);
+  fetch.dmas = {dram_.submit(mem::MemOp::kRead, fetch.task.edge_dma_bytes, edge_client_),
+                dram_.submit(mem::MemOp::kRead, fetch.task.src_dma_bytes, feat_client_),
+                dram_.submit(mem::MemOp::kRead, fetch.task.dst_load_bytes, feat_client_)};
+  stats_.add(Stat::kEdgeDmaBytes, fetch.task.edge_dma_bytes);
+  stats_.add(Stat::kSrcDmaBytes, fetch.task.src_dma_bytes);
+  stats_.add(Stat::kDstLoadBytes, fetch.task.dst_load_bytes);
   edge_buf_.back().record_write(fetch.task.edge_dma_bytes);
   feature_buf_.back().record_write(fetch.task.src_dma_bytes + fetch.task.dst_load_bytes);
-  stats_.add("sram_write_bytes",
+  stats_.add(Stat::kSramWriteBytes,
              fetch.task.edge_dma_bytes + fetch.task.src_dma_bytes + fetch.task.dst_load_bytes);
   if (tracer_ != nullptr) {
     tracer_->emit(now, name(), "fetch start tag=" + std::to_string(fetch.task.tag));
@@ -172,10 +183,7 @@ mem::PipelineState GraphEngine::pipeline_state() const {
   if (fetching_.has_value()) {
     state.fetch_dmas = fetching_->dmas;
   }
-  state.writeback_dmas.reserve(writebacks_.size());
-  for (const InFlightWriteback& wb : writebacks_) {
-    state.writeback_dmas.push_back(wb.dma);
-  }
+  state.writebacks = writebacks_;
   state.queue_nonempty = !queue_.empty();
   if (state.queue_nonempty) {
     state.queue_token_signaled = sync_.is_signaled(queue_.front().wait_token);
@@ -188,8 +196,7 @@ sim::Cycle GraphEngine::next_event(sim::Cycle now) const {
 }
 
 void GraphEngine::skip(sim::Cycle from, sim::Cycle to) {
-  mem::pipeline_skip(pipeline_state(), from, to, stats_, "gpe_idle_cycles",
-                     compute_remaining_);
+  mem::pipeline_skip(pipeline_state(), from, to, pipeline_stats_, compute_remaining_);
 }
 
 void GraphEngine::drain_writebacks(sim::Cycle) {
@@ -204,6 +211,17 @@ void GraphEngine::drain_writebacks(sim::Cycle) {
       ++it;
     }
   }
+}
+
+void GraphEngine::export_stats(sim::StatSet& out) const {
+  pipeline_stats_.export_to(out, kStatPrefix, kPipelineStatNames);
+  stats_.export_to(out, kStatPrefix, kStatNames);
+}
+
+sim::StatSet GraphEngine::stats() const {
+  sim::StatSet out;
+  export_stats(out);
+  return out;
 }
 
 bool GraphEngine::busy() const {

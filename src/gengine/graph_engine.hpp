@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <deque>
 #include <optional>
 #include <vector>
@@ -61,24 +62,43 @@ class GraphEngine : public sim::Component {
   void skip(sim::Cycle from, sim::Cycle to) override;
 
   [[nodiscard]] const GraphEngineConfig& config() const { return config_; }
-  [[nodiscard]] const sim::StatSet& stats() const { return stats_; }
   [[nodiscard]] std::uint64_t tasks_completed() const { return tasks_completed_; }
 
+  /// Adds every counter this engine touched to `out` as "graph.<name>".
+  void export_stats(sim::StatSet& out) const;
+  /// The same names and values, exported into a fresh set.
+  [[nodiscard]] sim::StatSet stats() const;
+
  private:
+  enum class Stat {
+    kTasksEnqueued,
+    kTasksCompleted,
+    kEdgesProcessed,
+    kLaneOps,
+    kEdgeDmaBytes,
+    kSrcDmaBytes,
+    kDstLoadBytes,
+    kDstWriteBytes,
+    kOnchipEdgeBytes,
+    kSramReadBytes,
+    kSramWriteBytes,
+    kCount
+  };
+
   struct InFlightFetch {
     ShardTask task;
-    std::vector<mem::DmaId> dmas;
-  };
-  struct InFlightWriteback {
-    mem::DmaId dma = mem::kInvalidDma;
-    sim::TokenId token = sim::kNoToken;
+    std::array<mem::DmaId, mem::kFetchDmas> dmas{};  ///< edges, sources, dst reload
   };
 
   GraphEngineConfig config_;
   mem::DramModel& dram_;
+  mem::DmaClient edge_client_;
+  mem::DmaClient feat_client_;
+  mem::DmaClient wb_client_;
   sim::SyncBoard& sync_;
   sim::Tracer* tracer_;
-  sim::StatSet stats_;
+  sim::Counters<Stat> stats_;
+  mem::PipelineCounters pipeline_stats_;
 
   mem::DoubleBuffer feature_buf_;
   mem::DoubleBuffer edge_buf_;
@@ -88,7 +108,7 @@ class GraphEngine : public sim::Component {
   std::optional<ShardTask> ready_;
   std::optional<ShardTask> computing_;
   std::uint64_t compute_remaining_ = 0;
-  std::vector<InFlightWriteback> writebacks_;
+  std::vector<mem::Writeback> writebacks_;
   std::uint64_t tasks_completed_ = 0;
 
   void finish_compute(sim::Cycle now);

@@ -247,4 +247,20 @@ Dataset subgraph_dataset(const Dataset& base, const SampledSubgraph& sub) {
   return dataset;
 }
 
+Dataset sample_fused_dataset(const Dataset& base, std::size_t frontiers,
+                             const FanoutSpec& fanout, util::Prng& prng) {
+  std::vector<SampledSubgraph> parts;
+  parts.reserve(frontiers);
+  for (std::size_t f = 0; f < frontiers; ++f) {
+    const auto seed = static_cast<NodeId>(prng.uniform_u64(base.graph.num_nodes()));
+    parts.push_back(sample_frontier(base.graph, {seed}, fanout, prng));
+  }
+  std::vector<const SampledSubgraph*> pointers;
+  pointers.reserve(parts.size());
+  for (const SampledSubgraph& part : parts) {
+    pointers.push_back(&part);
+  }
+  return subgraph_dataset(base, fuse_subgraphs(pointers));
+}
+
 }  // namespace gnnerator::graph

@@ -82,4 +82,11 @@ struct SampledSubgraph {
 /// name = base name + "#" + fingerprint (distinct per sampled shape).
 [[nodiscard]] Dataset subgraph_dataset(const Dataset& base, const SampledSubgraph& sub);
 
+/// Samples `frontiers` single-seed frontiers of `base` at `fanout`, each
+/// seed drawn uniformly from its vertices, all from `prng`, and fuses them
+/// into one dataset: the shape one sampled serving dispatch of that many
+/// distinct queries simulates.
+[[nodiscard]] Dataset sample_fused_dataset(const Dataset& base, std::size_t frontiers,
+                                           const FanoutSpec& fanout, util::Prng& prng);
+
 }  // namespace gnnerator::graph

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "util/check.hpp"
@@ -11,6 +12,11 @@
 namespace gnnerator::mem {
 
 namespace {
+
+constexpr std::string_view kStatPrefix = "dram.";
+/// Indexed by DramModel::Stat.
+constexpr std::string_view kStatNames[] = {"read_bytes", "write_bytes", "transfers",
+                                           "busy_cycles", "granted_bytes"};
 
 /// Decomposes bytes_per_cycle / transaction_bytes into an irreducible
 /// fraction of transactions per cycle. Every double is a dyadic rational
@@ -57,46 +63,74 @@ std::uint64_t ceil_div_u128(unsigned __int128 a, std::uint64_t b) {
 }  // namespace
 
 DramModel::DramModel(Config config, std::string name)
-    : sim::Component(std::move(name)), config_(config), stats_("dram") {
+    : sim::Component(std::move(name)), config_(config) {
   GNNERATOR_CHECK(config_.bytes_per_cycle > 0.0);
   GNNERATOR_CHECK(config_.transaction_bytes > 0);
   std::tie(rate_num_, rate_den_) =
       rational_rate(config_.bytes_per_cycle, config_.transaction_bytes);
 }
 
-DmaId DramModel::submit(MemOp op, std::uint64_t bytes, const std::string& client) {
+DmaClient DramModel::intern_client(std::string_view name) {
+  std::string stat_name(kStatPrefix);
+  stat_name.append("bytes.").append(name);
+  const auto it = std::find(client_stat_names_.begin(), client_stat_names_.end(), stat_name);
+  if (it != client_stat_names_.end()) {
+    return static_cast<DmaClient>(it - client_stat_names_.begin());
+  }
+  client_stat_names_.push_back(std::move(stat_name));
+  client_bytes_.push_back(0);
+  return static_cast<DmaClient>(client_bytes_.size() - 1);
+}
+
+DmaId DramModel::submit(MemOp op, std::uint64_t bytes, DmaClient client) {
+  GNNERATOR_CHECK_MSG(client < client_bytes_.size(), "submitting for unknown DMA client "
+                                                         << client);
   const DmaId id = next_id_++;
-  Transfer t;
-  t.op = op;
-  t.client = client;
-  t.remaining = util::round_up(bytes, config_.transaction_bytes);
+  Transfer& t = transfers_.emplace_back();  // index id - first_id_
   if (bytes == 0) {
     // Zero-byte transfers represent "operand already on-chip": complete
     // instantly and touch no DRAM state.
-    t.remaining = 0;
     t.last_byte_granted = true;
-    t.complete_at = 0;
-    transfers_.emplace(id, std::move(t));
     return id;
   }
-  stats_.add(op == MemOp::kRead ? "read_bytes" : "write_bytes", t.remaining);
-  stats_.add("bytes." + client, t.remaining);
-  stats_.add("transfers");
-  transfers_.emplace(id, std::move(t));
+  t.remaining = util::round_up(bytes, config_.transaction_bytes);
+  stats_.add(op == MemOp::kRead ? Stat::kReadBytes : Stat::kWriteBytes, t.remaining);
+  client_bytes_[client] += t.remaining;
+  stats_.add(Stat::kTransfers);
   active_.push_back(id);
   return id;
 }
 
+const DramModel::Transfer& DramModel::transfer(DmaId id, const char* action) const {
+  GNNERATOR_CHECK_MSG(id >= first_id_ && id < next_id_ && !transfers_[id - first_id_].collected,
+                      action << " unknown DMA id " << id);
+  return transfers_[id - first_id_];
+}
+
+DramModel::Transfer& DramModel::transfer(DmaId id, const char* action) {
+  return const_cast<Transfer&>(std::as_const(*this).transfer(id, action));
+}
+
 bool DramModel::is_complete(DmaId id) const {
-  const auto it = transfers_.find(id);
-  GNNERATOR_CHECK_MSG(it != transfers_.end(), "polling unknown DMA id " << id);
-  const Transfer& t = it->second;
+  const Transfer& t = transfer(id, "polling");
   return t.last_byte_granted && last_tick_ >= t.complete_at;
 }
 
 void DramModel::collect(DmaId id) {
   GNNERATOR_CHECK_MSG(is_complete(id), "collecting incomplete DMA id " << id);
-  transfers_.erase(id);
+  transfer(id, "collecting").collected = true;
+  while (head_ < transfers_.size() && transfers_[head_].collected) {
+    ++head_;
+  }
+  if (2 * head_ >= transfers_.size()) {
+    transfers_.erase(transfers_.begin(), transfers_.begin() + static_cast<std::ptrdiff_t>(head_));
+    first_id_ += head_;
+    head_ = 0;
+  }
+}
+
+void DramModel::forget_landed() {
+  std::erase_if(landing_, [this](sim::Cycle at) { return at <= last_tick_; });
 }
 
 std::uint64_t DramModel::finish_grant_index(DmaId id) const {
@@ -104,16 +138,14 @@ std::uint64_t DramModel::finish_grant_index(DmaId id) const {
   // order, every transfer with at least t transactions left. Transfer i's
   // final transaction therefore lands in round m_i, after all full earlier
   // rounds plus i's position among that round's participants.
-  const auto it = transfers_.find(id);
-  GNNERATOR_CHECK(it != transfers_.end());
   const std::uint64_t txn = config_.transaction_bytes;
-  const std::uint64_t m_i = it->second.remaining / txn;
+  const std::uint64_t m_i = transfer(id, "ranking").remaining / txn;
   GNNERATOR_CHECK(m_i > 0);
   std::uint64_t full_rounds = 0;  // grants in rounds 1 .. m_i-1, all transfers
   std::uint64_t rank = 0;         // i's slot among round-m_i participants
   bool seen = false;
   for (const DmaId other : active_) {
-    const std::uint64_t m_j = transfers_.at(other).remaining / txn;
+    const std::uint64_t m_j = transfer(other, "ranking").remaining / txn;
     full_rounds += std::min(m_j, m_i - 1);
     if (!seen && m_j >= m_i) {
       ++rank;
@@ -139,9 +171,7 @@ std::uint64_t DramModel::cycles_for_grants(std::uint64_t n) const {
 }
 
 sim::Cycle DramModel::complete_visible_at(DmaId id) const {
-  const auto it = transfers_.find(id);
-  GNNERATOR_CHECK_MSG(it != transfers_.end(), "predicting unknown DMA id " << id);
-  const Transfer& t = it->second;
+  const Transfer& t = transfer(id, "predicting");
   if (t.last_byte_granted) {
     // Visible to a poller ticking at cycle c once c + 1 >= complete_at.
     return t.complete_at == 0 ? 0 : t.complete_at - 1;
@@ -159,9 +189,10 @@ void DramModel::tick(sim::Cycle now) {
     // Idle ticks only top the credit up to one cycle's budget: DRAM cannot
     // burst above its pin bandwidth.
     credit_ = rate_num_;
+    forget_landed();
     return;
   }
-  stats_.add("busy_cycles");
+  stats_.add(Stat::kBusyCycles);
   credit_ += rate_num_;
 
   // Round-robin grants in transaction units until the cycle budget is spent
@@ -169,18 +200,17 @@ void DramModel::tick(sim::Cycle now) {
   while (credit_ >= rate_den_ && !active_.empty()) {
     const DmaId id = active_.front();
     active_.pop_front();
-    auto it = transfers_.find(id);
-    GNNERATOR_CHECK(it != transfers_.end());
-    Transfer& t = it->second;
+    Transfer& t = transfer(id, "granting");
 
     const std::uint64_t grant = std::min<std::uint64_t>(t.remaining, config_.transaction_bytes);
     t.remaining -= grant;
     credit_ -= rate_den_;
-    stats_.add("granted_bytes", grant);
+    stats_.add(Stat::kGrantedBytes, grant);
 
     if (t.remaining == 0) {
       t.last_byte_granted = true;
       t.complete_at = now + config_.latency_cycles;
+      landing_.push_back(t.complete_at);
     } else {
       active_.push_back(id);
     }
@@ -192,16 +222,21 @@ void DramModel::tick(sim::Cycle now) {
   }
   // While demand remains the grant loop leaves credit_ < rate_den_ (less
   // than one transaction) by construction — no cap needed.
+  forget_landed();
 }
 
 sim::Cycle DramModel::next_event(sim::Cycle now) const {
+  // Only transfers in flight can turn visible; visible (or instant) ones
+  // are inert until collected.
   sim::Cycle event = sim::kNoEvent;
-  for (const auto& [id, t] : transfers_) {
-    if (t.last_byte_granted && t.complete_at <= last_tick_) {
-      continue;  // already visible (or instant): inert until collected
-    }
-    const sim::Cycle visible = complete_visible_at(id);
+  const auto consider = [&](sim::Cycle visible) {
     event = std::min(event, std::max(visible, now + 1));
+  };
+  for (const DmaId id : active_) {
+    consider(complete_visible_at(id));
+  }
+  for (const sim::Cycle complete_at : landing_) {
+    consider(complete_at - 1);  // complete_visible_at of a granted transfer
   }
   return event;
 }
@@ -213,20 +248,21 @@ void DramModel::skip(sim::Cycle from, sim::Cycle to) {
     // Idle ticks only top the credit up to one cycle's budget.
     credit_ = rate_num_;
     last_tick_ = to;
+    forget_landed();
     return;
   }
   const std::uint64_t txn = config_.transaction_bytes;
   const sim::Cycle now = from - 1;  // state snapshot is "after the tick at now"
 
   // Remaining demand, in transactions, in round-robin order.
-  const std::vector<DmaId> order(active_.begin(), active_.end());
-  std::vector<std::uint64_t> m(order.size());
+  demand_.clear();
   std::uint64_t total = 0;
   std::uint64_t m_max = 0;
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    m[i] = transfers_.at(order[i]).remaining / txn;
-    total += m[i];
-    m_max = std::max(m_max, m[i]);
+  for (const DmaId id : active_) {
+    const std::uint64_t m = transfer(id, "skipping").remaining / txn;
+    demand_.push_back(Demand{id, m});
+    total += m;
+    m_max = std::max(m_max, m);
   }
 
   // Cumulative grantable transactions over the gap (closed form on the
@@ -238,16 +274,16 @@ void DramModel::skip(sim::Cycle from, sim::Cycle to) {
       supply128 > total ? total : static_cast<std::uint64_t>(supply128);
   const std::uint64_t granted = std::min(supply, total);
   const std::uint64_t k_fin = cycles_for_grants(total);
-  stats_.add("busy_cycles", std::min<std::uint64_t>(cycles, k_fin));
-  stats_.add("granted_bytes", granted * txn);
+  stats_.add(Stat::kBusyCycles, std::min<std::uint64_t>(cycles, k_fin));
+  stats_.add(Stat::kGrantedBytes, granted * txn);
 
   // Per-transfer bookkeeping. Full rounds completed: largest t with
   // G(t) = sum_j min(m_j, t) <= granted; the residual p transactions serve
   // the first p participants of round t*+1 in deque order.
   const auto grants_through_round = [&](std::uint64_t t) {
     std::uint64_t g = 0;
-    for (const std::uint64_t m_j : m) {
-      g += std::min(m_j, t);
+    for (const Demand& d : demand_) {
+      g += std::min(d.txns, t);
     }
     return g;
   };
@@ -265,26 +301,31 @@ void DramModel::skip(sim::Cycle from, sim::Cycle to) {
   std::uint64_t residual = granted - grants_through_round(full_rounds);
 
   // Finish index of transfer i in the global grant sequence, computed from
-  // the immutable m[] snapshot (the transfer map is mutated below).
+  // the immutable demand_ snapshot (the transfer table is mutated below).
   const auto finish_index = [&](std::size_t i) {
+    const std::uint64_t m_i = demand_[i].txns;
     std::uint64_t before = 0;
     std::uint64_t rank = 0;
-    for (std::size_t j = 0; j < m.size(); ++j) {
-      before += std::min(m[j], m[i] - 1);
-      if (j <= i && m[j] >= m[i]) {
+    for (std::size_t j = 0; j < demand_.size(); ++j) {
+      before += std::min(demand_[j].txns, m_i - 1);
+      if (j <= i && demand_[j].txns >= m_i) {
         ++rank;
       }
     }
     return before + rank;
   };
 
-  std::vector<DmaId> unserved;
-  std::vector<DmaId> served;
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    const std::uint64_t got = std::min(m[i], full_rounds) +
-                              ((m[i] > full_rounds && residual > 0) ? (--residual, 1) : 0);
-    Transfer& t = transfers_.at(order[i]);
-    if (got == m[i]) {
+  // Participants of the partial round that were already served rotate
+  // behind the unserved ones, preserving relative order — exactly the
+  // deque state the per-transaction loop leaves mid-round.
+  active_.clear();
+  served_.clear();
+  for (std::size_t i = 0; i < demand_.size(); ++i) {
+    const std::uint64_t m_i = demand_[i].txns;
+    const std::uint64_t got = std::min(m_i, full_rounds) +
+                              ((m_i > full_rounds && residual > 0) ? (--residual, 1) : 0);
+    Transfer& t = transfer(demand_[i].id, "skipping");
+    if (got == m_i) {
       // Finished granting inside the gap: completion lands latency cycles
       // after its final transaction's cycle.
       const std::uint64_t k = cycles_for_grants(finish_index(i));
@@ -292,16 +333,17 @@ void DramModel::skip(sim::Cycle from, sim::Cycle to) {
       t.remaining = 0;
       t.last_byte_granted = true;
       t.complete_at = now + k + config_.latency_cycles;
+      landing_.push_back(t.complete_at);
     } else {
-      t.remaining = (m[i] - got) * txn;
-      // Participants of the partial round that were already served rotate
-      // behind the unserved ones, preserving relative order — exactly the
-      // deque state the per-transaction loop leaves mid-round.
-      (got > full_rounds ? served : unserved).push_back(order[i]);
+      t.remaining = (m_i - got) * txn;
+      if (got > full_rounds) {
+        served_.push_back(demand_[i].id);
+      } else {
+        active_.push_back(demand_[i].id);
+      }
     }
   }
-  active_.assign(unserved.begin(), unserved.end());
-  active_.insert(active_.end(), served.begin(), served.end());
+  active_.insert(active_.end(), served_.begin(), served_.end());
 
   if (granted < total) {
     // Demand outlives the gap: leftover credit is whatever the grant loop
@@ -321,30 +363,29 @@ void DramModel::skip(sim::Cycle from, sim::Cycle to) {
     credit_ = drain_q > rate_num_ ? rate_num_ : static_cast<std::uint64_t>(drain_q);
   }
   last_tick_ = to;
+  forget_landed();
 }
 
 bool DramModel::busy() const {
-  if (!active_.empty()) {
-    return true;
-  }
-  // Latency shadows: granted but not yet complete.
-  for (const auto& [id, t] : transfers_) {
-    if (t.last_byte_granted && t.complete_at > last_tick_ && t.remaining == 0 &&
-        t.complete_at != 0) {
-      return true;
-    }
-  }
-  return false;
+  // Demand still to grant, or latency shadows: granted but not yet visible.
+  return !active_.empty() || !landing_.empty();
 }
 
-std::size_t DramModel::in_flight() const {
-  std::size_t count = 0;
-  for (const auto& [id, t] : transfers_) {
-    if (!t.last_byte_granted || t.complete_at > last_tick_) {
-      ++count;
+void DramModel::export_stats(sim::StatSet& out) const {
+  stats_.export_to(out, kStatPrefix, kStatNames);
+  for (std::size_t client = 0; client < client_bytes_.size(); ++client) {
+    // Only a nonzero transfer bumps a client, by at least one transaction,
+    // so a zero count means the client never submitted traffic.
+    if (client_bytes_[client] != 0) {
+      out.add(client_stat_names_[client], client_bytes_[client]);
     }
   }
-  return count;
+}
+
+sim::StatSet DramModel::stats() const {
+  sim::StatSet out;
+  export_stats(out);
+  return out;
 }
 
 }  // namespace gnnerator::mem

@@ -4,7 +4,8 @@
 #include <deque>
 #include <limits>
 #include <string>
-#include <unordered_map>
+#include <string_view>
+#include <vector>
 
 #include "sim/kernel.hpp"
 #include "sim/stats.hpp"
@@ -17,6 +18,9 @@ enum class MemOp { kRead, kWrite };
 /// Handle for an in-flight DMA transfer.
 using DmaId = std::uint64_t;
 inline constexpr DmaId kInvalidDma = std::numeric_limits<DmaId>::max();
+
+/// Handle for a DMA client: a traffic stream with its own byte counter.
+using DmaClient = std::uint32_t;
 
 /// Bandwidth-arbitrated off-chip memory model (the paper's shared "feature
 /// memory DRAM", Table IV: 256 GB/s for GNNerator and HyGCN, 616 GB/s for
@@ -56,17 +60,23 @@ class DramModel : public sim::Component {
 
   explicit DramModel(Config config, std::string name = "dram");
 
-  /// Queues a transfer of `bytes` (rounded up to whole transactions).
-  /// `client` tags per-client traffic statistics. Zero-byte submissions are
-  /// legal and complete immediately (no DRAM touch).
-  DmaId submit(MemOp op, std::uint64_t bytes, const std::string& client);
+  /// Returns the id of the client `name`, registering it on first use.
+  /// Clients intern once, when their engine is built; the traffic they
+  /// submit is exported as "dram.bytes.<name>".
+  DmaClient intern_client(std::string_view name);
+
+  /// Queues a transfer of `bytes` (rounded up to whole transactions) and
+  /// counts them against `client`, an id from intern_client. Zero-byte
+  /// submissions are legal, complete immediately and touch no DRAM state or
+  /// counter.
+  DmaId submit(MemOp op, std::uint64_t bytes, DmaClient client);
 
   /// True once the transfer has fully completed (all bytes granted and the
   /// latency elapsed). Polling an unknown/already-collected id is an error.
   [[nodiscard]] bool is_complete(DmaId id) const;
 
-  /// Forgets a completed transfer (bounded memory over long runs). Must be
-  /// complete.
+  /// Forgets a completed transfer, so memory stays bounded by the span from
+  /// the oldest uncollected transfer to the newest. Must be complete.
   void collect(DmaId id);
 
   /// Predicted cycle at which `is_complete(id)` first turns true for a
@@ -81,20 +91,33 @@ class DramModel : public sim::Component {
   void skip(sim::Cycle from, sim::Cycle to) override;
 
   [[nodiscard]] const Config& config() const { return config_; }
-  [[nodiscard]] const sim::StatSet& stats() const { return stats_; }
-  [[nodiscard]] sim::StatSet& stats() { return stats_; }
 
-  /// Outstanding (incomplete) transfer count.
-  [[nodiscard]] std::size_t in_flight() const;
+  /// Adds every counter this model touched to `out` as "dram.<name>".
+  void export_stats(sim::StatSet& out) const;
+  /// The same names and values, exported into a fresh set.
+  [[nodiscard]] sim::StatSet stats() const;
 
  private:
+  enum class Stat { kReadBytes, kWriteBytes, kTransfers, kBusyCycles, kGrantedBytes, kCount };
+
   struct Transfer {
-    MemOp op = MemOp::kRead;
     std::uint64_t remaining = 0;           // bytes still to grant
     sim::Cycle complete_at = 0;            // valid once remaining == 0
     bool last_byte_granted = false;
-    std::string client;
+    bool collected = false;
   };
+  /// A transfer's remaining grants, in skip's snapshot of active_.
+  struct Demand {
+    DmaId id = kInvalidDma;
+    std::uint64_t txns = 0;
+  };
+
+  /// The live transfer `id`; throws CheckError naming `action` for an id
+  /// never submitted or already collected.
+  [[nodiscard]] Transfer& transfer(DmaId id, const char* action);
+  [[nodiscard]] const Transfer& transfer(DmaId id, const char* action) const;
+  /// Drops the landing completions that the last tick made visible.
+  void forget_landed();
 
   /// 1-based index, in the global round-robin grant sequence starting from
   /// the current deque state, of `id`'s final transaction.
@@ -105,10 +128,27 @@ class DramModel : public sim::Component {
   [[nodiscard]] std::uint64_t cycles_for_grants(std::uint64_t n) const;
 
   Config config_;
-  sim::StatSet stats_;
+  sim::Counters<Stat> stats_;
+  /// Per-client bytes and their stat names ("dram.bytes.<client>"), both
+  /// indexed by DmaClient.
+  std::vector<std::string> client_stat_names_;
+  std::vector<std::uint64_t> client_bytes_;
+  /// Ids are sequential: transfers_[i] is id first_id_ + i. The first head_
+  /// entries are collected; that prefix is erased once it is half the
+  /// table.
+  std::vector<Transfer> transfers_;
+  std::size_t head_ = 0;
+  DmaId first_id_ = 0;
   DmaId next_id_ = 0;
-  std::unordered_map<DmaId, Transfer> transfers_;
   std::deque<DmaId> active_;       // transfers with remaining > 0, RR order
+  /// Completion cycles of transfers whose last byte is granted but which
+  /// are not yet visible (the latency shadow). With active_, these are the
+  /// transfers in flight.
+  std::vector<sim::Cycle> landing_;
+  /// skip's working buffers, kept so that a skip allocates nothing once
+  /// they have grown.
+  std::vector<Demand> demand_;
+  std::vector<DmaId> served_;
   /// Grant rate as an irreducible fraction: rate_num_ / rate_den_
   /// transactions per cycle (exact dyadic decomposition of
   /// bytes_per_cycle / transaction_bytes).

@@ -16,8 +16,8 @@ sim::Cycle pipeline_next_event(const PipelineState& state, sim::Cycle now) {
   } else if (state.ready) {
     consider(now + 1);  // ready op starts at the next tick
   }
-  for (const DmaId dma : state.writeback_dmas) {
-    const sim::Cycle visible = state.dram->complete_visible_at(dma);
+  for (const Writeback& wb : state.writebacks) {
+    const sim::Cycle visible = state.dram->complete_visible_at(wb.dma);
     consider(visible == sim::kNoEvent ? now + 1 : visible);
   }
   if (state.fetching) {
@@ -47,8 +47,7 @@ sim::Cycle pipeline_next_event(const PipelineState& state, sim::Cycle now) {
 }
 
 void pipeline_skip(const PipelineState& state, sim::Cycle from, sim::Cycle to,
-                   sim::StatSet& stats, const std::string& idle_stat,
-                   std::uint64_t& compute_remaining) {
+                   PipelineCounters& counters, std::uint64_t& compute_remaining) {
   GNNERATOR_CHECK(to > from);
   const std::uint64_t elapsed = to - from;
   // No event of this pipeline lies in [from, to): no DMA turns visible, no
@@ -57,7 +56,7 @@ void pipeline_skip(const PipelineState& state, sim::Cycle from, sim::Cycle to,
   if (state.computing) {
     GNNERATOR_CHECK(compute_remaining > elapsed);
     compute_remaining -= elapsed;
-    stats.add("compute_cycles", elapsed);
+    counters.add(PipelineStat::kComputeCycles, elapsed);
   } else if (state.fetching) {
     bool all_done = true;
     for (const DmaId dma : state.fetch_dmas) {
@@ -67,15 +66,15 @@ void pipeline_skip(const PipelineState& state, sim::Cycle from, sim::Cycle to,
       }
     }
     if (!all_done) {
-      stats.add("stall_dma_cycles", elapsed);
+      counters.add(PipelineStat::kStallDmaCycles, elapsed);
     }
   } else if (state.queue_nonempty && !state.queue_token_signaled && !state.ready) {
-    stats.add("stall_token_cycles", elapsed);
+    counters.add(PipelineStat::kStallTokenCycles, elapsed);
   }
   if (state.busy) {
-    stats.add("busy_cycles", elapsed);
+    counters.add(PipelineStat::kBusyCycles, elapsed);
     if (!state.computing) {
-      stats.add(idle_stat, elapsed);
+      counters.add(PipelineStat::kIdleCycles, elapsed);
     }
   }
 }

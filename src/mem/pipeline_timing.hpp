@@ -1,19 +1,32 @@
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <string>
-#include <vector>
+#include <span>
 
 #include "mem/dram.hpp"
 #include "sim/kernel.hpp"
 #include "sim/stats.hpp"
+#include "sim/sync.hpp"
 
 namespace gnnerator::mem {
+
+/// A result DMA draining in the background, and the token it signals once
+/// it lands (kNoToken when nothing waits on it).
+struct Writeback {
+  DmaId dma = kInvalidDma;
+  sim::TokenId token = sim::kNoToken;
+};
+
+/// Operand DMAs per fetch: both engines issue exactly three (dense: A, W,
+/// psum reload; graph: edges, source features, destination reload).
+inline constexpr std::size_t kFetchDmas = 3;
 
 /// Snapshot of a fetch → compute → writeback engine pipeline, taken after a
 /// tick. The Dense and Graph Engines share this exact pipeline shape, so
 /// their next_event/skip logic lives here once instead of drifting apart in
-/// two copies (the stat names each engine accrues are the only difference).
+/// two copies. It owns no storage: writebacks are viewed in place.
 struct PipelineState {
   const DramModel* dram = nullptr;
   bool busy = false;
@@ -21,11 +34,25 @@ struct PipelineState {
   std::uint64_t compute_remaining = 0;  ///< valid while computing
   bool ready = false;                   ///< fetched op awaiting the array
   bool fetching = false;
-  std::vector<DmaId> fetch_dmas;      ///< valid while fetching
-  std::vector<DmaId> writeback_dmas;  ///< draining result DMAs
+  std::array<DmaId, kFetchDmas> fetch_dmas{};  ///< valid while fetching
+  std::span<const Writeback> writebacks;       ///< draining result DMAs
   bool queue_nonempty = false;
   bool queue_token_signaled = false;  ///< head op's wait token, if queued
 };
+
+/// The counters every such pipeline keeps, bumped once per tick by its
+/// engine and in bulk by pipeline_skip. `kIdleCycles` counts busy cycles
+/// with the compute unit idle; each engine exports the five under its own
+/// names ("array_idle_cycles" / "gpe_idle_cycles" for the idle one).
+enum class PipelineStat {
+  kComputeCycles,
+  kStallDmaCycles,
+  kStallTokenCycles,
+  kBusyCycles,
+  kIdleCycles,
+  kCount
+};
+using PipelineCounters = sim::Counters<PipelineStat>;
 
 /// Earliest future cycle at which the pipeline, absent external input,
 /// changes externally visible state: the compute countdown reaching zero, a
@@ -36,11 +63,9 @@ struct PipelineState {
 
 /// Bulk-applies the per-cycle compute countdown and busy/stall counters for
 /// the uneventful gap [from, to): exactly what that many ticks would have
-/// recorded on the frozen pipeline state. `idle_stat` is the engine's
-/// compute-unit idle counter ("array_idle_cycles" / "gpe_idle_cycles");
-/// `compute_remaining` is decremented in place while computing.
+/// recorded on the frozen pipeline state. `compute_remaining` is
+/// decremented in place while computing.
 void pipeline_skip(const PipelineState& state, sim::Cycle from, sim::Cycle to,
-                   sim::StatSet& stats, const std::string& idle_stat,
-                   std::uint64_t& compute_remaining);
+                   PipelineCounters& counters, std::uint64_t& compute_remaining);
 
 }  // namespace gnnerator::mem

@@ -8,7 +8,7 @@
 namespace gnnerator::mem {
 
 Scratchpad::Scratchpad(std::string name, std::uint64_t capacity_bytes)
-    : name_(std::move(name)), capacity_(capacity_bytes), stats_(name_) {
+    : name_(std::move(name)), capacity_(capacity_bytes) {
   GNNERATOR_CHECK(capacity_ > 0);
 }
 
@@ -29,10 +29,6 @@ void Scratchpad::release(std::uint64_t bytes) {
 }
 
 void Scratchpad::reset() { allocated_ = 0; }
-
-void Scratchpad::record_read(std::uint64_t bytes) { stats_.add("read_bytes", bytes); }
-
-void Scratchpad::record_write(std::uint64_t bytes) { stats_.add("write_bytes", bytes); }
 
 DoubleBuffer::DoubleBuffer(const std::string& name, std::uint64_t bytes_per_bank)
     : banks_{Scratchpad(name + ".bank0", bytes_per_bank),

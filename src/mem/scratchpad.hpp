@@ -3,8 +3,6 @@
 #include <cstdint>
 #include <string>
 
-#include "sim/stats.hpp"
-
 namespace gnnerator::mem {
 
 /// On-chip SRAM buffer model. Timing of SRAM access is folded into the
@@ -27,23 +25,26 @@ class Scratchpad {
   void reset();
 
   /// Records `bytes` of read/write traffic into the access counters.
-  void record_read(std::uint64_t bytes);
-  void record_write(std::uint64_t bytes);
+  void record_read(std::uint64_t bytes) { read_bytes_ += bytes; }
+  void record_write(std::uint64_t bytes) { write_bytes_ += bytes; }
 
   [[nodiscard]] std::uint64_t capacity() const { return capacity_; }
   [[nodiscard]] std::uint64_t allocated() const { return allocated_; }
   [[nodiscard]] std::uint64_t peak_allocated() const { return peak_; }
   [[nodiscard]] bool fits(std::uint64_t bytes) const { return allocated_ + bytes <= capacity_; }
 
+  [[nodiscard]] std::uint64_t read_bytes() const { return read_bytes_; }
+  [[nodiscard]] std::uint64_t write_bytes() const { return write_bytes_; }
+
   [[nodiscard]] const std::string& name() const { return name_; }
-  [[nodiscard]] const sim::StatSet& stats() const { return stats_; }
 
  private:
   std::string name_;
   std::uint64_t capacity_;
   std::uint64_t allocated_ = 0;
   std::uint64_t peak_ = 0;
-  sim::StatSet stats_;
+  std::uint64_t read_bytes_ = 0;
+  std::uint64_t write_bytes_ = 0;
 };
 
 /// A pair of identically-sized scratchpad banks with front/back roles: the

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstring>
 #include <iomanip>
+#include <map>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -23,6 +24,7 @@
 #include "gnn/weights.hpp"
 #include "graph/builder.hpp"
 #include "graph/generate.hpp"
+#include "graph/sample.hpp"
 #include "util/prng.hpp"
 #include "util/thread_pool.hpp"
 #include "util/units.hpp"
@@ -366,6 +368,107 @@ TEST(AcceleratorTiming, DeterministicCycles) {
   const auto a = core::Accelerator::run(plan, nullptr).cycles;
   const auto b = core::Accelerator::run(plan, nullptr).cycles;
   EXPECT_EQ(a, b);
+}
+
+// ---------------------------------------------------------------------------
+// Golden stats bytes: the hardware models keep their counters as fields and
+// export them by name once, when the run ends. These hashes pin every name
+// and value, including counters that were only ever bumped by zero.
+// ---------------------------------------------------------------------------
+
+const graph::Dataset& structure_only(const std::string& name) {
+  static std::map<std::string, graph::Dataset> cache;
+  auto it = cache.find(name);
+  if (it == cache.end()) {
+    it = cache.emplace(name, graph::make_dataset_by_name(name, 1, false)).first;
+  }
+  return it->second;
+}
+
+/// FNV-1a over `cycles`, then each (name, value) of the stat set in name
+/// order, as 16 hex digits.
+std::string stats_hex(const core::ExecutionResult& result) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&hash](const void* data, std::size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+      hash ^= bytes[i];
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  mix(&result.cycles, sizeof(result.cycles));
+  for (const auto& [name, value] : result.stats.counters()) {
+    mix(name.data(), name.size() + 1);  // with the terminating NUL
+    mix(&value, sizeof(value));
+  }
+  std::ostringstream os;
+  os << std::hex << std::setw(16) << std::setfill('0') << hash;
+  return os.str();
+}
+
+core::ExecutionResult run_dataset(const std::string& name, gnn::LayerKind kind,
+                                  const SimulationRequest& request) {
+  const graph::Dataset& d = structure_only(name);
+  return core::Accelerator::run_timing(
+      core::compile_for(d, core::table3_model(kind, d.spec), request));
+}
+
+/// One fused batch of nine cora frontiers sampled at fanout 10/5: the plan
+/// shape a sampled serving dispatch simulates.
+core::ExecutionResult run_fused_cora_sample(std::uint64_t seed) {
+  util::Prng prng(seed);
+  const graph::Dataset fused =
+      graph::sample_fused_dataset(structure_only("cora"), 9, graph::parse_fanout("10/5"), prng);
+  return core::Accelerator::run_timing(core::compile_for(
+      fused, core::table3_model(gnn::LayerKind::kGcn, fused.spec), SimulationRequest{}));
+}
+
+TEST(AcceleratorStats, StatsBytesMatchGolden) {
+  SimulationRequest blocked;
+  SimulationRequest unblocked;
+  unblocked.dataflow.feature_blocking = false;
+  SimulationRequest double_bandwidth;
+  double_bandwidth.config = AcceleratorConfig::table4().with_double_bandwidth();
+  SimulationRequest double_dense;
+  double_dense.config = AcceleratorConfig::table4().with_double_dense_compute();
+
+  const std::pair<const char*, core::ExecutionResult> runs[] = {
+      {"cora-gcn", run_dataset("cora", gnn::LayerKind::kGcn, blocked)},
+      {"cora-sage-mean", run_dataset("cora", gnn::LayerKind::kSageMean, blocked)},
+      {"cora-sage-pool", run_dataset("cora", gnn::LayerKind::kSagePool, blocked)},
+      {"citeseer-gcn-unblocked", run_dataset("citeseer", gnn::LayerKind::kGcn, unblocked)},
+      {"citeseer-gcn-2x-bw", run_dataset("citeseer", gnn::LayerKind::kGcn, double_bandwidth)},
+      // S = 2 and 311,804 cycles: the one multi-interval grid of the set.
+      {"pubmed-gcn-2x-dense", run_dataset("pubmed", gnn::LayerKind::kGcn, double_dense)},
+      {"cora-fused-sample", run_fused_cora_sample(2021)},
+  };
+  // Captured before the counters moved off the string-keyed map.
+  const char* const golden[] = {"98c46421c1e076f3", "6b741add93db22ab", "1e7c043abc7831f3",
+                                "4d15b6148f6676aa", "bc0103b82999abb3", "031febbc1693f704",
+                                "d8e105ef8492d3f5"};
+  for (std::size_t i = 0; i < std::size(runs); ++i) {
+    EXPECT_EQ(stats_hex(runs[i].second), golden[i])
+        << runs[i].first << " cycles=" << runs[i].second.cycles << '\n'
+        << runs[i].second.stats.to_string();
+  }
+}
+
+TEST(AcceleratorStats, ZeroBumpedCountersAreExportedAndUntouchedOnesAreNot) {
+  const auto gcn = run_dataset("cora", gnn::LayerKind::kGcn, SimulationRequest{});
+  const auto& counters = gcn.stats.counters();
+  for (const char* name : {"dense.a_bytes", "dense.psum_read_bytes", "graph.dst_load_bytes"}) {
+    const auto it = counters.find(name);
+    ASSERT_NE(it, counters.end()) << name << " bumped only by zero must still be exported";
+    EXPECT_EQ(it->second, 0u) << name;
+  }
+  const auto pool = run_dataset("cora", gnn::LayerKind::kSagePool, SimulationRequest{});
+  for (const char* name : {"dense.stall_token_cycles", "graph.onchip_edge_bytes"}) {
+    EXPECT_EQ(pool.stats.counters().count(name), 0u) << name << " is never bumped";
+  }
+  for (const auto* result : {&gcn, &pool}) {
+    EXPECT_EQ(result->stats.counters().count("dram.bytes.graph.wb"), 0u)
+        << "graph.wb submits no writeback on these plans";
+  }
 }
 
 }  // namespace

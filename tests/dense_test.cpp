@@ -3,6 +3,7 @@
 // controller interlocks.
 #include <gtest/gtest.h>
 
+#include "dense/activation_unit.hpp"
 #include "dense/dense_engine.hpp"
 #include "dense/systolic.hpp"
 #include "mem/dram.hpp"
@@ -83,9 +84,9 @@ TEST(ActivationUnit, AppliesReluAndCounts) {
   unit.apply(gnn::Activation::kRelu, v);
   EXPECT_FLOAT_EQ(v[0], 0.0f);
   EXPECT_FLOAT_EQ(v[1], 2.0f);
-  EXPECT_EQ(unit.stats().get("ops"), 3u);
+  EXPECT_EQ(unit.ops(), 3u);
   unit.apply(gnn::Activation::kNone, v);
-  EXPECT_EQ(unit.stats().get("ops"), 3u);  // kNone is free
+  EXPECT_EQ(unit.ops(), 3u);  // kNone is free
 }
 
 // ---------------------------------------------------------------- engine --
@@ -126,7 +127,7 @@ TEST(DenseEngine, SingleOpFetchComputeTiming) {
   EXPECT_GE(cycles, 54u);
   EXPECT_LE(cycles, 120u);
   EXPECT_EQ(engine.ops_completed(), 1u);
-  EXPECT_EQ(engine.stats().get("macs"), 32u * 8 * 8);
+  EXPECT_EQ(engine.stats().get("dense.macs"), 32u * 8 * 8);
 }
 
 TEST(DenseEngine, DoubleBufferingOverlapsFetchAndCompute) {
@@ -166,7 +167,7 @@ TEST(DenseEngine, StallsOnWaitToken) {
     engine.tick(now);
   }
   EXPECT_FALSE(ran);
-  EXPECT_GT(engine.stats().get("stall_token_cycles"), 0u);
+  EXPECT_GT(engine.stats().get("dense.stall_token_cycles"), 0u);
   EXPECT_TRUE(engine.busy());
 
   fx.sync.signal(token);

@@ -138,7 +138,7 @@ TEST(GraphEngine, SingleTaskTiming) {
   EXPECT_GE(cycles, 50u);   // at least the compute
   EXPECT_LE(cycles, 120u);  // fetch (18 grants + latency) + compute
   EXPECT_EQ(engine.tasks_completed(), 1u);
-  EXPECT_EQ(engine.stats().get("edges_processed"), 64u);
+  EXPECT_EQ(engine.stats().get("graph.edges_processed"), 64u);
 }
 
 TEST(GraphEngine, PrefetchOverlapsCompute) {
@@ -170,7 +170,7 @@ TEST(GraphEngine, StallsOnWaitToken) {
     engine.tick(now);
   }
   EXPECT_TRUE(engine.busy());
-  EXPECT_GT(engine.stats().get("stall_token_cycles"), 0u);
+  EXPECT_GT(engine.stats().get("graph.stall_token_cycles"), 0u);
   fx.sync.signal(gate);
   run_engine(fx, engine);
   EXPECT_EQ(engine.tasks_completed(), 1u);
@@ -237,8 +237,8 @@ TEST(GraphEngine, OnChipEdgeRescansCounted) {
   task.onchip_edge_bytes = 2048;  // cached edge list rescan
   engine.enqueue(std::move(task));
   run_engine(fx, engine);
-  EXPECT_EQ(engine.stats().get("onchip_edge_bytes"), 2048u);
-  EXPECT_EQ(engine.stats().get("edge_dma_bytes"), 0u);
+  EXPECT_EQ(engine.stats().get("graph.onchip_edge_bytes"), 2048u);
+  EXPECT_EQ(engine.stats().get("graph.edge_dma_bytes"), 0u);
 }
 
 TEST(GraphEngine, RejectsOversizedWorkingSet) {

@@ -118,11 +118,14 @@ class SubmitScript : public sim::Component {
   };
 
   SubmitScript(mem::DramModel& dram, std::vector<Wave> waves)
-      : sim::Component("submit-script"), dram_(dram), waves_(std::move(waves)) {}
+      : sim::Component("submit-script"),
+        dram_(dram),
+        client_(dram.intern_client("script")),
+        waves_(std::move(waves)) {}
 
   void tick(Cycle now) override {
     while (next_ < waves_.size() && waves_[next_].at <= now) {
-      ids_.push_back(dram_.submit(mem::MemOp::kRead, waves_[next_].bytes, "script"));
+      ids_.push_back(dram_.submit(mem::MemOp::kRead, waves_[next_].bytes, client_));
       ++next_;
     }
   }
@@ -135,6 +138,7 @@ class SubmitScript : public sim::Component {
 
  private:
   mem::DramModel& dram_;
+  mem::DmaClient client_;
   std::vector<Wave> waves_;
   std::size_t next_ = 0;
   std::vector<mem::DmaId> ids_;
@@ -230,8 +234,8 @@ TEST(KernelSkip, DramPredictionMatchesSteppedCompletion) {
   // complete_visible_at must name the exact cycle at which a poller ticking
   // after the DRAM first sees is_complete.
   mem::DramModel dram(mem::DramModel::Config{});
-  const mem::DmaId a = dram.submit(mem::MemOp::kRead, 1024, "t");   // 16 txns
-  const mem::DmaId b = dram.submit(mem::MemOp::kRead, 64, "t");     // 1 txn
+  const mem::DmaId a = dram.submit(mem::MemOp::kRead, 1024, dram.intern_client("t"));  // 16 txns
+  const mem::DmaId b = dram.submit(mem::MemOp::kRead, 64, dram.intern_client("t"));    // 1 txn
   dram.tick(0);
   const Cycle predicted_a = dram.complete_visible_at(a);
   const Cycle predicted_b = dram.complete_visible_at(b);

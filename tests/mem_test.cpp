@@ -1,13 +1,17 @@
 // Tests for the memory substrate: DRAM bandwidth arbitration, latency,
-// transaction rounding, fairness, and scratchpad capacity accounting.
+// transaction rounding, fairness, the transfer table and per-client
+// counters, and scratchpad capacity accounting.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
+#include <vector>
 
 #include "mem/dram.hpp"
 #include "mem/scratchpad.hpp"
 #include "sim/kernel.hpp"
 #include "util/check.hpp"
+#include "util/prng.hpp"
 #include "util/units.hpp"
 
 namespace gnnerator::mem {
@@ -23,6 +27,11 @@ sim::Cycle run_until_complete(DramModel& dram, DmaId id, sim::Cycle limit = 1000
   return now;
 }
 
+/// Submits under a client named "test".
+DmaId submit_test(DramModel& dram, MemOp op, std::uint64_t bytes) {
+  return dram.submit(op, bytes, dram.intern_client("test"));
+}
+
 DramModel::Config fast_config() {
   DramModel::Config c;
   c.bytes_per_cycle = 256.0;
@@ -34,7 +43,7 @@ DramModel::Config fast_config() {
 TEST(Dram, BandwidthBoundsTransferTime) {
   DramModel dram(fast_config());
   // 256 KiB at 256 B/cycle: >= 1024 cycles of grants + latency.
-  const DmaId id = dram.submit(MemOp::kRead, 256 * util::kKiB, "test");
+  const DmaId id = submit_test(dram, MemOp::kRead, 256 * util::kKiB);
   const sim::Cycle cycles = run_until_complete(dram, id);
   EXPECT_GE(cycles, 1024u);
   EXPECT_LE(cycles, 1024u + 10u + 2u);
@@ -42,7 +51,7 @@ TEST(Dram, BandwidthBoundsTransferTime) {
 
 TEST(Dram, LatencyAppliedAfterLastByte) {
   DramModel dram(fast_config());
-  const DmaId id = dram.submit(MemOp::kRead, 64, "test");
+  const DmaId id = submit_test(dram, MemOp::kRead, 64);
   // One transaction granted in cycle 0; completes at 0 + latency.
   const sim::Cycle cycles = run_until_complete(dram, id);
   EXPECT_GE(cycles, 10u);
@@ -51,7 +60,7 @@ TEST(Dram, LatencyAppliedAfterLastByte) {
 
 TEST(Dram, ZeroByteTransfersCompleteImmediately) {
   DramModel dram(fast_config());
-  const DmaId id = dram.submit(MemOp::kRead, 0, "test");
+  const DmaId id = submit_test(dram, MemOp::kRead, 0);
   EXPECT_TRUE(dram.is_complete(id));
   EXPECT_FALSE(dram.busy());
   dram.collect(id);
@@ -59,16 +68,16 @@ TEST(Dram, ZeroByteTransfersCompleteImmediately) {
 
 TEST(Dram, RoundsUpToTransactionSize) {
   DramModel dram(fast_config());
-  dram.submit(MemOp::kRead, 1, "test");
-  EXPECT_EQ(dram.stats().get("read_bytes"), 64u);
-  dram.submit(MemOp::kWrite, 65, "test");
-  EXPECT_EQ(dram.stats().get("write_bytes"), 128u);
+  submit_test(dram, MemOp::kRead, 1);
+  EXPECT_EQ(dram.stats().get("dram.read_bytes"), 64u);
+  submit_test(dram, MemOp::kWrite, 65);
+  EXPECT_EQ(dram.stats().get("dram.write_bytes"), 128u);
 }
 
 TEST(Dram, FairRoundRobinBetweenClients) {
   DramModel dram(fast_config());
-  const DmaId a = dram.submit(MemOp::kRead, 64 * util::kKiB, "a");
-  const DmaId b = dram.submit(MemOp::kRead, 64 * util::kKiB, "b");
+  const DmaId a = dram.submit(MemOp::kRead, 64 * util::kKiB, dram.intern_client("a"));
+  const DmaId b = dram.submit(MemOp::kRead, 64 * util::kKiB, dram.intern_client("b"));
   sim::Cycle now = 0;
   while (!dram.is_complete(a) || !dram.is_complete(b)) {
     dram.tick(now++);
@@ -85,8 +94,8 @@ TEST(Dram, ConcurrentTransfersShareBandwidth) {
   // One long and one short transfer: the short one should not wait for the
   // long one to finish (round-robin, not FIFO).
   DramModel dram(fast_config());
-  const DmaId long_id = dram.submit(MemOp::kRead, 256 * util::kKiB, "long");
-  const DmaId short_id = dram.submit(MemOp::kRead, 4 * util::kKiB, "short");
+  const DmaId long_id = dram.submit(MemOp::kRead, 256 * util::kKiB, dram.intern_client("long"));
+  const DmaId short_id = dram.submit(MemOp::kRead, 4 * util::kKiB, dram.intern_client("short"));
   const sim::Cycle short_done = run_until_complete(dram, short_id);
   EXPECT_FALSE(dram.is_complete(long_id));
   // Short transfer: 64 transactions at ~half bandwidth => ~32+ cycles, far
@@ -96,20 +105,100 @@ TEST(Dram, ConcurrentTransfersShareBandwidth) {
 
 TEST(Dram, PerClientTrafficAccounted) {
   DramModel dram(fast_config());
-  dram.submit(MemOp::kRead, 128, "alpha");
-  dram.submit(MemOp::kWrite, 64, "beta");
-  EXPECT_EQ(dram.stats().get("bytes.alpha"), 128u);
-  EXPECT_EQ(dram.stats().get("bytes.beta"), 64u);
+  const DmaClient alpha = dram.intern_client("alpha");
+  const DmaClient beta = dram.intern_client("beta");
+  EXPECT_NE(alpha, beta);
+  EXPECT_EQ(dram.intern_client("alpha"), alpha) << "a name interns to one id";
+  dram.submit(MemOp::kRead, 128, alpha);
+  dram.submit(MemOp::kWrite, 64, beta);
+  EXPECT_EQ(dram.stats().get("dram.bytes.alpha"), 128u);
+  EXPECT_EQ(dram.stats().get("dram.bytes.beta"), 64u);
+  EXPECT_THROW(dram.submit(MemOp::kRead, 64, beta + 1), util::CheckError);
+}
+
+TEST(Dram, ZeroByteClientExportsNoCounter) {
+  // A zero-byte transfer touches no counter, so a client that only ever
+  // submits those adds no key at all, not even a zero.
+  DramModel dram(fast_config());
+  const DmaClient idle = dram.intern_client("idle");
+  dram.collect(dram.submit(MemOp::kRead, 0, idle));
+  dram.collect(dram.submit(MemOp::kWrite, 0, idle));
+  EXPECT_TRUE(dram.stats().counters().empty());
+
+  dram.submit(MemOp::kRead, 64, dram.intern_client("busy"));
+  const sim::StatSet stats = dram.stats();
+  EXPECT_EQ(stats.counters().count("dram.bytes.idle"), 0u);
+  EXPECT_EQ(stats.get("dram.bytes.busy"), 64u);
+  EXPECT_EQ(stats.get("dram.transfers"), 1u);
+  EXPECT_EQ(stats.get("dram.read_bytes"), 64u);
+  EXPECT_EQ(stats.counters().count("dram.write_bytes"), 0u);
 }
 
 TEST(Dram, PollingUnknownIdThrows) {
   DramModel dram(fast_config());
   EXPECT_THROW((void)dram.is_complete(99), util::CheckError);
+  EXPECT_THROW((void)dram.complete_visible_at(99), util::CheckError);
+}
+
+TEST(Dram, TransferTableSurvivesShuffledCollection) {
+  // About 10k transfers over three clients, submitted in random bursts and
+  // collected as they complete, each tick's batch in shuffled order. A long
+  // transfer every 97th keeps older ids live while newer ones are
+  // collected. Every collected id must be forgotten at once (polling,
+  // predicting and collecting it throw), wherever it sits among live ones;
+  // every live id must still answer (the per-tick scan polls them all).
+  DramModel dram(fast_config());
+  const DmaClient clients[] = {dram.intern_client("a"), dram.intern_client("b"),
+                               dram.intern_client("c")};
+  std::uint64_t expected_bytes[3] = {};
+  std::uint64_t expected_transfers = 0;
+  util::Prng prng(7);
+  constexpr int kTransfers = 10000;
+  int submitted = 0;
+  std::size_t collected = 0;
+  std::vector<DmaId> live;
+  sim::Cycle now = 0;
+  while (submitted < kTransfers || !live.empty()) {
+    for (auto burst = prng.uniform_u64(4); burst > 0 && submitted < kTransfers; --burst) {
+      const auto client = prng.uniform_u64(3);
+      const std::uint64_t bytes =
+          submitted % 97 == 0 ? 16 * util::kKiB : prng.uniform_u64(256);  // some zero-byte
+      live.push_back(dram.submit(MemOp::kRead, bytes, clients[client]));
+      expected_bytes[client] += util::round_up(bytes, 64);
+      expected_transfers += bytes > 0 ? 1 : 0;
+      ++submitted;
+    }
+    dram.tick(now++);
+    ASSERT_LT(now, 1000000u);
+
+    std::vector<DmaId> done;
+    std::erase_if(live, [&](DmaId id) {
+      if (dram.is_complete(id)) {
+        done.push_back(id);
+        return true;
+      }
+      return false;
+    });
+    for (const std::uint32_t i : prng.permutation(static_cast<std::uint32_t>(done.size()))) {
+      dram.collect(done[i]);
+      ++collected;
+      EXPECT_THROW((void)dram.is_complete(done[i]), util::CheckError);
+      EXPECT_THROW((void)dram.complete_visible_at(done[i]), util::CheckError);
+      EXPECT_THROW(dram.collect(done[i]), util::CheckError);
+    }
+  }
+  EXPECT_EQ(collected, static_cast<std::size_t>(kTransfers));
+  EXPECT_FALSE(dram.busy());
+  const sim::StatSet stats = dram.stats();
+  EXPECT_EQ(stats.get("dram.bytes.a"), expected_bytes[0]);
+  EXPECT_EQ(stats.get("dram.bytes.b"), expected_bytes[1]);
+  EXPECT_EQ(stats.get("dram.bytes.c"), expected_bytes[2]);
+  EXPECT_EQ(stats.get("dram.transfers"), expected_transfers);
 }
 
 TEST(Dram, CollectRequiresCompletion) {
   DramModel dram(fast_config());
-  const DmaId id = dram.submit(MemOp::kRead, 1024, "test");
+  const DmaId id = submit_test(dram, MemOp::kRead, 1024);
   EXPECT_THROW(dram.collect(id), util::CheckError);
   run_until_complete(dram, id);
   EXPECT_NO_THROW(dram.collect(id));
@@ -122,7 +211,7 @@ TEST(Dram, FractionalBandwidthAccumulates) {
   c.latency_cycles = 0;
   c.transaction_bytes = 64;
   DramModel dram(c);
-  const DmaId id = dram.submit(MemOp::kRead, 640, "test");  // 10 transactions
+  const DmaId id = submit_test(dram, MemOp::kRead, 640);  // 10 transactions
   const sim::Cycle cycles = run_until_complete(dram, id);
   EXPECT_GE(cycles, 19u);  // 640 B / 32 B-per-cycle = 20
   EXPECT_LE(cycles, 22u);
@@ -137,7 +226,7 @@ TEST(Dram, SubHalfTransactionRatesStillMakeProgress) {
   c.latency_cycles = 0;
   c.transaction_bytes = 64;
   DramModel dram(c);
-  const DmaId id = dram.submit(MemOp::kRead, 256, "test");  // 4 transactions
+  const DmaId id = submit_test(dram, MemOp::kRead, 256);  // 4 transactions
   const sim::Cycle cycles = run_until_complete(dram, id);
   EXPECT_GE(cycles, 15u);  // 256 B / 16 B-per-cycle = 16
   EXPECT_LE(cycles, 18u);
@@ -154,8 +243,8 @@ TEST(Dram, FractionalRatePredictionMatchesStepping) {
     c.latency_cycles = 10;
     c.transaction_bytes = 64;
     DramModel dram(c);
-    const DmaId a = dram.submit(MemOp::kRead, 1024, "t");
-    const DmaId b = dram.submit(MemOp::kRead, 64, "t");
+    const DmaId a = submit_test(dram, MemOp::kRead, 1024);
+    const DmaId b = submit_test(dram, MemOp::kRead, 64);
     dram.tick(0);
     const sim::Cycle predicted_a = dram.complete_visible_at(a);
     const sim::Cycle predicted_b = dram.complete_visible_at(b);
@@ -178,7 +267,7 @@ TEST(Dram, FractionalRatePredictionMatchesStepping) {
 TEST(Dram, BusyReflectsOutstandingWork) {
   DramModel dram(fast_config());
   EXPECT_FALSE(dram.busy());
-  const DmaId id = dram.submit(MemOp::kRead, 1024, "test");
+  const DmaId id = submit_test(dram, MemOp::kRead, 1024);
   EXPECT_TRUE(dram.busy());
   run_until_complete(dram, id);
   dram.collect(id);
@@ -209,8 +298,8 @@ TEST(Scratchpad, AccessCountersAccumulate) {
   pad.record_read(100);
   pad.record_read(50);
   pad.record_write(10);
-  EXPECT_EQ(pad.stats().get("read_bytes"), 150u);
-  EXPECT_EQ(pad.stats().get("write_bytes"), 10u);
+  EXPECT_EQ(pad.read_bytes(), 150u);
+  EXPECT_EQ(pad.write_bytes(), 10u);
 }
 
 TEST(DoubleBuffer, SwapExchangesRoles) {
