@@ -1,22 +1,17 @@
-// Cost-oracle calibration benchmark and determinism gate. A mixed fleet
-// (2x baseline, 1x nextgen) serves a heterogeneous Poisson mix two ways per
-// scheduling policy — with the measurement blend enabled (the default) and
-// with the oracle pinned to the analytic prior (blend_measurements = false,
-// the pre-oracle behaviour) — after an identical warm-up pass that lets the
-// calibrated arm fold real execution cycles into its windows.
+// Serving-cost benchmark and determinism gate. A mixed fleet (2x baseline,
+// 1x nextgen) serves a heterogeneous Poisson mix once per cost-driven
+// scheduling policy (SJF ordering, affinity placement), after a warm-up pass
+// that executes every plan class, so the measured run prices each class by
+// its simulated cycles. It reports each policy's p95 and mean latency; CI
+// compares every key it writes against the committed BENCH_serve_oracle.json.
 //
-// Hard invariants, enforced with a non-zero exit:
-//   * calibration helps (or at worst ties) — for both SJF ordering and
-//     affinity placement, the calibrated arm's p95 latency is <= the
-//     analytic-only arm's p95 on the same workload;
-//   * byte-determinism — a tiered + fault-injected scenario produces
-//     fingerprint-identical completion records AND a byte-identical oracle
-//     state (analytic memo + every exec window) between Server::serve and
-//     Server::run_reference.
+// Hard invariant, enforced with a non-zero exit: a tiered + fault-injected
+// scenario produces fingerprint-identical completion records AND a
+// byte-identical oracle state (the analytic memo) between Server::serve and
+// Server::run_reference.
 //
 //   ./serve_oracle [--json BENCH_serve_oracle.json] [--requests N]
 //                  [--rate RPS] [--warm N]
-#include <chrono>
 #include <cstdint>
 #include <iostream>
 #include <string>
@@ -70,8 +65,8 @@ std::uint64_t records_fingerprint(const serve::ServeReport& report) {
 }
 
 /// Six-way plan-class mix: {cora, citeseer} x {GCN, SAGE-mean, SAGE-pool}.
-/// The analytic prior's error differs per class, so mis-ordering and
-/// mis-placement are both on the table until measurements land.
+/// The analytic estimate's error differs per class, so mis-ordering and
+/// mis-placement are both on the table until a class has executed.
 std::vector<serve::RequestTemplate> mixed_templates() {
   std::vector<serve::RequestTemplate> mix;
   for (const char* ds_name : {"cora", "citeseer"}) {
@@ -95,23 +90,13 @@ serve::Server make_server(const serve::ServerOptions& options) {
   return server;
 }
 
-struct ArmResult {
-  double p95_ms = 0.0;
-  double mean_ms = 0.0;
-  std::size_t completed = 0;
-  double wall_s = 0.0;
-};
-
-/// One contest arm: fresh server, warm-up pass (same mix, separate seed) to
-/// compile every plan class and — on the calibrated arm — seed the exec
-/// windows, then the measured workload. The analytic arm runs the identical
-/// warm-up so plan caches and engine state match; only the blend differs.
-ArmResult run_arm(serve::SchedulingPolicy policy, bool calibrated, std::size_t warm_requests,
-                  std::size_t requests, double rate_rps) {
+/// One policy's run: fresh server, warm-up pass (same mix, separate seed)
+/// that compiles and executes every plan class, then the measured workload.
+serve::MetricsSummary run_policy(serve::SchedulingPolicy policy, std::size_t warm_requests,
+                                 std::size_t requests, double rate_rps) {
   serve::ServerOptions options;
   options.policy = policy;
   options.fleet = serve::parse_fleet_spec("2xbaseline,1xnextgen");
-  options.cost_oracle.blend_measurements = calibrated;
   serve::Server server = make_server(options);
 
   serve::PoissonWorkload warm(mixed_templates(), rate_rps, warm_requests, options.clock_ghz,
@@ -120,16 +105,7 @@ ArmResult run_arm(serve::SchedulingPolicy policy, bool calibrated, std::size_t w
 
   serve::PoissonWorkload workload(mixed_templates(), rate_rps, requests, options.clock_ghz,
                                   /*seed=*/77);
-  const auto start = std::chrono::steady_clock::now();
-  const serve::ServeReport report = server.serve(workload);
-  const auto stop = std::chrono::steady_clock::now();
-
-  ArmResult r;
-  r.p95_ms = report.metrics.p95_ms;
-  r.mean_ms = report.metrics.mean_ms;
-  r.completed = report.metrics.completed;
-  r.wall_s = std::chrono::duration<double>(stop - start).count();
-  return r;
+  return server.serve(workload).metrics;
 }
 
 struct LoopResult {
@@ -138,8 +114,8 @@ struct LoopResult {
 };
 
 /// The determinism scenario: SJF over the mixed fleet with two SLO tiers and
-/// a crash/recover fault plan — every oracle mutation path (admission blend,
-/// dispatch observation, WFQ charge, requeue repricing) is live at once.
+/// a crash/recover fault plan — every pricing path (admission, WFQ charge,
+/// requeue after abort) is live at once.
 LoopResult determinism_run(bool reference, std::size_t requests, double rate_rps) {
   serve::ServerOptions options;
   options.policy = serve::SchedulingPolicy::kSjf;
@@ -175,38 +151,20 @@ int main(int argc, char** argv) {
   json.set("config.warm_requests", static_cast<std::uint64_t>(warm_requests));
   json.set("config.rate_rps", rate);
 
-  util::Table table({"policy", "arm", "p95 ms", "mean ms", "completed"});
-  bool ok = true;
+  util::Table table({"policy", "p95 ms", "mean ms", "completed"});
 
-  // ---- Gate: calibrated p95 <= analytic-only p95, per policy. --------------
-  struct Contest {
+  struct Policy {
     const char* name;
     serve::SchedulingPolicy policy;
   };
-  for (const Contest c : {Contest{"sjf", serve::SchedulingPolicy::kSjf},
-                          Contest{"affinity", serve::SchedulingPolicy::kAffinity}}) {
-    const ArmResult analytic =
-        run_arm(c.policy, /*calibrated=*/false, warm_requests, requests, rate);
-    const ArmResult calibrated =
-        run_arm(c.policy, /*calibrated=*/true, warm_requests, requests, rate);
-    const bool gate = calibrated.p95_ms <= analytic.p95_ms;
-    const std::string prefix = std::string(c.name);
-    json.set(prefix + ".analytic.p95_ms", analytic.p95_ms);
-    json.set(prefix + ".analytic.mean_ms", analytic.mean_ms);
-    json.set(prefix + ".calibrated.p95_ms", calibrated.p95_ms);
-    json.set(prefix + ".calibrated.mean_ms", calibrated.mean_ms);
-    json.set("gates." + prefix + "_calibrated_p95_le_analytic",
-             static_cast<std::uint64_t>(gate ? 1 : 0));
-    table.add_row({c.name, "analytic", util::Table::fixed(analytic.p95_ms, 4),
-                   util::Table::fixed(analytic.mean_ms, 4), std::to_string(analytic.completed)});
-    table.add_row({c.name, "calibrated", util::Table::fixed(calibrated.p95_ms, 4),
-                   util::Table::fixed(calibrated.mean_ms, 4),
-                   std::to_string(calibrated.completed)});
-    if (!gate) {
-      std::cerr << "REGRESSION: " << c.name << " calibrated p95 " << calibrated.p95_ms
-                << " ms exceeds analytic-only p95 " << analytic.p95_ms << " ms\n";
-      ok = false;
-    }
+  for (const Policy p : {Policy{"sjf", serve::SchedulingPolicy::kSjf},
+                         Policy{"affinity", serve::SchedulingPolicy::kAffinity}}) {
+    const serve::MetricsSummary m = run_policy(p.policy, warm_requests, requests, rate);
+    const std::string prefix = std::string(p.name);
+    json.set(prefix + ".p95_ms", m.p95_ms);
+    json.set(prefix + ".mean_ms", m.mean_ms);
+    table.add_row({p.name, util::Table::fixed(m.p95_ms, 4), util::Table::fixed(m.mean_ms, 4),
+                   std::to_string(m.completed)});
   }
 
   // ---- Gate: loop determinism of records AND oracle state. -----------------
@@ -226,7 +184,7 @@ int main(int argc, char** argv) {
            static_cast<std::uint64_t>(records_identical ? 1 : 0));
   json.set("gates.oracle_state_identical_across_loops",
            static_cast<std::uint64_t>(oracle_identical ? 1 : 0));
-  ok = ok && records_identical && oracle_identical;
+  const bool ok = records_identical && oracle_identical;
 
   std::cout << table.to_string();
   std::cout << "\ndeterminism: records fp " << ref.records << ", oracle state fp "

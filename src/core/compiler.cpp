@@ -35,7 +35,6 @@ Compiler::Compiler(const graph::Graph& dataset_graph, AcceleratorConfig config,
 LoweredModel Compiler::compile(const gnn::ModelSpec& model) {
   compiler::StageGraph ir =
       make_ir(dataset_graph_, config_, options_, model, /*analysis_only=*/false);
-  ir.tail_calibration = tail_calibration_;
   compiler::standard_pipeline(options_).run(ir);
   return std::move(ir.lowered);
 }
@@ -43,7 +42,6 @@ LoweredModel Compiler::compile(const gnn::ModelSpec& model) {
 PlanSignature Compiler::resolve(const gnn::ModelSpec& model) {
   compiler::StageGraph ir =
       make_ir(dataset_graph_, config_, options_, model, /*analysis_only=*/true);
-  ir.tail_calibration = tail_calibration_;
   compiler::standard_pipeline(options_, /*analysis_only=*/true).run(ir);
 
   PlanSignature signature;
@@ -69,7 +67,6 @@ PlanSignature Compiler::resolve(const gnn::ModelSpec& model) {
 double Compiler::estimate_cycles(const gnn::ModelSpec& model) {
   compiler::StageGraph ir =
       make_ir(dataset_graph_, config_, options_, model, /*analysis_only=*/true);
-  ir.tail_calibration = tail_calibration_;
   compiler::standard_pipeline(options_, /*analysis_only=*/true).run(ir);
 
   double total = 0.0;

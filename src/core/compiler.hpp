@@ -84,19 +84,10 @@ class Compiler {
   /// requests is what it is good for; it is not a cycle-accurate predictor.
   [[nodiscard]] double estimate_cycles(const gnn::ModelSpec& model);
 
-  /// Installs measured corrections to the cost model's serialisation-tail
-  /// terms (see compiler::fit_tail_calibration). Applies to every subsequent
-  /// compile / resolve / estimate_cycles; the default-constructed value is
-  /// the identity, so an unset calibration changes nothing.
-  void set_tail_calibration(const compiler::TailCalibration& calibration) {
-    tail_calibration_ = calibration;
-  }
-
  private:
   const graph::Graph& dataset_graph_;
   AcceleratorConfig config_;
   DataflowOptions options_;
-  compiler::TailCalibration tail_calibration_;
 };
 
 /// One-call convenience wrapper.

@@ -7,7 +7,6 @@
 #include "dense/systolic.hpp"
 #include "shard/cost_model.hpp"
 #include "shard/sizing.hpp"
-#include "sim/trace.hpp"
 #include "util/check.hpp"
 #include "util/units.hpp"
 
@@ -152,28 +151,22 @@ CandidateCost evaluate_stage_candidate(const StageGraph& ir, const StageShape& s
   }
 
   // ---- Pipeline serialisation tails --------------------------------------
-  // Each tail term is scaled by the (identity-by-default) TailCalibration:
-  // the terms are first-order drain estimates of one engine's serialised
-  // work, so a measured busy-vs-predicted ratio for that engine corrects
-  // them directly.
-  const TailCalibration& cal = ir.tail_calibration;
   double tail = 0.0;
   if (st.pipelined && st.h_dims == 0) {
     // Graph-first with no independent dense work: the consumer's final
     // (block x column) series runs strictly after the last column token.
-    tail = series_cycles(array, n, tail_width, st.consumer_out, 1) * cal.dense_scale;
+    tail = series_cycles(array, n, tail_width, st.consumer_out, 1);
   } else if (!st.pipelined) {
     // Deferred: the last column's whole K-chain is serialised behind its
     // final aggregation token.
-    tail = dense_cycles / static_cast<double>(S) * cal.dense_scale;
+    tail = dense_cycles / static_cast<double>(S);
   }
   if (st.producer_in > 0 && traversal == shard::Traversal::kDestStationary && S > 1) {
     // Dense-first + dest-stationary: completing any destination column
     // needs *every* source interval of the block produced first, so the
     // Graph Engine idles for most of the producer's pass; source-stationary
     // overlaps all but the last interval (paper §III-C producer mode).
-    tail += graph_cycles / static_cast<double>(nb) *
-            (1.0 - 1.0 / static_cast<double>(S)) * cal.graph_scale;
+    tail += graph_cycles / static_cast<double>(nb) * (1.0 - 1.0 / static_cast<double>(S));
   }
 
   cand.cycles = std::max({dram_cycles, graph_cycles, dense_cycles}) + tail;
@@ -276,63 +269,6 @@ void autotune_pass(StageGraph& ir) {
     // Otherwise keep the feature-blocking pass's default; the traversal
     // pass will apply the Table I choice at the resolved grid dimension.
   }
-}
-
-TailCalibration fit_tail_calibration(const sim::Tracer& tracer, double predicted_graph_cycles,
-                                     double predicted_dense_cycles) {
-  // Mirror obs::Recorder::windows_from_tracer's event grammar: the engines
-  // are single-lane, so one open slot per component suffices; zero-length
-  // windows from truncated captures contribute nothing to the busy sums.
-  struct Open {
-    std::string component;
-    sim::Cycle begin = 0;
-    bool graph = false;
-  };
-  std::vector<Open> open;
-  double graph_busy = 0.0;
-  double dense_busy = 0.0;
-  std::uint64_t closed = 0;
-  for (const sim::TraceEvent& e : tracer.events()) {
-    const bool gemm_start = e.what.rfind("gemm start", 0) == 0;
-    const bool shard_start = e.what.rfind("shard start", 0) == 0;
-    const bool gemm_done = e.what.rfind("gemm done", 0) == 0;
-    const bool shard_done = e.what.rfind("shard done", 0) == 0;
-    if (gemm_start || shard_start) {
-      open.push_back(Open{e.component, e.cycle, shard_start});
-      continue;
-    }
-    if (!gemm_done && !shard_done) {
-      continue;
-    }
-    const auto it = std::find_if(open.begin(), open.end(), [&](const Open& o) {
-      return o.component == e.component && o.graph == shard_done;
-    });
-    if (it == open.end()) {
-      continue;  // done without a captured start: the tracer truncated
-    }
-    const double busy = static_cast<double>(e.cycle - it->begin);
-    (it->graph ? graph_busy : dense_busy) += busy;
-    closed += 1;
-    open.erase(it);
-  }
-
-  TailCalibration cal;
-  if (closed == 0) {
-    return cal;  // no usable windows: stay uncalibrated (identity)
-  }
-  // Clamp the correction: the tail terms only model the *serialised* slice
-  // of each engine's work, so an extreme busy-vs-predicted ratio says the
-  // prediction (or the trace) is broken, not that the tail is 100x off.
-  const auto fit_scale = [](double measured, double predicted) {
-    if (measured <= 0.0 || predicted <= 0.0) {
-      return 1.0;
-    }
-    return std::clamp(measured / predicted, 0.25, 4.0);
-  };
-  cal.graph_scale = fit_scale(graph_busy, predicted_graph_cycles);
-  cal.dense_scale = fit_scale(dense_busy, predicted_dense_cycles);
-  cal.windows = closed;
-  return cal;
 }
 
 }  // namespace gnnerator::core::compiler

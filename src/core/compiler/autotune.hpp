@@ -6,10 +6,6 @@
 #include "core/compiler/ir.hpp"
 #include "shard/traversal.hpp"
 
-namespace gnnerator::sim {
-class Tracer;
-}  // namespace gnnerator::sim
-
 namespace gnnerator::core::compiler {
 
 /// Everything the autotune cost model needs about one aggregation stage.
@@ -55,14 +51,5 @@ struct CandidateCost {
 /// (traffic scaling with the grid dimension, array k-tile utilisation,
 /// producer re-streaming, serialisation tails), not cycle-level contention.
 inline constexpr double kAutotuneDeviationMargin = 0.05;
-
-/// Fits TailCalibration scale factors from a traced engine run: busy cycles
-/// are summed per engine from the tracer's gemm/shard start–done windows and
-/// divided by the analytic predictions for the same run. Scales are clamped
-/// to [0.25, 4] — outside that range the prediction (or trace) is suspect —
-/// and the identity is returned when the trace holds no closed windows.
-[[nodiscard]] TailCalibration fit_tail_calibration(const sim::Tracer& tracer,
-                                                   double predicted_graph_cycles,
-                                                   double predicted_dense_cycles);
 
 }  // namespace gnnerator::core::compiler

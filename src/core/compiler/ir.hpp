@@ -91,21 +91,6 @@ enum StageDecision : unsigned {
   kProgramsEmitted = 1u << 6,
 };
 
-/// Multiplicative corrections to the autotune cost model's serialisation-tail
-/// terms, fit from traced engine busy windows (see fit_tail_calibration in
-/// autotune.hpp). The tail terms are first-order approximations of the
-/// drain/fill overlap between the graph and dense engines; when a trace of a
-/// real run is available, scaling them by observed-vs-predicted engine busy
-/// time tightens the estimate without touching the dominant max() term.
-/// Defaults are the identity, so uncalibrated compiles are bit-unchanged.
-struct TailCalibration {
-  double graph_scale = 1.0;  ///< scales graph-engine-derived tail terms
-  double dense_scale = 1.0;  ///< scales dense-engine-derived tail terms
-  /// Closed busy windows the fit consumed; 0 means uncalibrated.
-  std::uint64_t windows = 0;
-  [[nodiscard]] bool calibrated() const { return windows > 0; }
-};
-
 /// The compiler's working state: an inspectable stage graph plus the
 /// lowering inputs and (after the emit pass) the finished LoweredModel.
 struct StageGraph {
@@ -118,9 +103,6 @@ struct StageGraph {
   /// — the aggregation graph, base degrees, shard grids — that only the emit
   /// pass consumes; every *decision* is still resolved identically.
   bool analysis_only = false;
-  /// Measured corrections to the cost model's tail terms (identity unless the
-  /// facade was handed a fit via Compiler::set_tail_calibration).
-  TailCalibration tail_calibration;
 
   // Stage graph (build pass).
   std::vector<StageNode> nodes;  ///< execution order

@@ -1,7 +1,5 @@
 #include "core/cost_oracle.hpp"
 
-#include <algorithm>
-#include <bit>
 #include <cmath>
 #include <limits>
 #include <string_view>
@@ -25,7 +23,6 @@ struct Fnv1a {
       byte(static_cast<std::uint8_t>(v >> (8 * i)));
     }
   }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
   void str(std::string_view s) {
     u64(s.size());
     for (const char c : s) {
@@ -35,9 +32,6 @@ struct Fnv1a {
 };
 
 }  // namespace
-
-CostOracle::CostOracle(CostOracleOptions options)
-    : options_(options), windows_(options.ewma_alpha) {}
 
 std::uint64_t CostOracle::analytic(const graph::Dataset& dataset, const SimulationRequest& sim,
                                    const std::string& class_key) {
@@ -50,10 +44,8 @@ std::uint64_t CostOracle::analytic(const graph::Dataset& dataset, const Simulati
   return estimate;
 }
 
-std::uint64_t CostOracle::compute(const graph::Dataset& dataset,
-                                  const SimulationRequest& sim) const {
+std::uint64_t CostOracle::compute(const graph::Dataset& dataset, const SimulationRequest& sim) {
   Compiler compiler(dataset.graph, sim.config, sim.dataflow);
-  compiler.set_tail_calibration(options_.tail_calibration);
   return saturate_cycles(compiler.estimate_cycles(sim.model));
 }
 
@@ -72,48 +64,12 @@ std::uint64_t CostOracle::saturate_cycles(double cycles) {
   return static_cast<std::uint64_t>(std::llround(cycles));
 }
 
-void CostOracle::observe(obs::ExecWindowLog::Id window, std::uint64_t cycles) {
-  windows_.record(window, cycles);
-}
-
-std::uint64_t CostOracle::blend(std::uint64_t analytic_cycles,
-                                obs::ExecWindowLog::Id window) const {
-  const obs::ExecWindow& w = windows_.window(window);
-  if (!options_.blend_measurements || w.observations == 0) {
-    return analytic_cycles;
-  }
-  const double n = static_cast<double>(w.observations);
-  const double weight = n / (n + std::max(options_.confidence, 0.0));
-  const double blended =
-      (1.0 - weight) * static_cast<double>(analytic_cycles) + weight * w.ewma_cycles;
-  return saturate_cycles(blended);
-}
-
-std::optional<std::uint64_t> CostOracle::measured(obs::ExecWindowLog::Id window) const {
-  const obs::ExecWindow& w = windows_.window(window);
-  if (!options_.blend_measurements || w.observations == 0) {
-    return std::nullopt;
-  }
-  return w.last_cycles;
-}
-
 std::uint64_t CostOracle::state_fingerprint() const {
   Fnv1a fp;
   fp.u64(memo_.size());
   for (const auto& [key, estimate] : memo_) {
     fp.str(key);
     fp.u64(estimate);
-  }
-  const auto snapshot = windows_.snapshot();
-  fp.u64(snapshot.size());
-  for (const obs::ExecWindow& w : snapshot) {
-    fp.str(w.plan_class);
-    fp.str(w.device_class);
-    fp.u64(w.observations);
-    fp.u64(w.last_cycles);
-    fp.f64(w.ewma_cycles);
-    fp.u64(w.min_cycles);
-    fp.u64(w.max_cycles);
   }
   return fp.hash;
 }

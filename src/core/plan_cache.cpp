@@ -85,12 +85,6 @@ std::size_t PlanCache::size() const {
   return lru_.size();
 }
 
-void PlanCache::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  lru_.clear();
-  index_.clear();
-}
-
 namespace {
 
 class Fnv1a {

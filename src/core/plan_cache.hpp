@@ -56,7 +56,6 @@ class PlanCache {
   [[nodiscard]] PlanCacheStats stats() const;
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  void clear();
 
  private:
   using Entry = std::pair<std::string, std::shared_ptr<const LoweredModel>>;

@@ -28,10 +28,7 @@ DenseEngine::DenseEngine(DenseEngineConfig config, mem::DramModel& dram, sim::Sy
       dram_(dram),
       dma_client_(dram.intern_client("dense")),
       sync_(sync),
-      tracer_(tracer),
-      input_buf_("dense.input", config.input_bank_bytes()),
-      weight_buf_("dense.weight", config.weight_bank_bytes()),
-      output_buf_("dense.output", config.output_bank_bytes()) {}
+      tracer_(tracer) {}
 
 void DenseEngine::enqueue(GemmOp op) {
   GNNERATOR_CHECK_MSG(op.a_dma_bytes <= config_.input_bank_bytes(),
@@ -82,13 +79,11 @@ void DenseEngine::finish_compute(sim::Cycle now) {
     tracer_->emit(now, name(), "gemm done tag=" + std::to_string(op.tag));
   }
 
-  output_buf_.front().record_write(op.shape.m * op.shape.n * sizeof(float));
   stats_.add(Stat::kSramWriteBytes, op.shape.m * op.shape.n * sizeof(float));
   if (op.out_write_bytes > 0) {
     stats_.add(Stat::kOutWriteBytes, op.out_write_bytes);
     const mem::DmaId dma = dram_.submit(mem::MemOp::kWrite, op.out_write_bytes, dma_client_);
     writebacks_.push_back(mem::Writeback{dma, op.produce_token});
-    output_buf_.swap();
   } else if (op.produce_token != sim::kNoToken) {
     // Result stays on-chip (shared scratchpad hand-off): consumer may start
     // immediately.
@@ -104,8 +99,6 @@ void DenseEngine::try_start_compute(sim::Cycle now) {
   computing_ = std::move(*ready_);
   ready_.reset();
   compute_remaining_ = gemm_cycles(config_.array, computing_->shape);
-  input_buf_.front().record_read(computing_->shape.m * computing_->shape.k * sizeof(float));
-  weight_buf_.front().record_read(computing_->shape.k * computing_->shape.n * sizeof(float));
   stats_.add(Stat::kSramReadBytes,
              (computing_->shape.m * computing_->shape.k + computing_->shape.k * computing_->shape.n) *
                  sizeof(float));
@@ -129,8 +122,6 @@ void DenseEngine::advance_fetch(sim::Cycle now) {
       for (const mem::DmaId dma : fetching_->dmas) {
         dram_.collect(dma);
       }
-      input_buf_.swap();
-      weight_buf_.swap();
       ready_ = std::move(fetching_->op);
       fetching_.reset();
       if (tracer_ != nullptr) {
@@ -159,8 +150,6 @@ void DenseEngine::advance_fetch(sim::Cycle now) {
   fetch.dmas = {dram_.submit(mem::MemOp::kRead, fetch.op.a_dma_bytes, dma_client_),
                 dram_.submit(mem::MemOp::kRead, fetch.op.w_dma_bytes, dma_client_),
                 dram_.submit(mem::MemOp::kRead, fetch.op.psum_read_bytes, dma_client_)};
-  input_buf_.back().record_write(fetch.op.a_dma_bytes);
-  weight_buf_.back().record_write(fetch.op.w_dma_bytes);
   stats_.add(Stat::kSramWriteBytes, fetch.op.a_dma_bytes + fetch.op.w_dma_bytes);
   stats_.add(Stat::kABytes, fetch.op.a_dma_bytes);
   stats_.add(Stat::kWBytes, fetch.op.w_dma_bytes);

@@ -9,7 +9,6 @@
 #include "dense/systolic.hpp"
 #include "mem/dram.hpp"
 #include "mem/pipeline_timing.hpp"
-#include "mem/scratchpad.hpp"
 #include "sim/kernel.hpp"
 #include "sim/stats.hpp"
 #include "sim/sync.hpp"
@@ -100,10 +99,6 @@ class DenseEngine : public sim::Component {
   sim::Tracer* tracer_;
   sim::Counters<Stat> stats_;
   mem::PipelineCounters pipeline_stats_;
-
-  mem::DoubleBuffer input_buf_;
-  mem::DoubleBuffer weight_buf_;
-  mem::DoubleBuffer output_buf_;
 
   std::deque<GemmOp> queue_;
   std::optional<InFlightFetch> fetching_;

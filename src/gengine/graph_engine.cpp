@@ -31,14 +31,13 @@ GraphEngine::GraphEngine(GraphEngineConfig config, mem::DramModel& dram, sim::Sy
       wb_client_(dram.intern_client("graph.wb")),
       sync_(sync),
       tracer_(tracer),
-      feature_buf_("graph.feat", config.feature_scratch_bytes / 2),
-      edge_buf_("graph.edge", config.edge_buffer_bytes / 2) {}
+      feature_bank_bytes_(config.feature_scratch_bytes / 2) {}
 
 void GraphEngine::enqueue(ShardTask task) {
-  GNNERATOR_CHECK_MSG(task.src_dma_bytes + task.dst_load_bytes <= feature_buf_.bytes_per_bank(),
+  GNNERATOR_CHECK_MSG(task.src_dma_bytes + task.dst_load_bytes <= feature_bank_bytes_,
                       "shard working set " << task.src_dma_bytes + task.dst_load_bytes
-                                           << " B exceeds feature bank "
-                                           << feature_buf_.bytes_per_bank() << " B");
+                                           << " B exceeds feature bank " << feature_bank_bytes_
+                                           << " B");
   stats_.add(Stat::kTasksEnqueued);
   queue_.push_back(std::move(task));
 }
@@ -86,7 +85,6 @@ void GraphEngine::finish_compute(sim::Cycle now) {
     if (!task.signal_after_writeback && task.produce_token != sim::kNoToken) {
       sync_.signal(task.produce_token);
     }
-    feature_buf_.front().record_read(task.dst_write_bytes);
   } else if (task.produce_token != sim::kNoToken) {
     sync_.signal(task.produce_token);
   }
@@ -101,7 +99,6 @@ void GraphEngine::try_start_compute(sim::Cycle now) {
   ready_.reset();
   compute_remaining_ = std::max<std::uint64_t>(1, computing_->compute_cycles);
   if (computing_->onchip_edge_bytes > 0) {
-    edge_buf_.front().record_read(computing_->onchip_edge_bytes);
     stats_.add(Stat::kOnchipEdgeBytes, computing_->onchip_edge_bytes);
   }
   // Compute-side SRAM reads: edge records plus one source-feature row read
@@ -128,8 +125,6 @@ void GraphEngine::advance_fetch(sim::Cycle now) {
       for (const mem::DmaId dma : fetching_->dmas) {
         dram_.collect(dma);
       }
-      feature_buf_.swap();
-      edge_buf_.swap();
       ready_ = std::move(fetching_->task);
       fetching_.reset();
       if (tracer_ != nullptr) {
@@ -162,8 +157,6 @@ void GraphEngine::advance_fetch(sim::Cycle now) {
   stats_.add(Stat::kEdgeDmaBytes, fetch.task.edge_dma_bytes);
   stats_.add(Stat::kSrcDmaBytes, fetch.task.src_dma_bytes);
   stats_.add(Stat::kDstLoadBytes, fetch.task.dst_load_bytes);
-  edge_buf_.back().record_write(fetch.task.edge_dma_bytes);
-  feature_buf_.back().record_write(fetch.task.src_dma_bytes + fetch.task.dst_load_bytes);
   stats_.add(Stat::kSramWriteBytes,
              fetch.task.edge_dma_bytes + fetch.task.src_dma_bytes + fetch.task.dst_load_bytes);
   if (tracer_ != nullptr) {

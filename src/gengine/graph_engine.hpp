@@ -9,7 +9,6 @@
 #include "gengine/shard_task.hpp"
 #include "mem/dram.hpp"
 #include "mem/pipeline_timing.hpp"
-#include "mem/scratchpad.hpp"
 #include "sim/kernel.hpp"
 #include "sim/stats.hpp"
 #include "sim/sync.hpp"
@@ -100,8 +99,9 @@ class GraphEngine : public sim::Component {
   sim::Counters<Stat> stats_;
   mem::PipelineCounters pipeline_stats_;
 
-  mem::DoubleBuffer feature_buf_;
-  mem::DoubleBuffer edge_buf_;
+  /// One bank of the double-buffered feature scratchpad: the most a
+  /// shard's source and destination rows may occupy.
+  std::uint64_t feature_bank_bytes_;
 
   std::deque<ShardTask> queue_;
   std::optional<InFlightFetch> fetching_;

@@ -4,27 +4,18 @@
 
 namespace gnnerator::obs {
 
-ExecWindowLog::Id ExecWindowLog::intern(const std::string& plan_class,
-                                        const std::string& device_class) {
-  const auto [it, inserted] =
-      ids_.try_emplace({plan_class, device_class}, static_cast<Id>(windows_.size()));
+void ExecWindowLog::record(const std::string& plan_class, const std::string& device_class,
+                           std::uint64_t cycles) {
+  auto [it, inserted] = windows_.try_emplace({plan_class, device_class});
+  ExecWindow& w = it->second;
   if (inserted) {
-    ExecWindow& w = windows_.emplace_back();
     w.plan_class = plan_class;
     w.device_class = device_class;
-  }
-  return it->second;
-}
-
-void ExecWindowLog::record(Id id, std::uint64_t cycles) {
-  ExecWindow& w = windows_[id];
-  if (w.observations == 0) {
     w.ewma_cycles = static_cast<double>(cycles);
     w.min_cycles = cycles;
     w.max_cycles = cycles;
-    ++observed_;
   } else {
-    w.ewma_cycles += alpha_ * (static_cast<double>(cycles) - w.ewma_cycles);
+    w.ewma_cycles += kEwmaAlpha * (static_cast<double>(cycles) - w.ewma_cycles);
     w.min_cycles = std::min(w.min_cycles, cycles);
     w.max_cycles = std::max(w.max_cycles, cycles);
   }
@@ -35,11 +26,9 @@ void ExecWindowLog::record(Id id, std::uint64_t cycles) {
 
 std::vector<ExecWindow> ExecWindowLog::snapshot() const {
   std::vector<ExecWindow> out;
-  out.reserve(observed_);
-  for (const auto& [pair, id] : ids_) {
-    if (windows_[id].observations > 0) {
-      out.push_back(windows_[id]);
-    }
+  out.reserve(windows_.size());
+  for (const auto& [key, window] : windows_) {
+    out.push_back(window);
   }
   return out;
 }

@@ -66,8 +66,7 @@ std::string_view mark_kind_name(MarkKind kind) {
   return "?";
 }
 
-Recorder::Recorder(RecorderOptions options)
-    : options_(options), exec_log_(options.ewma_alpha) {}
+Recorder::Recorder(RecorderOptions options) : options_(options) {}
 
 void Recorder::begin_run(RunInfo info) {
   info_ = std::move(info);
@@ -231,7 +230,7 @@ void Recorder::record_exec_window(const std::string& plan_class,
   if (!options_.exec_windows) {
     return;
   }
-  exec_log_.record(exec_log_.intern(plan_class, device_class), cycles);
+  exec_log_.record(plan_class, device_class, cycles);
 }
 
 }  // namespace gnnerator::obs

@@ -110,7 +110,6 @@ struct RecorderOptions {
   /// Cap across the per-run span-event stream; past it events are dropped
   /// (counted in dropped()) rather than growing without bound.
   std::size_t max_events = 4'000'000;
-  double ewma_alpha = 0.25;
 
   /// Anything at all to record? A Recorder whose every stream is off is a
   /// null sink: the server still calls the hooks, which return immediately.
@@ -130,7 +129,7 @@ struct RunInfo {
 /// into. One Recorder serves one Server (attach via ServerOptions::recorder);
 /// per-run streams (span events, device spans, marks) reset at begin_run,
 /// while the Registry and ExecWindowLog persist across runs like production
-/// counters and calibration history would.
+/// counters and execution history would.
 ///
 /// Every hook is called at an event point with the DES cycle, in the same
 /// order by both serving loops — which is why exported traces are
@@ -171,7 +170,7 @@ class Recorder {
   [[nodiscard]] const std::vector<EngineWindow>* engine_windows(
       const std::string& exec_key) const;
 
-  // ---- Cost-oracle feed. ----------------------------------------------------
+  // ---- Execution-window feed (the ExecWindowLog's one writer). -------------
   void record_exec_window(const std::string& plan_class, const std::string& device_class,
                           std::uint64_t cycles);
 
@@ -183,7 +182,6 @@ class Recorder {
   [[nodiscard]] Cycle end_cycle() const { return end_cycle_; }
   /// Span events dropped past RecorderOptions::max_events this run.
   [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
-  [[nodiscard]] ExecWindowLog& exec_window_log() { return exec_log_; }
   [[nodiscard]] const ExecWindowLog& exec_window_log() const { return exec_log_; }
   [[nodiscard]] Registry& registry() { return registry_; }
   [[nodiscard]] const Registry& registry() const { return registry_; }

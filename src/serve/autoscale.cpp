@@ -79,8 +79,7 @@ double Autoscaler::rolling_p95() const {
 }
 
 Autoscaler::Action Autoscaler::evaluate(Cycle now, std::size_t queue_depth,
-                                        std::size_t active_devices,
-                                        std::uint64_t queued_cost) {
+                                        std::size_t active_devices) {
   // Advance the tick past `now` unconditionally: a missed interval (loop was
   // idle) does not entitle the policy to a burst of catch-up evaluations.
   while (next_tick_ <= now) {
@@ -95,13 +94,8 @@ Autoscaler::Action Autoscaler::evaluate(Cycle now, std::size_t queue_depth,
   const double p95 = rolling_p95();
   const bool latency_hot =
       options_.target_p95_ms > 0.0 && !window_.empty() && p95 > options_.target_p95_ms;
-  const double cost_per_device =
-      static_cast<double>(queued_cost) /
-      static_cast<double>(std::max<std::size_t>(1, active_devices));
-  const bool backlog_hot =
-      options_.up_cost_per_device > 0.0 && cost_per_device >= options_.up_cost_per_device;
   if (active_devices < options_.max_devices &&
-      (depth_per_device >= options_.up_queue_per_device || latency_hot || backlog_hot)) {
+      (depth_per_device >= options_.up_queue_per_device || latency_hot)) {
     last_action_at_ = now;
     return Action::kUp;
   }

@@ -26,12 +26,6 @@ struct AutoscalerOptions {
   double cooldown_ms = 1.0;
   /// Queued requests per active device that triggers a scale-up.
   double up_queue_per_device = 4.0;
-  /// Queued *estimated service cycles* per active device that triggers a
-  /// scale-up — the cost-weighted backlog signal (Scheduler::queued_cost,
-  /// fed by the blended core::CostOracle estimates), which reacts to a few
-  /// huge requests where the depth signal sees a short queue. <= 0 disables
-  /// it (depth and latency alone drive scaling).
-  double up_cost_per_device = 0.0;
   /// Scale down only while depth per device is at or below this ...
   double down_queue_per_device = 1.0;
   /// ... and (with a latency target) the rolling p95 is below
@@ -67,10 +61,7 @@ class Autoscaler {
   /// One evaluation at `now` (must be >= next_tick()): advances the tick,
   /// and returns the action the fleet should take. Honors the cooldown and
   /// the [min_devices, max_devices] bounds on `active_devices`.
-  /// `queued_cost` is the backlog in estimated service cycles (only
-  /// consulted when up_cost_per_device > 0).
-  Action evaluate(Cycle now, std::size_t queue_depth, std::size_t active_devices,
-                  std::uint64_t queued_cost = 0);
+  Action evaluate(Cycle now, std::size_t queue_depth, std::size_t active_devices);
 
   /// p95 over the rolling completion window (0 while empty).
   [[nodiscard]] double rolling_p95() const;

@@ -176,10 +176,10 @@ struct ServeReport {
   FeatureCacheStats feature_cache;
   bool feature_cache_enabled = false;
   /// Measured (plan class, device class) execution-window statistics from
-  /// the attached obs::Recorder (EWMA over observed device cycles) — the
-  /// calibration feed for a measurement-driven cost oracle. Empty when no
-  /// recorder is attached or its exec_windows stream is off. Cumulative
-  /// across serve runs (the recorder's log persists like the plan cache).
+  /// the attached obs::Recorder (EWMA over observed device cycles). Empty
+  /// when no recorder is attached or its exec_windows stream is off.
+  /// Cumulative across serve runs (the recorder's log persists like the
+  /// plan cache).
   std::vector<obs::ExecWindow> exec_windows;
 
   [[nodiscard]] double duration_ms() const { return cycles_to_ms(end_cycle, clock_ghz); }

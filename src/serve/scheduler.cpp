@@ -52,14 +52,11 @@ std::optional<QueuedRequest> Scheduler::try_take(std::uint64_t /*id*/) { return 
 
 void Scheduler::charge(std::size_t /*tier*/, std::uint64_t /*cost*/) {}
 
-std::uint64_t Scheduler::queued_cost() const { return 0; }
-
 namespace {
 
 class FifoScheduler final : public Scheduler {
  public:
   void enqueue(QueuedRequest queued, Cycle /*now*/) override {
-    queued_cost_ += queued.cost_estimate;
     queue_.push_back(std::move(queued));
   }
 
@@ -68,7 +65,6 @@ class FifoScheduler final : public Scheduler {
       return std::nullopt;
     }
     DispatchBatch batch;
-    queued_cost_ -= queue_.front().cost_estimate;
     batch.requests.push_back(std::move(queue_.front()));
     queue_.pop_front();
     return batch;
@@ -80,17 +76,13 @@ class FifoScheduler final : public Scheduler {
 
   [[nodiscard]] std::size_t depth() const override { return queue_.size(); }
 
-  [[nodiscard]] std::uint64_t queued_cost() const override { return queued_cost_; }
-
  private:
   std::deque<QueuedRequest> queue_;
-  std::uint64_t queued_cost_ = 0;
 };
 
 class SjfScheduler final : public Scheduler {
  public:
   void enqueue(QueuedRequest queued, Cycle /*now*/) override {
-    queued_cost_ += queued.cost_estimate;
     queue_.push_back(std::move(queued));
   }
 
@@ -106,7 +98,6 @@ class SjfScheduler final : public Scheduler {
           return a.request.id < b.request.id;  // FIFO among equal-cost jobs
         });
     DispatchBatch batch;
-    queued_cost_ -= it->cost_estimate;
     batch.requests.push_back(std::move(*it));
     queue_.erase(it);
     return batch;
@@ -118,11 +109,8 @@ class SjfScheduler final : public Scheduler {
 
   [[nodiscard]] std::size_t depth() const override { return queue_.size(); }
 
-  [[nodiscard]] std::uint64_t queued_cost() const override { return queued_cost_; }
-
  private:
   std::vector<QueuedRequest> queue_;
-  std::uint64_t queued_cost_ = 0;
 };
 
 class DynamicBatchScheduler final : public Scheduler {
@@ -138,7 +126,6 @@ class DynamicBatchScheduler final : public Scheduler {
       group.deadline = now + limits_.batch_window;
       group.opened_by = queued.request.id;
     }
-    queued_cost_ += queued.cost_estimate;
     group.members.push_back(std::move(queued));
     ++depth_;
   }
@@ -165,9 +152,6 @@ class DynamicBatchScheduler final : public Scheduler {
     if (group.members.size() <= limits_.max_batch) {
       batch.requests = std::move(group.members);
       depth_ -= batch.requests.size();
-      for (const QueuedRequest& queued : batch.requests) {
-        queued_cost_ -= queued.cost_estimate;
-      }
       groups_.erase(best);
       return batch;
     }
@@ -181,9 +165,6 @@ class DynamicBatchScheduler final : public Scheduler {
                         group.members.begin() + static_cast<std::ptrdiff_t>(limits_.max_batch));
     group.opened_by = group.members.front().request.id;
     depth_ -= batch.requests.size();
-    for (const QueuedRequest& queued : batch.requests) {
-      queued_cost_ -= queued.cost_estimate;
-    }
     return batch;
   }
 
@@ -196,8 +177,6 @@ class DynamicBatchScheduler final : public Scheduler {
   }
 
   [[nodiscard]] std::size_t depth() const override { return depth_; }
-
-  [[nodiscard]] std::uint64_t queued_cost() const override { return queued_cost_; }
 
  private:
   struct Group {
@@ -214,7 +193,6 @@ class DynamicBatchScheduler final : public Scheduler {
   /// Keyed by class; std::map so every scan order is deterministic.
   std::map<std::string, Group> groups_;
   std::size_t depth_ = 0;
-  std::uint64_t queued_cost_ = 0;
 };
 
 /// The queue behind the affinity (HEFT) policy: arrival order, but the
@@ -227,7 +205,6 @@ class DynamicBatchScheduler final : public Scheduler {
 class AffinityScheduler final : public Scheduler {
  public:
   void enqueue(QueuedRequest queued, Cycle /*now*/) override {
-    queued_cost_ += queued.cost_estimate;
     queue_.push_back(std::move(queued));
   }
 
@@ -236,7 +213,6 @@ class AffinityScheduler final : public Scheduler {
       return std::nullopt;
     }
     DispatchBatch batch;
-    queued_cost_ -= queue_.front().cost_estimate;
     batch.requests.push_back(std::move(queue_.front()));
     queue_.pop_front();
     return batch;
@@ -261,7 +237,6 @@ class AffinityScheduler final : public Scheduler {
     for (auto it = queue_.begin(); it != queue_.end(); ++it) {
       if (it->request.id == id) {
         QueuedRequest taken = std::move(*it);
-        queued_cost_ -= taken.cost_estimate;
         queue_.erase(it);
         return taken;
       }
@@ -269,11 +244,8 @@ class AffinityScheduler final : public Scheduler {
     return std::nullopt;
   }
 
-  [[nodiscard]] std::uint64_t queued_cost() const override { return queued_cost_; }
-
  private:
   std::deque<QueuedRequest> queue_;
-  std::uint64_t queued_cost_ = 0;
 };
 
 /// Priority + weighted-fair front end over per-tier instances of the
@@ -385,14 +357,6 @@ class TieredScheduler final : public Scheduler {
     GNNERATOR_CHECK_MSG(tier < classes_.size(), "WFQ charge against unknown tier");
     virtual_time_[tier] +=
         static_cast<double>(std::max<std::uint64_t>(cost, 1)) / classes_[tier].weight;
-  }
-
-  [[nodiscard]] std::uint64_t queued_cost() const override {
-    std::uint64_t total = 0;
-    for (const std::unique_ptr<Scheduler>& inner : inners_) {
-      total += inner->queued_cost();
-    }
-    return total;
   }
 
  private:

@@ -18,9 +18,9 @@ namespace gnnerator::serve {
 ///
 ///   * kFifo          — strict arrival order, one request per dispatch.
 ///   * kSjf           — shortest job first: the queued request with the
-///                      smallest blended cost estimate (core::CostOracle —
-///                      the analytic compiler estimate calibrated by the
-///                      measured per-class execution history) dispatches
+///                      smallest cost estimate (QueuedRequest::cost_estimate:
+///                      the class's simulated cycles once it has executed,
+///                      the analytic compiler estimate before) dispatches
 ///                      first; ties break to the lower id so the order is
 ///                      total and deterministic.
 ///   * kDynamicBatch  — requests of the same plan-compatibility class
@@ -70,9 +70,10 @@ struct QueuedRequest {
   /// Non-null iff request.is_sampled(): the resolved frontier sample and
   /// its compatibility keys. Opaque to scheduler policies.
   std::shared_ptr<const SampledQuery> sampled;
-  /// SJF's job-size oracle value: estimated service cycles under the
-  /// fleet's canonical device class, blended with the measured execution
-  /// history at admission (core::CostOracle::blend).
+  /// SJF's job size, priced at admission under the fleet's canonical device
+  /// class: the simulated cycles of the class's execution once it has run
+  /// there, the analytic estimate (core::CostOracle) until then. Sampled
+  /// requests are always priced analytically.
   std::uint64_t cost_estimate = 0;
   /// Index of the request class (SLO tier) the admission controller
   /// resolved; routes the request inside a TieredScheduler.
@@ -150,11 +151,6 @@ class Scheduler {
   /// estimate the batch was queued with, which over/under-charges tiers on
   /// heterogeneous fleets. No-op for bare (single-tier) schedulers.
   virtual void charge(std::size_t tier, std::uint64_t cost);
-
-  /// Sum of the queued requests' cost estimates — the backlog in estimated
-  /// service cycles, a sharper autoscaling signal than depth() when request
-  /// sizes are skewed. Default 0 for schedulers that do not track it.
-  [[nodiscard]] virtual std::uint64_t queued_cost() const;
 };
 
 /// Creates the scheduler for a policy. When more than one request class

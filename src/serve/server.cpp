@@ -55,8 +55,7 @@ constexpr std::size_t kEngineTraceCap = 1u << 20;
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
       obs_(options_.recorder.get()),
-      plan_cache_(std::make_shared<core::PlanCache>(options_.plan_cache_capacity)),
-      cost_oracle_(options_.cost_oracle) {
+      plan_cache_(std::make_shared<core::PlanCache>(options_.plan_cache_capacity)) {
   GNNERATOR_CHECK_MSG(options_.clock_ghz > 0.0, "server needs a positive device clock");
 
   request_classes_ = options_.classes;
@@ -258,8 +257,10 @@ std::uint64_t Server::cost_estimate(const core::SimulationRequest& sim) {
 
 std::uint64_t Server::calibrated_cost_estimate(const core::SimulationRequest& sim) {
   // The canonical execution identity is the class key (see identity()).
-  const std::string key = class_key(sim);
-  return cost_oracle_.blend(cost_estimate(sim), cost_oracle_.intern(key, key));
+  if (const core::ExecutionResult* executed = executed_result(class_key(sim))) {
+    return executed->cycles;
+  }
+  return cost_estimate(sim);
 }
 
 Cycle Server::to_server_cycles(const Device& device, std::uint64_t device_cycles) const {
@@ -293,11 +294,15 @@ std::uint64_t Server::calibrated_device_cost_estimate(const core::SimulationRequ
   // a queued request.
   const std::string identity =
       request_class_key(dataset.fingerprint, sim_for_slot(sim, exec_slot(device)));
-  const auto exact = cost_oracle_.measured(cost_oracle_.intern(class_key(sim), identity));
-  if (exact.has_value()) {
-    return to_server_cycles(device, *exact) + options_.per_request_overhead;
+  if (const core::ExecutionResult* executed = executed_result(identity)) {
+    return to_server_cycles(device, executed->cycles) + options_.per_request_overhead;
   }
   return device_cost_estimate(sim, device_index);
+}
+
+const core::ExecutionResult* Server::executed_result(std::string_view identity_key) const {
+  const auto it = identity_index_.find(identity_key);
+  return it == identity_index_.end() ? nullptr : it->second->result.get();
 }
 
 std::uint32_t Server::intern_class(const std::string& key) {
@@ -323,7 +328,7 @@ Server::ExecIdentity& Server::identity(const QueuedRequest& queued, std::size_t 
   // itself — the exact key for a sampled request, whose identity also
   // names its frontier. Keying identities by config rather than by device
   // class is what lets identically configured classes share one engine run
-  // and one measured window (the identical-class differential in
+  // and one cost (the identical-class differential in
   // tests/serve_property_test.cpp holds bitwise).
   const core::SimulationRequest sim = sim_for_slot(queued.request.sim, slot);
   const RegisteredDataset& dataset = registered(sim.dataset);
@@ -336,9 +341,6 @@ Server::ExecIdentity& Server::identity(const QueuedRequest& queued, std::size_t 
   if (it == identity_index_.end()) {
     ExecIdentity& created = identities_.emplace_back();
     created.key = std::move(key);
-    if (queued.sampled == nullptr) {
-      created.window = cost_oracle_.intern(queued.class_key, created.key);
-    }
     it = identity_index_.emplace(created.key, &created).first;
   }
   cell = it->second;
@@ -359,56 +361,35 @@ std::vector<std::pair<Server::ExecIdentity*, const QueuedRequest*>> Server::dist
   return distinct;
 }
 
-std::uint64_t Server::analytic_cycles(ExecIdentity& identity, const QueuedRequest& queued,
-                                      std::size_t slot) {
-  if (identity.device_cycles == 0) {
+std::uint64_t Server::cost_cycles(ExecIdentity& identity, const QueuedRequest& queued,
+                                  std::size_t slot) {
+  if (identity.result != nullptr) {
+    return identity.result->cycles;
+  }
+  if (identity.analytic_cycles == 0) {
     const core::SimulationRequest sim = sim_for_slot(queued.request.sim, slot);
     const graph::Dataset& dataset = queued.sampled != nullptr
                                         ? *queued.sampled->dataset
                                         : *registered(sim.dataset).dataset;
-    identity.device_cycles = cost_oracle_.analytic(dataset, sim, identity.key);
+    identity.analytic_cycles = cost_oracle_.analytic(dataset, sim, identity.key);
   }
-  return identity.device_cycles;
+  return identity.analytic_cycles;
 }
 
 Cycle Server::placement_estimate(const QueuedRequest& queued, const Device& device) {
   const std::size_t slot = exec_slot(device);
-  ExecIdentity& id = identity(queued, slot);
-  std::uint64_t device_cycles = analytic_cycles(id, queued, slot);
-  // Sampled requests execute as fused compositions; the per-composition
-  // windows say nothing exact about one frontier, so placement stays on
-  // the analytic per-frontier estimate.
-  if (queued.sampled == nullptr) {
-    if (const auto exact = cost_oracle_.measured(id.window)) {
-      device_cycles = *exact;
-    }
-  }
-  return to_server_cycles(device, device_cycles) + options_.per_request_overhead;
-}
-
-void Server::oracle_observe_dispatch(const Device& device, const DispatchBatch& batch) {
-  if (batch.requests.empty() || batch.requests.front().sampled != nullptr) {
-    return;  // fused sampled executions are not per-class measurements
-  }
-  for (const auto& [id, first] : distinct_identities(batch, device)) {
-    GNNERATOR_CHECK_MSG(id->result != nullptr, "dispatch committed without class result");
-    cost_oracle_.observe(id->window, id->result->cycles);
-  }
+  return to_server_cycles(device, cost_cycles(identity(queued, slot), queued, slot)) +
+         options_.per_request_overhead;
 }
 
 std::uint64_t Server::wfq_charge_cost(const DispatchBatch& batch, const Device& device) {
   const std::size_t slot = exec_slot(device);
   std::uint64_t cost = 0;
   for (const QueuedRequest& q : batch.requests) {
-    std::uint64_t per_request = 0;
-    if (q.sampled != nullptr) {
-      // Fused sampled work: charge the queue-time estimate — the fused
-      // composition has no per-request measured counterpart.
-      per_request = q.cost_estimate;
-    } else {
-      ExecIdentity& id = identity(q, slot);
-      per_request = cost_oracle_.blend(analytic_cycles(id, q, slot), id.window);
-    }
+    // Fused sampled work charges its queue-time estimate: the fused
+    // composition has no per-request execution to price it by.
+    const std::uint64_t per_request =
+        q.sampled != nullptr ? q.cost_estimate : cost_cycles(identity(q, slot), q, slot);
     cost += std::max<std::uint64_t>(per_request, 1);
   }
   return cost;
@@ -793,10 +774,11 @@ void Server::obs_dispatch(Device& device, const DispatchBatch& batch, Cycle now)
       obs_->request_event(std::move(ev));
     }
   }
-  // Measured execution windows (cost-oracle feed) and, when captured, the
-  // engine compute sub-spans — one entry per distinct class in the batch,
-  // anchored back-to-back at `now` exactly as the service-time sum prices
-  // them. All lookups hit memos the dispatch has already filled.
+  // Exec windows (the recorder's execution history; serving cost does not
+  // read it) and, when captured, the engine compute sub-spans — one entry
+  // per distinct class in the batch, anchored back-to-back at `now` exactly
+  // as the service-time sum prices them. All lookups hit memos the dispatch
+  // has already filled.
   std::vector<obs::EngineWindow> windows;
   if (opts.exec_windows || (opts.engine_spans && opts.device_timeline)) {
     const std::string& dclass = obs_device_class_name(device);
@@ -953,7 +935,7 @@ void Server::obs_finish_run(ServeReport& report, Cycle now) {
     }
   }
 
-  // The calibration feed, also visible as metrics: EWMA device cycles per
+  // The execution history, also visible as metrics: EWMA device cycles per
   // (plan class, device class). Cardinality is bounded by the distinct
   // class pairs (sampled batches record under their fuse key).
   for (const obs::ExecWindow& w : report.exec_windows) {
@@ -1211,8 +1193,7 @@ void Server::elastic_process(EventLoop& loop) {
     for (const Device& device : devices_) {
       active += device.health == DeviceHealth::kActive ? 1 : 0;
     }
-    const Autoscaler::Action action =
-        er.autoscaler->evaluate(now, scheduler.depth(), active, scheduler.queued_cost());
+    const Autoscaler::Action action = er.autoscaler->evaluate(now, scheduler.depth(), active);
     if (action == Autoscaler::Action::kUp && scale_up(now)) {
       ++er.scale_ups;
     } else if (action == Autoscaler::Action::kDown && scale_down(now)) {
@@ -1418,10 +1399,10 @@ void Server::admit(EventLoop& loop, Request request) {
     queued.class_id = intern_class(queued.class_key);
   }
   queued.request = std::move(request);
-  // The queue cost is the canonical identity's analytic cycles, priced
-  // through the oracle's memo the first time the class is admitted.
-  ExecIdentity& canonical = identity(queued, 0);
-  const std::uint64_t analytic = analytic_cycles(canonical, queued, 0);
+  // The queue cost is the canonical identity's cost: its simulated cycles
+  // once it has executed, before that its analytic cycles, priced through
+  // the oracle's memo the first time the class is admitted.
+  const std::uint64_t cost = cost_cycles(identity(queued, 0), queued, 0);
 
   const Request& admitted = queued.request;
   const RequestClass& klass = request_classes_[tier];
@@ -1440,10 +1421,7 @@ void Server::admit(EventLoop& loop, Request request) {
     end_unserved(loop, record);
     return;
   }
-  // Blend with the measured history at admission. (Sampled requests stay
-  // analytic: fused-composition windows are not per-frontier measurements.)
-  queued.cost_estimate =
-      queued.sampled != nullptr ? analytic : cost_oracle_.blend(analytic, canonical.window);
+  queued.cost_estimate = cost;
   loop.scheduler->enqueue(std::move(queued), loop.now);
 }
 
@@ -1493,7 +1471,6 @@ bool Server::dispatch_batch_to(EventLoop& loop, Device& device, DispatchBatch ba
     commit_sampled_gather(batch);
   }
   obs_dispatch(device, batch, loop.now);
-  oracle_observe_dispatch(device, batch);
   if (request_classes_.size() > 1) {
     // WFQ accounting at dispatch commit: charge the tier with the cost of
     // the device class that actually executes the batch, not the

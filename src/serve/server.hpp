@@ -47,8 +47,8 @@ struct ServerOptions {
   /// num_devices, every worker compiles/executes under its class config
   /// (the request's config field is ignored), and per-class clocks convert
   /// device cycles onto the server timeline. The first entry is the
-  /// *canonical* class: plan-compatibility keys and the SJF/WFQ cost
-  /// oracle are evaluated under it.
+  /// *canonical* class: plan-compatibility keys and the admission-time
+  /// (SJF) cost are evaluated under it.
   std::vector<DeviceClass> fleet;
   /// Request classes (SLO tiers). Empty = one "default" class. Requests
   /// name their class via Request::klass (empty = the first class);
@@ -107,16 +107,12 @@ struct ServerOptions {
   /// request spans, device timelines and control marks into it at their
   /// sequential event points, publish end-of-run metrics into its Registry,
   /// and feed measured (plan class, device class) execution windows into its
-  /// ExecWindowLog. Null = zero cost (every hook is behind one pointer
-  /// check). The recorder's per-run streams reset at each serve call; its
-  /// registry and exec-window history persist like the plan cache does.
-  /// One recorder should serve one Server.
+  /// ExecWindowLog — a report and metrics surface only; serving cost never
+  /// reads it. Null = zero cost (every hook is behind one pointer check).
+  /// The recorder's per-run streams reset at each serve call; its registry
+  /// and exec-window history persist like the plan cache does. One recorder
+  /// should serve one Server.
   std::shared_ptr<obs::Recorder> recorder;
-  /// The cost oracle's blend knobs (core/cost_oracle.hpp): EWMA alpha,
-  /// prior confidence, the blend on/off switch, and the optional autotune
-  /// tail calibration. Oracle state (analytic memo + measured windows)
-  /// persists across serve runs like the plan cache.
-  core::CostOracleOptions cost_oracle;
 };
 
 /// A simulated multi-device GNNerator serving deployment.
@@ -185,28 +181,23 @@ class Server {
   /// heterogeneous fleet the canonical (first) device class's config is
   /// substituted. The request's dataset must be registered.
   [[nodiscard]] std::string class_key(const core::SimulationRequest& sim) const;
-  /// The analytic prior for a request (cycles) under the canonical device
-  /// class — the cold-start value; never consults measurements.
+  /// The analytic estimate for a request (cycles) under the canonical device
+  /// class; never consults executions.
   [[nodiscard]] std::uint64_t cost_estimate(const core::SimulationRequest& sim);
-  /// cost_estimate blended with the measured execution history of
-  /// (plan class, canonical device class) — what SJF actually queues on
-  /// once observations exist.
+  /// What SJF queues the request on: the simulated cycles of its canonical
+  /// execution identity once that has executed, cost_estimate before.
   [[nodiscard]] std::uint64_t calibrated_cost_estimate(const core::SimulationRequest& sim);
-  /// The analytic affinity oracle: estimated service cycles of a request on
-  /// one device, on the server timeline, including per-request overhead.
+  /// The analytic service cycles of a request on one device, on the server
+  /// timeline, including per-request overhead.
   [[nodiscard]] std::uint64_t device_cost_estimate(const core::SimulationRequest& sim,
                                                    std::size_t device);
-  /// device_cost_estimate with the measured-exact execution substituted
-  /// when the oracle has observed this (plan class, device class) — what
-  /// affinity placement actually uses.
+  /// What affinity placement uses: device_cost_estimate with the simulated
+  /// cycles substituted once the request's execution identity on that
+  /// device has executed.
   [[nodiscard]] std::uint64_t calibrated_device_cost_estimate(
       const core::SimulationRequest& sim, std::size_t device);
-  /// The measurement-calibrated cost oracle (analytic memo + measured
-  /// (plan class, device class) windows; state persists across runs).
+  /// The analytic estimate memo (state persists across runs).
   [[nodiscard]] const core::CostOracle& cost_oracle() const { return cost_oracle_; }
-  /// Mutable oracle access (tests inject observations; callers may seed a
-  /// tail calibration fit between runs).
-  [[nodiscard]] core::CostOracle& mutable_cost_oracle() { return cost_oracle_; }
   [[nodiscard]] std::size_t num_devices() const { return devices_.size(); }
   /// The device class of one worker; the empty legacy class (no config
   /// override) when ServerOptions::fleet was empty.
@@ -279,8 +270,6 @@ class Server {
   };
 
   static constexpr std::size_t kNoClass = ~static_cast<std::size_t>(0);
-  /// ExecIdentity::window of sampled identities, which are never measured.
-  static constexpr obs::ExecWindowLog::Id kNoWindow = ~static_cast<obs::ExecWindowLog::Id>(0);
 
   [[nodiscard]] const RegisteredDataset& registered(const std::string& name) const;
 
@@ -289,21 +278,18 @@ class Server {
   /// The plan-class key under one exec slot's config — what executes when a
   /// request of that class runs on a device of that slot. Identically
   /// configured slots produce the same key and share one identity, hence
-  /// one engine run and one measured window.
+  /// one engine run and one cost.
   struct ExecIdentity {
-    /// The identity key: names the oracle's analytic memo entry, the
-    /// oracle's (plan class, identity) window and the recorder's
-    /// engine-window template.
+    /// The identity key: names the oracle's analytic memo entry and the
+    /// recorder's engine-window template.
     std::string key;
     /// The memoized engine execution (full-graph classes; null until the
-    /// identity first dispatches).
+    /// identity first dispatches, and always for sampled identities, which
+    /// execute only inside fused compositions).
     std::shared_ptr<const core::ExecutionResult> result;
     /// Analytic device cycles (no clock conversion, no overhead); 0 until
     /// priced — the oracle clamps its estimates to >= 1.
-    std::uint64_t device_cycles = 0;
-    /// The oracle window of (plan class, key); kNoWindow for sampled
-    /// identities, whose fused executions are not per-frontier measurements.
-    obs::ExecWindowLog::Id window = kNoWindow;
+    std::uint64_t analytic_cycles = 0;
   };
 
   /// One interned plan class (sampled requests intern their exact key).
@@ -323,10 +309,15 @@ class Server {
   /// (coalesced requests share one execution).
   std::vector<std::pair<ExecIdentity*, const QueuedRequest*>> distinct_identities(
       const DispatchBatch& batch, const Device& device);
-  /// Analytic device cycles of the identity, priced through the oracle's
-  /// memo on first use.
-  std::uint64_t analytic_cycles(ExecIdentity& identity, const QueuedRequest& queued,
-                                std::size_t slot);
+  /// The identity's one cost, in device cycles: the simulated cycles of its
+  /// memoized execution once it has executed, before that its analytic
+  /// cycles, priced through the oracle's memo on first use. Admission,
+  /// placement and the WFQ charge all price through it.
+  std::uint64_t cost_cycles(ExecIdentity& identity, const QueuedRequest& queued,
+                            std::size_t slot);
+  /// The memoized execution of the identity keyed `identity_key`; null when
+  /// it has not executed (or no request has resolved it yet).
+  [[nodiscard]] const core::ExecutionResult* executed_result(std::string_view identity_key) const;
   /// Exec slot of a device: its device class index (one shared slot 0 on a
   /// legacy fleet, where every device runs the request's own config).
   [[nodiscard]] static std::size_t exec_slot(const Device& device) {
@@ -413,8 +404,8 @@ class Server {
   std::shared_ptr<core::PlanCache> plan_cache_;
   std::vector<Device> devices_;
   std::map<std::string, RegisteredDataset, std::less<>> datasets_;
-  /// The one estimator every consumer asks: analytic prior memo + measured
-  /// (plan class, execution identity) windows (core/cost_oracle.hpp).
+  /// Analytic estimates of identities that have not executed yet
+  /// (core/cost_oracle.hpp).
   core::CostOracle cost_oracle_;
   /// Plan-class registry: key -> dense id, and id -> per-slot identities.
   std::unordered_map<std::string, std::uint32_t> class_ids_;
@@ -435,24 +426,18 @@ class Server {
   /// iteration when the report aggregates their stats).
   std::map<std::string, FeatureCache> feature_caches_;
 
-  // ---- Cost-oracle plumbing. -----------------------------------------------
-  // All mutation happens at the event points (admission pricing, dispatch
-  // commit) of the one event loop both serve() and run_reference() run, so
-  // oracle state — and every decision derived from it — stays bitwise
+  // ---- Cost consumers. -------------------------------------------------------
+  // Identities execute and are priced only at the event points (admission,
+  // dispatch) of the one event loop both serve() and run_reference() run, so
+  // every cost — and every decision derived from it — stays bitwise
   // comparable across loops.
 
-  /// Feeds the batch's measured executions (one per distinct identity) into
-  /// the oracle. Called at dispatch commit, right after obs_dispatch;
-  /// sampled batches are skipped (a fused composition's cycles are not a
-  /// per-frontier measurement).
-  void oracle_observe_dispatch(const Device& device, const DispatchBatch& batch);
-  /// WFQ virtual-time charge of a committed batch: per-request blended cost
-  /// under the device class that actually executes (the queue-time
-  /// canonical-class estimate would misprice tiers on heterogeneous fleets).
+  /// WFQ virtual-time charge of a committed batch: per-request cost under
+  /// the device class that actually executes (the queue-time canonical-class
+  /// estimate would misprice tiers on heterogeneous fleets).
   [[nodiscard]] std::uint64_t wfq_charge_cost(const DispatchBatch& batch, const Device& device);
   /// Affinity EFT service estimate on the server timeline: the identity's
-  /// measured-exact cycles once the oracle has observed it, its analytic
-  /// cycles otherwise (always, for sampled requests).
+  /// cost_cycles on the device, plus per-request overhead.
   [[nodiscard]] Cycle placement_estimate(const QueuedRequest& queued, const Device& device);
 
   // ---- The event loop (shared by serve() and run_reference()). -------------
@@ -529,8 +514,7 @@ class Server {
   /// and every device idles, then assembles the report.
   ServeReport run_loop(EventLoop& loop);
   /// The annotate-and-admit path: validation, SLO tier, sampling or class
-  /// key, interning, pricing, the record, the queue-capacity shed and the
-  /// admission-time blend.
+  /// key, interning, pricing, the record and the queue-capacity shed.
   void admit(EventLoop& loop, Request request);
   /// SLO admission control + device occupation for one popped batch on one
   /// device. A request whose batch would complete past its deadline is shed
@@ -608,8 +592,8 @@ class Server {
   /// Terminal shed/fail: closes the request span and drops a control mark.
   void obs_terminal(const Outcome& record, Cycle now);
   /// A batch committed to a device: per-request kDispatch events, the busy
-  /// span, measured exec windows per distinct class, and (engine_spans)
-  /// engine sub-spans anchored at `now`.
+  /// span, the recorder's exec windows per distinct class, and
+  /// (engine_spans) engine sub-spans anchored at `now`.
   void obs_dispatch(Device& device, const DispatchBatch& batch, Cycle now);
   /// The device's batch finished: closes the busy span (before the
   /// per-record kComplete events).

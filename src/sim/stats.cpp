@@ -7,8 +7,6 @@
 
 namespace gnnerator::sim {
 
-StatSet::StatSet(std::string prefix) : prefix_(std::move(prefix)) {}
-
 void StatSet::add(const std::string& name, std::uint64_t delta) { counters_[name] += delta; }
 
 void StatSet::set_max(const std::string& name, std::uint64_t candidate) {
@@ -21,19 +19,10 @@ std::uint64_t StatSet::get(const std::string& name) const {
   return it == counters_.end() ? 0 : it->second;
 }
 
-void StatSet::merge(const StatSet& other) {
-  for (const auto& [name, value] : other.counters_) {
-    const std::string merged =
-        other.prefix_.empty() ? name : other.prefix_ + "." + name;
-    counters_[merged] += value;
-  }
-}
-
 std::string StatSet::to_string() const {
   std::ostringstream os;
   for (const auto& [name, value] : counters_) {
-    os << (prefix_.empty() ? "" : prefix_ + ".") << name << " = "
-       << util::format_cycles(value) << '\n';
+    os << name << " = " << util::format_cycles(value) << '\n';
   }
   return os.str();
 }

@@ -18,18 +18,11 @@ namespace gnnerator::sim {
 /// return 0, so report code never has to guard.
 class StatSet {
  public:
-  explicit StatSet(std::string prefix = "");
-
   void add(const std::string& name, std::uint64_t delta = 1);
   void set_max(const std::string& name, std::uint64_t candidate);
 
   [[nodiscard]] std::uint64_t get(const std::string& name) const;
   [[nodiscard]] const std::map<std::string, std::uint64_t>& counters() const { return counters_; }
-  [[nodiscard]] const std::string& prefix() const { return prefix_; }
-
-  /// Merge `other` into this set, prefixing each name with other's prefix
-  /// and a dot.
-  void merge(const StatSet& other);
 
   /// Multi-line "name = value" rendering, sorted by name.
   [[nodiscard]] std::string to_string() const;
@@ -37,7 +30,6 @@ class StatSet {
   void clear();
 
  private:
-  std::string prefix_;
   std::map<std::string, std::uint64_t> counters_;
 };
 

@@ -1,6 +1,6 @@
 // Tests for the memory substrate: DRAM bandwidth arbitration, latency,
 // transaction rounding, fairness, the transfer table and per-client
-// counters, and scratchpad capacity accounting.
+// counters.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "mem/dram.hpp"
-#include "mem/scratchpad.hpp"
 #include "sim/kernel.hpp"
 #include "util/check.hpp"
 #include "util/prng.hpp"
@@ -272,46 +271,6 @@ TEST(Dram, BusyReflectsOutstandingWork) {
   run_until_complete(dram, id);
   dram.collect(id);
   EXPECT_FALSE(dram.busy());
-}
-
-// ------------------------------------------------------------ scratchpad --
-TEST(Scratchpad, AllocateReleaseAndPeak) {
-  Scratchpad pad("pad", 1024);
-  pad.allocate(500);
-  pad.allocate(200);
-  EXPECT_EQ(pad.allocated(), 700u);
-  pad.release(600);
-  EXPECT_EQ(pad.allocated(), 100u);
-  EXPECT_EQ(pad.peak_allocated(), 700u);
-}
-
-TEST(Scratchpad, OverflowThrows) {
-  Scratchpad pad("pad", 100);
-  pad.allocate(80);
-  EXPECT_FALSE(pad.fits(30));
-  EXPECT_THROW(pad.allocate(30), util::CheckError);
-  EXPECT_THROW(pad.release(90), util::CheckError);
-}
-
-TEST(Scratchpad, AccessCountersAccumulate) {
-  Scratchpad pad("pad", 1024);
-  pad.record_read(100);
-  pad.record_read(50);
-  pad.record_write(10);
-  EXPECT_EQ(pad.read_bytes(), 150u);
-  EXPECT_EQ(pad.write_bytes(), 10u);
-}
-
-TEST(DoubleBuffer, SwapExchangesRoles) {
-  DoubleBuffer buf("db", 512);
-  buf.front().allocate(100);
-  EXPECT_EQ(buf.front().allocated(), 100u);
-  EXPECT_EQ(buf.back().allocated(), 0u);
-  buf.swap();
-  EXPECT_EQ(buf.front().allocated(), 0u);
-  EXPECT_EQ(buf.back().allocated(), 100u);
-  EXPECT_EQ(buf.swap_count(), 1u);
-  EXPECT_EQ(buf.bytes_per_bank(), 512u);
 }
 
 }  // namespace

@@ -365,18 +365,12 @@ TEST(Registry, TextSnapshotIsDeterministicAndWellFormed) {
 // ---- ExecWindowLog ------------------------------------------------------------
 
 TEST(ExecWindowLog, EwmaTracksObservationsAndSnapshotIsSorted) {
-  ExecWindowLog log(/*alpha=*/0.5);
-  const ExecWindowLog::Id b_base = log.intern("planB", "baseline");
-  const ExecWindowLog::Id unobserved = log.intern("planA", "2x-bw");
-  EXPECT_EQ(log.intern("planB", "baseline"), b_base) << "a pair interns to one id";
-  log.record(b_base, 100);
-  log.record(b_base, 200);  // ewma = 0.5*200 + 0.5*100 = 150
-  log.record(log.intern("planA", "nextgen"), 40);
-  log.record(log.intern("planA", "baseline"), 10);
-  EXPECT_EQ(log.window(b_base).observations, 2u);
-  EXPECT_EQ(log.window(unobserved).observations, 0u);
+  ExecWindowLog log;
+  log.record("planB", "baseline", 100);
+  log.record("planB", "baseline", 200);
+  log.record("planA", "nextgen", 40);
+  log.record("planA", "baseline", 10);
 
-  // Interned but never recorded: invisible to the snapshot and the counts.
   EXPECT_EQ(log.size(), 3u);
   EXPECT_EQ(log.total_observations(), 4u);
   const std::vector<ExecWindow> snap = log.snapshot();
@@ -389,7 +383,8 @@ TEST(ExecWindowLog, EwmaTracksObservationsAndSnapshotIsSorted) {
   EXPECT_EQ(snap[2].plan_class, "planB");
 
   EXPECT_EQ(snap[2].observations, 2u);
-  EXPECT_DOUBLE_EQ(snap[2].ewma_cycles, 150.0);
+  // The second observation moves the average kEwmaAlpha of the way to it.
+  EXPECT_DOUBLE_EQ(snap[2].ewma_cycles, 100.0 + ExecWindowLog::kEwmaAlpha * (200.0 - 100.0));
   EXPECT_EQ(snap[2].min_cycles, 100u);
   EXPECT_EQ(snap[2].max_cycles, 200u);
   EXPECT_EQ(snap[2].last_cycles, 200u);
@@ -550,7 +545,7 @@ TEST(ObsServe, ExecWindowLogFeedsTheReportAndAccumulates) {
   }
   EXPECT_GT(obs1, 0u);
 
-  // The log persists across runs (calibration history, like the plan cache).
+  // The log persists across runs (execution history, like the plan cache).
   PoissonWorkload second(cora_mix(), 20'000.0, 60, options.clock_ghz, 38);
   const ServeReport r2 = server.serve(second);
   std::uint64_t obs2 = 0;

@@ -570,9 +570,9 @@ TEST(ServeDifferential, ReclassFaultPlansMatchReference) {
   const SchedulingPolicy policies[] = {SchedulingPolicy::kAffinity, SchedulingPolicy::kSjf,
                                        SchedulingPolicy::kFifo};
   // Per policy: (report, oracle state).
-  const char* const golden[][2] = {{"939a9e8cad0bddb1", "a528a376a2d5b4da"},
-                                   {"14711b4f240648f2", "297cb927cddef606"},
-                                   {"17f629ddd2bd1e88", "48a788ec9e885940"}};
+  const char* const golden[][2] = {{"939a9e8cad0bddb1", "3e4df04c6716987d"},
+                                   {"14711b4f240648f2", "0956cee7b9dfbc9b"},
+                                   {"17f629ddd2bd1e88", "0956cee7b9dfbc9b"}};
   std::size_t cell = 0;
   for (const SchedulingPolicy policy : policies) {
     ServerOptions options;
@@ -652,6 +652,72 @@ TEST(ServeDifferential, ClosedLoopFeedbackMatchesReference) {
   const std::string expected = report_fingerprint(run(/*reference=*/true));
   EXPECT_EQ(fnv1a_hex(expected), "bf1af893eb80452c") << "report moved from the golden";
   EXPECT_EQ(report_fingerprint(run(/*reference=*/false)), expected);
+}
+
+/// Terminal starvation: every device crashes while work is queued, and no
+/// recover event or autoscaler can ever bring capacity back. The loop must
+/// fail the stranded queue (Server::fail_stranded, which drains it through
+/// the policy's own pop — the only caller of AffinityScheduler::pop) rather
+/// than stall or drop it, and both loops must match each other and the
+/// committed goldens.
+TEST(ServeDifferential, StrandedQueueFailsWhenEveryDeviceCrashes) {
+  const SchedulingPolicy policies[] = {SchedulingPolicy::kFifo, SchedulingPolicy::kSjf,
+                                       SchedulingPolicy::kDynamicBatch,
+                                       SchedulingPolicy::kAffinity};
+  // Per policy, in loop order.
+  const char* const golden[] = {"7c1fcc2ceebbb06e", "a42b73435d736126", "a8b9fd6d54d63cd8",
+                                "ab7c50146bc19aec"};
+  const std::size_t num_requests = 120;
+  std::size_t cell = 0;
+  for (const SchedulingPolicy policy : policies) {
+    ServerOptions options;
+    options.fleet = parse_fleet_spec("1xbaseline,1xnextgen");
+    options.policy = policy;
+    options.limits.batch_window = ms_to_cycles(0.1, options.clock_ghz);
+    options.limits.max_batch = 8;
+    options.faults = parse_fault_plan("crash@1ms:dev0,crash@1ms:dev1", options.clock_ghz);
+    const Cycle crash_at = ms_to_cycles(1.0, options.clock_ghz);
+
+    const auto run = [&](bool reference) {
+      Server server(options);
+      server.add_dataset(graph::make_dataset_by_name("cora", 1, /*with_features=*/false));
+      std::vector<RequestTemplate> mix;
+      for (const gnn::LayerKind kind : {gnn::LayerKind::kGcn, gnn::LayerKind::kSageMean}) {
+        RequestTemplate t;
+        t.sim = timing_sim("cora", kind);
+        mix.push_back(std::move(t));
+      }
+      PoissonWorkload workload(mix, /*rate_rps=*/20'000.0, num_requests, options.clock_ghz,
+                               /*seed=*/77);
+      return reference ? server.run_reference(workload) : server.serve(workload);
+    };
+
+    SCOPED_TRACE(std::string(policy_name(policy)));
+    const ServeReport report = run(/*reference=*/true);
+    const std::string expected = report_fingerprint(report);
+    EXPECT_EQ(fnv1a_hex(expected), golden[cell++]) << "report moved from the golden";
+    // Conservation: one record per request, each completed or failed (no
+    // SLO and no queue bound, so nothing is shed).
+    EXPECT_EQ(report.outcomes.size(), num_requests);
+    EXPECT_EQ(report.metrics.completed + report.metrics.failed, num_requests);
+    EXPECT_EQ(report.metrics.shed, 0u);
+    // Every request that had not completed by the crash is failed, at the
+    // drain: none completes afterwards. Some of them were never dispatched
+    // (retries 0), which only the drain can fail.
+    std::size_t never_dispatched = 0;
+    for (const Outcome& o : report.outcomes) {
+      if (o.failed) {
+        EXPECT_GE(o.completion, crash_at) << "request " << o.id;
+        EXPECT_EQ(o.dispatch, o.completion) << "request " << o.id;
+        never_dispatched += o.retries == 0 ? 1 : 0;
+      } else {
+        EXPECT_LE(o.completion, crash_at) << "request " << o.id << " completed on a dead fleet";
+      }
+    }
+    EXPECT_GT(never_dispatched, 0u);
+    EXPECT_EQ(report_fingerprint(run(/*reference=*/false)), expected)
+        << "serve() diverged from run_reference on a stranded queue";
+  }
 }
 
 /// The cost oracle memoizes per (plan class, device class): however many

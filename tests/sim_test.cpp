@@ -116,14 +116,6 @@ TEST(Stats, SetMaxKeepsLargest) {
   EXPECT_EQ(s.get("peak"), 12u);
 }
 
-TEST(Stats, MergePrefixesNames) {
-  StatSet engine("dense");
-  engine.add("macs", 100);
-  StatSet total;
-  total.merge(engine);
-  EXPECT_EQ(total.get("dense.macs"), 100u);
-}
-
 TEST(Stats, ToStringListsCounters) {
   StatSet s;
   s.add("cycles", 1234);
