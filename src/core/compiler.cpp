@@ -1,5 +1,6 @@
 #include "core/compiler.hpp"
 
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -7,41 +8,56 @@
 #include "core/compiler/ir.hpp"
 #include "core/compiler/pass_manager.hpp"
 #include "shard/traversal.hpp"
+#include "util/check.hpp"
 
 namespace gnnerator::core {
 
 namespace {
 
+/// `artifacts` is null for analysis-only pipelines, which build no
+/// artefacts.
 compiler::StageGraph make_ir(const graph::Graph& dataset_graph, const AcceleratorConfig& config,
                              const DataflowOptions& options, const gnn::ModelSpec& model,
-                             bool analysis_only) {
+                             compiler::GraphArtifacts* artifacts) {
   compiler::StageGraph ir;
   ir.dataset_graph = &dataset_graph;
   ir.config = config;
   ir.options = options;
   ir.model = model;
-  ir.analysis_only = analysis_only;
+  ir.analysis_only = artifacts == nullptr;
+  ir.artifacts = artifacts;
   return ir;
 }
 
 }  // namespace
 
 Compiler::Compiler(const graph::Graph& dataset_graph, AcceleratorConfig config,
-                   DataflowOptions options)
-    : dataset_graph_(dataset_graph), config_(std::move(config)), options_(options) {
+                   DataflowOptions options, std::shared_ptr<compiler::GraphArtifacts> artifacts)
+    : dataset_graph_(dataset_graph),
+      config_(std::move(config)),
+      options_(options),
+      artifacts_(std::move(artifacts)) {
+  GNNERATOR_CHECK_MSG(artifacts_ == nullptr || &artifacts_->graph() == &dataset_graph_,
+                      "compile artifacts memoize a different graph");
   config_.validate();
 }
 
 LoweredModel Compiler::compile(const gnn::ModelSpec& model) {
-  compiler::StageGraph ir =
-      make_ir(dataset_graph_, config_, options_, model, /*analysis_only=*/false);
+  // Without a caller's memo, one that lives for this compile still lets
+  // stages with equal interval sizes share a grid.
+  std::optional<compiler::GraphArtifacts> local;
+  compiler::GraphArtifacts* artifacts = artifacts_.get();
+  if (artifacts == nullptr) {
+    artifacts = &local.emplace(dataset_graph_);
+  }
+  compiler::StageGraph ir = make_ir(dataset_graph_, config_, options_, model, artifacts);
   compiler::standard_pipeline(options_).run(ir);
   return std::move(ir.lowered);
 }
 
 PlanSignature Compiler::resolve(const gnn::ModelSpec& model) {
   compiler::StageGraph ir =
-      make_ir(dataset_graph_, config_, options_, model, /*analysis_only=*/true);
+      make_ir(dataset_graph_, config_, options_, model, /*artifacts=*/nullptr);
   compiler::standard_pipeline(options_, /*analysis_only=*/true).run(ir);
 
   PlanSignature signature;
@@ -66,7 +82,7 @@ PlanSignature Compiler::resolve(const gnn::ModelSpec& model) {
 
 double Compiler::estimate_cycles(const gnn::ModelSpec& model) {
   compiler::StageGraph ir =
-      make_ir(dataset_graph_, config_, options_, model, /*analysis_only=*/true);
+      make_ir(dataset_graph_, config_, options_, model, /*artifacts=*/nullptr);
   compiler::standard_pipeline(options_, /*analysis_only=*/true).run(ir);
 
   double total = 0.0;

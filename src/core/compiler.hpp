@@ -1,5 +1,6 @@
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -60,9 +61,13 @@ using PlanSignature = std::vector<StageChoice>;
 class Compiler {
  public:
   /// `dataset_graph` is the raw (self-loop-free) graph; the compiler
-  /// augments it with self loops for aggregation.
+  /// augments it with self loops for aggregation. `artifacts`, when set, is
+  /// a memo over `dataset_graph` that compiles share the self-loop graph and
+  /// shard grids through (Engine gives one to each registered dataset);
+  /// without one, each compile builds its own.
   Compiler(const graph::Graph& dataset_graph, AcceleratorConfig config,
-           DataflowOptions options);
+           DataflowOptions options,
+           std::shared_ptr<compiler::GraphArtifacts> artifacts = nullptr);
 
   /// Lowers `model`; throws CheckError on infeasible configurations (e.g. a
   /// block that cannot fit a single node on-chip), naming the pass that
@@ -88,6 +93,7 @@ class Compiler {
   const graph::Graph& dataset_graph_;
   AcceleratorConfig config_;
   DataflowOptions options_;
+  std::shared_ptr<compiler::GraphArtifacts> artifacts_;
 };
 
 /// One-call convenience wrapper.

@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -125,21 +124,13 @@ void emit_aggregation(Emitter& em, std::uint32_t i, std::uint32_t agg_plan_index
                         "column " << c << " has no edges despite self loops");
   }
 
-  // Compute cycles per shard depend only on the block width; cache
-  // the two widths that occur (full B and the tail block).
-  std::map<std::pair<std::size_t, std::size_t>, std::uint64_t> cycle_cache;
-  auto compute_cycles_for = [&](ShardCoord coord, std::size_t width) {
-    const auto key =
-        std::make_pair(static_cast<std::size_t>(coord.row) * S + coord.col, width);
-    auto it = cycle_cache.find(key);
-    if (it == cycle_cache.end()) {
-      it = cycle_cache
-               .emplace(key, gengine::shard_compute_cycles(grid.shard_edges(coord),
-                                                           ir.config.graph.geometry, width))
-               .first;
-    }
-    return it->second;
-  };
+  // A shard's compute cycles at any block width follow from its largest
+  // per-GPE edge count, so each shard is partitioned across GPEs once.
+  const gengine::GpeGeometry& geometry = ir.config.graph.geometry;
+  std::vector<std::uint32_t> max_edges(live.size());  // per live shard
+  for (std::size_t p = 0; p < live.size(); ++p) {
+    max_edges[p] = gengine::max_gpe_edges(grid.shard_edges(live[p]), geometry.num_gpes);
+  }
 
   std::vector<bool> shard_fetched(static_cast<std::size_t>(S) * S, false);
 
@@ -160,7 +151,7 @@ void emit_aggregation(Emitter& em, std::uint32_t i, std::uint32_t agg_plan_index
       work.d_begin = static_cast<std::uint32_t>(d0);
       work.d_end = static_cast<std::uint32_t>(d1);
       work.num_edges = static_cast<std::uint32_t>(edges.size());
-      work.compute_cycles = compute_cycles_for(coord, width);
+      work.compute_cycles = gengine::shard_compute_cycles(max_edges[p], geometry, width);
       work.lane_ops = 2ULL * edges.size() * width;  // apply + reduce
 
       // Edge residency.

@@ -5,6 +5,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/compiler/artifacts.hpp"
 #include "core/plan.hpp"
 #include "gnn/layers.hpp"
 #include "graph/graph.hpp"
@@ -103,6 +104,10 @@ struct StageGraph {
   /// — the aggregation graph, base degrees, shard grids — that only the emit
   /// pass consumes; every *decision* is still resolved identically.
   bool analysis_only = false;
+  /// Where full compiles fetch the aggregation graph and shard grids: a memo
+  /// over `dataset_graph` that outlives this compile when the caller has one
+  /// (Engine registrations), one built for this compile otherwise.
+  GraphArtifacts* artifacts = nullptr;
 
   // Stage graph (build pass).
   std::vector<StageNode> nodes;  ///< execution order

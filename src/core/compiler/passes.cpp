@@ -1,10 +1,8 @@
 #include "core/compiler/passes.hpp"
 
 #include <algorithm>
-#include <map>
 #include <sstream>
 
-#include "graph/generate.hpp"
 #include "shard/cost_model.hpp"
 #include "shard/sizing.hpp"
 #include "util/check.hpp"
@@ -66,7 +64,8 @@ void build_stage_graph_pass(StageGraph& ir) {
   if (!ir.analysis_only) {
     // Aggregation graph: dataset graph + self loops (Eq. 1/2 aggregate over
     // N(u) ∪ u). Edge coefficients use the original degrees.
-    ir.agg_graph = std::make_shared<const graph::Graph>(graph::with_self_loops(g));
+    GNNERATOR_CHECK(ir.artifacts != nullptr && &ir.artifacts->graph() == &g);
+    ir.agg_graph = ir.artifacts->agg_graph();
     ir.agg_edge_count = ir.agg_graph->num_edges();
     ir.base_in_degree.resize(g.num_nodes());
     for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -133,9 +132,6 @@ void feature_blocking_pass(StageGraph& ir) {
 
 void shard_sizing_pass(StageGraph& ir) {
   const graph::NodeId num_nodes = ir.dataset_graph->num_nodes();
-  // Grids are read-only once built, so stages with the same interval size
-  // share one.
-  std::map<graph::NodeId, std::shared_ptr<const shard::ShardGrid>> grids;
   for (StageNode& node : ir.nodes) {
     if (!node.is_aggregate()) {
       continue;
@@ -145,12 +141,9 @@ void shard_sizing_pass(StageGraph& ir) {
     node.agg.sizing = shard::choose_shard_size(ir.config.graph.feature_scratch_bytes,
                                                node.agg.block, num_nodes, policy);
     if (!ir.analysis_only) {
-      const graph::NodeId n = node.agg.sizing.nodes_per_shard;
-      std::shared_ptr<const shard::ShardGrid>& grid = grids[n];
-      if (grid == nullptr) {
-        grid = std::make_shared<const shard::ShardGrid>(*ir.agg_graph, n);
-      }
-      node.agg.grid = grid;
+      // Grids are read-only once built, so stages (and plans) with the same
+      // interval size share one.
+      node.agg.grid = ir.artifacts->grid(node.agg.sizing.nodes_per_shard);
     }
   }
   ir.mark(kShardsSized);

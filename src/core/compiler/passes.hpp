@@ -9,8 +9,8 @@ namespace gnnerator::core::compiler {
 /// Model -> stage graph: validates the model, creates one StageNode per
 /// (layer, stage) with dataflow edges (pipelined/spilled resolved later;
 /// layer-chain edges at layer boundaries), computes the augmented-graph edge
-/// count, and — for full compiles — materialises the self-loop-augmented
-/// aggregation graph plus base in-degrees.
+/// count, and — for full compiles — fetches the self-loop-augmented
+/// aggregation graph from ir.artifacts and fills the base in-degrees.
 void build_stage_graph_pass(StageGraph& ir);
 
 /// Chooses the feature block size B per aggregation stage (Algorithm 1):
@@ -28,7 +28,8 @@ void autotune_pass(StageGraph& ir);
 
 /// Solves shard-interval sizing per aggregation stage: the largest n whose
 /// src/dst feature working set at width B fits the Graph Engine scratch,
-/// and hence the grid dimension S (paper §IV-B).
+/// and hence the grid dimension S (paper §IV-B); full compiles fetch the
+/// stage's grid for that n from ir.artifacts.
 void shard_sizing_pass(StageGraph& ir);
 
 /// Chooses the traversal order per aggregation stage at its resolved S via

@@ -4,6 +4,7 @@
 
 #include "core/accelerator.hpp"
 #include "core/compiler.hpp"
+#include "core/compiler/artifacts.hpp"
 #include "core/runtime.hpp"
 #include "gnn/weights.hpp"
 #include "util/check.hpp"
@@ -28,6 +29,9 @@ const graph::Dataset& Engine::add_dataset(std::shared_ptr<const graph::Dataset> 
   entry.fingerprint = fingerprint.empty()
                           ? graph_fingerprint(dataset->graph)  // hashed once, not per request
                           : std::move(fingerprint);
+  // A memo per registration: a request that snapshotted the entry before
+  // its name was re-registered keeps compiling against the old graph's.
+  entry.artifacts = std::make_shared<compiler::GraphArtifacts>(dataset->graph);
   entry.dataset = std::move(dataset);
   std::lock_guard<std::mutex> lock(datasets_mutex_);
   const std::string name = entry.dataset->spec.name;
@@ -47,18 +51,24 @@ Engine::Registered Engine::registered(std::string_view name) const {
   return it->second;  // shared_ptr copy keeps the snapshot alive unlocked
 }
 
+Engine::Registered Engine::registered(const SimulationRequest& request) const {
+  GNNERATOR_CHECK_MSG(!request.dataset.empty(),
+                      "request needs a dataset id (or use the explicit-dataset overload)");
+  GNNERATOR_CHECK_MSG(!request.model.layers.empty(), "request needs a model");
+  return registered(request.dataset);
+}
+
 const graph::Dataset& Engine::dataset(std::string_view name) const {
   return *registered(name).dataset;
 }
 
-std::shared_ptr<const LoweredModel> Engine::plan_for_key(const graph::Dataset& dataset,
-                                                         const gnn::ModelSpec& model,
-                                                         const SimulationRequest& request,
-                                                         std::string_view dataset_key) {
+std::shared_ptr<const LoweredModel> Engine::plan_for_key(
+    const graph::Dataset& dataset, const gnn::ModelSpec& model, const SimulationRequest& request,
+    std::string_view dataset_key, std::shared_ptr<compiler::GraphArtifacts> artifacts) {
   // Resolve the per-stage dataflow choices first (cheap analysis passes):
   // the cache keys on *resolved* choices, so raw-option spellings that
   // lower identically share one plan.
-  Compiler compiler(dataset.graph, request.config, request.dataflow);
+  Compiler compiler(dataset.graph, request.config, request.dataflow, std::move(artifacts));
   const PlanSignature signature = compiler.resolve(model);
   const std::string key =
       plan_cache_key(dataset_key, model, request.config, request.dataflow, signature);
@@ -73,15 +83,23 @@ std::shared_ptr<const LoweredModel> Engine::plan_for(const graph::Dataset& datas
   // Callers may pass graphs the Engine has never seen; the structural
   // fingerprint identifies any graph uniformly. Registered datasets skip
   // this O(E) hash — their fingerprint is memoized at registration.
-  return plan_for_key(dataset, model, request, graph_fingerprint(dataset.graph));
+  return plan_for_key(dataset, model, request, graph_fingerprint(dataset.graph),
+                      /*artifacts=*/nullptr);
+}
+
+std::shared_ptr<const LoweredModel> Engine::plan_for(const SimulationRequest& request) {
+  const Registered entry = registered(request);
+  return plan_for_key(*entry.dataset, request.model, request, entry.fingerprint,
+                      entry.artifacts);
 }
 
 ExecutionResult Engine::run_impl(const graph::Dataset& dataset, const gnn::ModelSpec& model,
                                  const SimulationRequest& request, ThreadPool* functional_pool,
-                                 const std::string* dataset_key, sim::Tracer* tracer) {
+                                 const Registered* entry, sim::Tracer* tracer) {
   const std::shared_ptr<const LoweredModel> plan =
-      dataset_key != nullptr ? plan_for_key(dataset, model, request, *dataset_key)
-                             : plan_for(dataset, model, request);
+      entry != nullptr
+          ? plan_for_key(dataset, model, request, entry->fingerprint, entry->artifacts)
+          : plan_for(dataset, model, request);
   if (request.mode == SimMode::kTiming) {
     return Accelerator::run_timing(*plan, tracer);
   }
@@ -95,28 +113,22 @@ ExecutionResult Engine::run_impl(const graph::Dataset& dataset, const gnn::Model
 
 ExecutionResult Engine::run(const graph::Dataset& dataset, const gnn::ModelSpec& model,
                             const SimulationRequest& request) {
-  return run_impl(dataset, model, request, &pool_);
+  return run_impl(dataset, model, request, &pool_, /*entry=*/nullptr);
 }
 
 ExecutionResult Engine::run(const SimulationRequest& request) {
-  GNNERATOR_CHECK_MSG(!request.dataset.empty(),
-                      "request needs a dataset id (or use the explicit-dataset overload)");
-  GNNERATOR_CHECK_MSG(!request.model.layers.empty(), "request needs a model");
-  const Registered entry = registered(request.dataset);
-  return run_impl(*entry.dataset, request.model, request, &pool_, &entry.fingerprint);
+  const Registered entry = registered(request);
+  return run_impl(*entry.dataset, request.model, request, &pool_, &entry);
 }
 
 ExecutionResult Engine::run(const graph::Dataset& dataset, const gnn::ModelSpec& model,
                             const SimulationRequest& request, sim::Tracer* tracer) {
-  return run_impl(dataset, model, request, &pool_, /*dataset_key=*/nullptr, tracer);
+  return run_impl(dataset, model, request, &pool_, /*entry=*/nullptr, tracer);
 }
 
 ExecutionResult Engine::run(const SimulationRequest& request, sim::Tracer* tracer) {
-  GNNERATOR_CHECK_MSG(!request.dataset.empty(),
-                      "request needs a dataset id (or use the explicit-dataset overload)");
-  GNNERATOR_CHECK_MSG(!request.model.layers.empty(), "request needs a model");
-  const Registered entry = registered(request.dataset);
-  return run_impl(*entry.dataset, request.model, request, &pool_, &entry.fingerprint, tracer);
+  const Registered entry = registered(request);
+  return run_impl(*entry.dataset, request.model, request, &pool_, &entry, tracer);
 }
 
 std::vector<ExecutionResult> Engine::run_batch(std::span<const SimulationRequest> requests) {
@@ -135,7 +147,7 @@ std::vector<ExecutionResult> Engine::run_batch(std::span<const SimulationRequest
       // keeps the dataset alive even if it is re-registered mid-batch.
       const Registered entry = registered(request.dataset);
       results[i] = run_impl(*entry.dataset, request.model, request,
-                            /*functional_pool=*/nullptr, &entry.fingerprint);
+                            /*functional_pool=*/nullptr, &entry);
     });
   }
   pool_.run_all(tasks);

@@ -40,6 +40,10 @@ struct EngineOptions {
 /// One configured Engine serves many requests:
 ///   * repeated identical requests reuse the compiled LoweredModel instead
 ///     of re-running the compiler (observable via cache_stats()),
+///   * compiles against a registered dataset share its self-loop graph and
+///     one shard grid per interval size (compiler::GraphArtifacts, one memo
+///     per registration), built once instead of once per compile; the memo
+///     holds weak references, so the plan cache bounds what it keeps,
 ///   * functional-mode arithmetic runs on the worker pool, split into row
 ///     bands that keep every element's order of operations — outputs are
 ///     bitwise identical for every thread count,
@@ -106,6 +110,9 @@ class Engine {
   std::shared_ptr<const LoweredModel> plan_for(const graph::Dataset& dataset,
                                                const gnn::ModelSpec& model,
                                                const SimulationRequest& request);
+  /// The compiled plan run(request) executes over the registered dataset
+  /// named request.dataset (cached).
+  std::shared_ptr<const LoweredModel> plan_for(const SimulationRequest& request);
 
   [[nodiscard]] PlanCacheStats cache_stats() const { return cache_->stats(); }
   [[nodiscard]] std::size_t plan_cache_size() const { return cache_->size(); }
@@ -114,23 +121,30 @@ class Engine {
   [[nodiscard]] const std::shared_ptr<PlanCache>& plan_cache() const { return cache_; }
 
  private:
-  /// A registered dataset plus its memoized structural fingerprint (the
-  /// plan-cache dataset key), hashed once at registration instead of per
-  /// request.
+  /// A registered dataset plus what is derived from its graph once per
+  /// registration instead of per request: the structural fingerprint (the
+  /// plan-cache dataset key) and the compile-artifact memo, through which
+  /// every plan compiled against the registration shares one self-loop
+  /// graph and one shard grid per interval size.
   struct Registered {
     std::shared_ptr<const graph::Dataset> dataset;
     std::string fingerprint;
+    std::shared_ptr<compiler::GraphArtifacts> artifacts;
   };
 
+  /// Throws CheckError for a request without a dataset id or model, or an
+  /// unknown dataset id.
+  [[nodiscard]] Registered registered(const SimulationRequest& request) const;
   [[nodiscard]] Registered registered(std::string_view name) const;
+  /// `entry` is null for a dataset passed by reference, which is keyed by
+  /// its structural fingerprint and shares no artifacts across compiles.
   ExecutionResult run_impl(const graph::Dataset& dataset, const gnn::ModelSpec& model,
                            const SimulationRequest& request, ThreadPool* functional_pool,
-                           const std::string* dataset_key = nullptr,
-                           sim::Tracer* tracer = nullptr);
-  std::shared_ptr<const LoweredModel> plan_for_key(const graph::Dataset& dataset,
-                                                   const gnn::ModelSpec& model,
-                                                   const SimulationRequest& request,
-                                                   std::string_view dataset_key);
+                           const Registered* entry, sim::Tracer* tracer = nullptr);
+  std::shared_ptr<const LoweredModel> plan_for_key(
+      const graph::Dataset& dataset, const gnn::ModelSpec& model,
+      const SimulationRequest& request, std::string_view dataset_key,
+      std::shared_ptr<compiler::GraphArtifacts> artifacts);
 
   std::shared_ptr<PlanCache> cache_;
   ThreadPool pool_;

@@ -46,14 +46,22 @@ std::vector<std::uint32_t> partition_edges_by_dst(std::span<const graph::Edge> e
   return counts;
 }
 
+std::uint32_t max_gpe_edges(std::span<const graph::Edge> edges, std::uint32_t num_gpes) {
+  const std::vector<std::uint32_t> counts = partition_edges_by_dst(edges, num_gpes);
+  return counts.empty() ? 0 : *std::max_element(counts.begin(), counts.end());
+}
+
 std::uint64_t shard_compute_cycles(std::span<const graph::Edge> edges,
                                    const GpeGeometry& geometry, std::size_t block_dims) {
+  return shard_compute_cycles(max_gpe_edges(edges, geometry.num_gpes), geometry, block_dims);
+}
+
+std::uint64_t shard_compute_cycles(std::uint32_t max_edges, const GpeGeometry& geometry,
+                                   std::size_t block_dims) {
   GNNERATOR_CHECK(block_dims >= 1);
-  if (edges.empty()) {
-    return 0;
+  if (max_edges == 0) {
+    return 0;  // an empty shard
   }
-  const std::vector<std::uint32_t> counts = partition_edges_by_dst(edges, geometry.num_gpes);
-  const std::uint32_t max_edges = *std::max_element(counts.begin(), counts.end());
   const std::uint64_t cycles_per_edge =
       std::max<std::uint64_t>(1, util::ceil_div(block_dims, geometry.simd_lanes));
   // +8: Edge Fetcher / Feature Fetcher / Apply / Reduce pipeline fill.

@@ -34,6 +34,12 @@ struct GpeGeometry {
 [[nodiscard]] std::vector<std::uint32_t> partition_edges_by_dst(
     std::span<const graph::Edge> edges, std::uint32_t num_gpes);
 
+/// The largest per-GPE edge count of partition_edges_by_dst (0 for no
+/// edges). It does not depend on the feature block width, so a shard
+/// processed at several widths needs it once.
+[[nodiscard]] std::uint32_t max_gpe_edges(std::span<const graph::Edge> edges,
+                                          std::uint32_t num_gpes);
+
 /// Cycles for the Shard Compute Unit to process a shard at a feature block
 /// of `block_dims` dimensions: the Edge Fetcher feeds one edge per cycle per
 /// GPE and each edge occupies the Apply/Reduce pipeline for
@@ -41,6 +47,11 @@ struct GpeGeometry {
 /// E_g * max(1, ceil(B/lanes)) cycles; the shard takes the max over GPEs
 /// plus a small pipeline fill.
 [[nodiscard]] std::uint64_t shard_compute_cycles(std::span<const graph::Edge> edges,
+                                                 const GpeGeometry& geometry,
+                                                 std::size_t block_dims);
+/// The same, from the shard's `max_edges` = max_gpe_edges(edges,
+/// geometry.num_gpes).
+[[nodiscard]] std::uint64_t shard_compute_cycles(std::uint32_t max_edges,
                                                  const GpeGeometry& geometry,
                                                  std::size_t block_dims);
 

@@ -15,6 +15,7 @@ Graph::Graph(NodeId num_nodes, std::vector<Edge> sorted_edges)
     if (i > 0) {
       GNNERATOR_CHECK_MSG(edges_[i - 1] < e, "edge list must be strictly sorted and deduplicated");
     }
+    num_self_loops_ += e.src == e.dst ? 1 : 0;
   }
 
   // CSR by source. edges_ is already grouped by src, so targets are a copy of
@@ -92,16 +93,6 @@ std::size_t Graph::coeff_in_degree(NodeId v) const {
     return in_offsets_[v + 1] - in_offsets_[v];
   }
   return coeff_in_degrees_[v];
-}
-
-std::size_t Graph::num_self_loops() const {
-  std::size_t count = 0;
-  for (const Edge& e : edges_) {
-    if (e.src == e.dst) {
-      ++count;
-    }
-  }
-  return count;
 }
 
 }  // namespace gnnerator::graph

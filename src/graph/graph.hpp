@@ -46,8 +46,8 @@ class Graph {
   /// True if for every edge (u, v) the reverse (v, u) also exists.
   [[nodiscard]] bool is_symmetric() const;
 
-  /// Number of self loops (u, u).
-  [[nodiscard]] std::size_t num_self_loops() const;
+  /// Number of self loops (u, u), counted once at construction.
+  [[nodiscard]] std::size_t num_self_loops() const { return num_self_loops_; }
 
   /// Overrides the degrees aggregation coefficients are computed from
   /// (one value per node). A sampled subgraph sets this to the parent
@@ -65,6 +65,9 @@ class Graph {
 
  private:
   NodeId num_nodes_;
+  // At most one self loop per node, so a NodeId holds the count; beside
+  // num_nodes_ it fills padding and Graph keeps its size.
+  NodeId num_self_loops_ = 0;
   std::vector<Edge> edges_;              // sorted by (src, dst)
   std::vector<std::size_t> out_offsets_; // CSR over edges_ (size V+1)
   std::vector<NodeId> out_targets_;      // == dst column of edges_

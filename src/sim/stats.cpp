@@ -1,6 +1,5 @@
 #include "sim/stats.hpp"
 
-#include <algorithm>
 #include <sstream>
 
 #include "util/units.hpp"
@@ -8,11 +7,6 @@
 namespace gnnerator::sim {
 
 void StatSet::add(const std::string& name, std::uint64_t delta) { counters_[name] += delta; }
-
-void StatSet::set_max(const std::string& name, std::uint64_t candidate) {
-  auto& slot = counters_[name];
-  slot = std::max(slot, candidate);
-}
 
 std::uint64_t StatSet::get(const std::string& name) const {
   const auto it = counters_.find(name);
@@ -26,7 +20,5 @@ std::string StatSet::to_string() const {
   }
   return os.str();
 }
-
-void StatSet::clear() { counters_.clear(); }
 
 }  // namespace gnnerator::sim

@@ -19,15 +19,12 @@ namespace gnnerator::sim {
 class StatSet {
  public:
   void add(const std::string& name, std::uint64_t delta = 1);
-  void set_max(const std::string& name, std::uint64_t candidate);
 
   [[nodiscard]] std::uint64_t get(const std::string& name) const;
   [[nodiscard]] const std::map<std::string, std::uint64_t>& counters() const { return counters_; }
 
   /// Multi-line "name = value" rendering, sorted by name.
   [[nodiscard]] std::string to_string() const;
-
-  void clear();
 
  private:
   std::map<std::string, std::uint64_t> counters_;

@@ -8,6 +8,7 @@
 #include <set>
 
 #include "core/compiler.hpp"
+#include "core/compiler/artifacts.hpp"
 #include "core/gnnerator.hpp"
 #include "graph/generate.hpp"
 #include "util/check.hpp"
@@ -249,6 +250,28 @@ TEST(Compiler, StagesWithEqualIntervalsShareOneGrid) {
   ASSERT_NE(distinct.agg_stages[0].sizing.nodes_per_shard,
             distinct.agg_stages[1].sizing.nodes_per_shard);
   EXPECT_NE(distinct.agg_stages[0].grid, distinct.agg_stages[1].grid);
+}
+
+/// Compiles sharing one memo share its self-loop graph and, across plans,
+/// the grid for each interval size; a memo over another graph is refused.
+TEST(Compiler, ArtifactMemoSharesAcrossCompilesOfItsGraph) {
+  const auto g = test_graph(2, 400, 2500);
+  const auto model = gnn::ModelSpec::gcn(256, 16, 5);
+  const auto memo = std::make_shared<compiler::GraphArtifacts>(g);
+  DataflowOptions narrow;
+  narrow.block_size = 16;
+  DataflowOptions wide;
+  wide.block_size = 256;
+  const LoweredModel a = Compiler(g, tiny_config(), narrow, memo).compile(model);
+  const LoweredModel b = Compiler(g, tiny_config(), wide, memo).compile(model);
+  EXPECT_EQ(a.agg_graph, b.agg_graph);
+  EXPECT_EQ(b.agg_stages[1].sizing.nodes_per_shard, a.agg_stages[1].sizing.nodes_per_shard);
+  EXPECT_EQ(b.agg_stages[1].grid, a.agg_stages[1].grid);
+  EXPECT_EQ(a.describe(), compile_model(g, model, tiny_config(), narrow).describe());
+  EXPECT_EQ(b.describe(), compile_model(g, model, tiny_config(), wide).describe());
+
+  const auto other = test_graph(3, 400, 2500);
+  EXPECT_THROW(Compiler(other, tiny_config(), narrow, memo), util::CheckError);
 }
 
 TEST(Compiler, SagePoolProducesIntervalTokens) {

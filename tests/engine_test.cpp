@@ -3,20 +3,26 @@
 // batch determinism — the PR's acceptance criteria.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <future>
 #include <iomanip>
+#include <map>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/accelerator.hpp"
+#include "core/compiler.hpp"
 #include "core/engine.hpp"
 #include "core/gnnerator.hpp"
 #include "core/plan_cache.hpp"
 #include "graph/datasets.hpp"
+#include "graph/generate.hpp"
 #include "util/check.hpp"
 
 namespace gnnerator::core {
@@ -298,6 +304,139 @@ TEST(Engine, RunBatchDeterministicAcrossThreadCounts) {
   // once per engine.
   EXPECT_EQ(one.cache_stats().misses, requests.size());
   EXPECT_EQ(many.cache_stats().misses, requests.size());
+}
+
+/// Timing requests over the registered dataset `ds_name`: GCN and
+/// GraphSAGE-mean, each blocked and unblocked.
+std::vector<SimulationRequest> registered_requests(const std::string& ds_name) {
+  const auto spec = *graph::find_dataset(ds_name);
+  std::vector<SimulationRequest> requests;
+  for (const gnn::LayerKind kind : {gnn::LayerKind::kGcn, gnn::LayerKind::kSageMean}) {
+    for (const bool blocked : {true, false}) {
+      SimulationRequest request = timing_request();
+      request.dataset = ds_name;
+      request.model = table3_model(kind, spec);
+      request.dataflow.feature_blocking = blocked;
+      requests.push_back(std::move(request));
+    }
+  }
+  return requests;
+}
+
+/// Plans compiled against one registration share its self-loop graph, and
+/// plans whose stages have equal interval sizes share one grid; each plan
+/// still lowers and simulates exactly as a standalone compile of the raw
+/// graph does.
+TEST(Engine, RegisteredDatasetSharesCompileArtifacts) {
+  Engine engine(EngineOptions{.num_threads = 1});
+  const graph::Dataset& ds =
+      engine.add_dataset(graph::make_dataset_by_name("cora", 1, /*with_features=*/false));
+
+  std::set<const graph::Graph*> agg_graphs;
+  std::map<graph::NodeId, std::set<const shard::ShardGrid*>> grids;
+  std::vector<std::shared_ptr<const LoweredModel>> plans;
+  for (const SimulationRequest& request : registered_requests("cora")) {
+    const ExecutionResult result = engine.run(request);
+    plans.push_back(engine.plan_for(request));  // the plan run() executed
+    const LoweredModel& plan = *plans.back();
+    agg_graphs.insert(plan.agg_graph.get());
+    for (const AggStagePlan& stage : plan.agg_stages) {
+      grids[stage.sizing.nodes_per_shard].insert(stage.grid.get());
+    }
+
+    const LoweredModel direct =
+        compile_model(ds.graph, request.model, request.config, request.dataflow);
+    const ExecutionResult direct_result = Accelerator::run_timing(direct);
+    EXPECT_EQ(plan.describe(), direct.describe());
+    EXPECT_EQ(result.cycles, direct_result.cycles);
+    EXPECT_EQ(result.stats.counters(), direct_result.stats.counters());
+  }
+  EXPECT_EQ(engine.cache_stats().misses, plans.size());
+  EXPECT_EQ(agg_graphs.size(), 1u) << "every plan must hold the registration's self-loop graph";
+  EXPECT_GE(grids.size(), 2u) << "blocked and unblocked stages size their shards differently";
+  for (const auto& [n, objects] : grids) {
+    EXPECT_EQ(objects.size(), 1u) << "plans with n = " << n << " must share one grid";
+  }
+}
+
+/// The memo holds only weak references: once the plan cache has evicted
+/// every plan over a dataset and the caller holds none, its artifacts are
+/// freed, and the next compile builds them again.
+TEST(Engine, CompileArtifactsLiveOnlyAsLongAsPlans) {
+  Engine engine(EngineOptions{.num_threads = 1, .plan_cache_capacity = 1});
+  engine.add_dataset(graph::make_dataset_by_name("cora", 1, /*with_features=*/false));
+  engine.add_dataset(graph::make_dataset_by_name("citeseer", 1, /*with_features=*/false));
+  const SimulationRequest cora = registered_requests("cora").front();
+  const SimulationRequest citeseer = registered_requests("citeseer").front();
+
+  const std::uint64_t cycles = engine.run(cora).cycles;
+  std::shared_ptr<const LoweredModel> plan = engine.plan_for(cora);
+  const std::weak_ptr<const graph::Graph> agg_graph = plan->agg_graph;
+  const std::weak_ptr<const shard::ShardGrid> grid = plan->agg_stages.front().grid;
+  plan.reset();
+  EXPECT_FALSE(agg_graph.expired()) << "the cached plan still holds it";
+
+  (void)engine.run(citeseer);  // evicts the only plan over cora
+  EXPECT_EQ(engine.plan_cache_size(), 1u);
+  EXPECT_TRUE(agg_graph.expired());
+  EXPECT_TRUE(grid.expired());
+
+  EXPECT_EQ(engine.run(cora).cycles, cycles);  // rebuilt on demand
+}
+
+/// Concurrent compiles against one registration build each artifact once
+/// and produce exactly what serial runs produce.
+TEST(Engine, ConcurrentCompilesOfOneDatasetMatchSerialRuns) {
+  std::vector<SimulationRequest> requests;
+  for (const SimulationRequest& base : registered_requests("cora")) {
+    SimulationRequest wide = base;
+    wide.config = wide.config.with_double_bandwidth();
+    SimulationRequest double_graph_memory = base;
+    double_graph_memory.config = double_graph_memory.config.with_double_graph_memory();
+    requests.push_back(base);
+    requests.push_back(std::move(wide));
+    requests.push_back(std::move(double_graph_memory));
+  }
+  ASSERT_GE(requests.size(), 8u);
+
+  Engine serial(EngineOptions{.num_threads = 1});
+  Engine parallel(EngineOptions{.num_threads = 4});
+  for (Engine* engine : {&serial, &parallel}) {
+    engine->add_dataset(graph::make_dataset_by_name("cora", 1, /*with_features=*/false));
+  }
+  const std::vector<ExecutionResult> batch = parallel.run_batch(requests);
+  ASSERT_EQ(batch.size(), requests.size());
+  std::set<const graph::Graph*> agg_graphs;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const ExecutionResult expected = serial.run(requests[i]);
+    EXPECT_EQ(batch[i].cycles, expected.cycles) << "request " << i;
+    EXPECT_EQ(batch[i].stats.counters(), expected.stats.counters()) << "request " << i;
+    agg_graphs.insert(parallel.plan_for(requests[i])->agg_graph.get());
+  }
+  EXPECT_EQ(parallel.cache_stats().misses, requests.size());
+  EXPECT_EQ(agg_graphs.size(), 1u);
+}
+
+/// Re-registering a name with a different graph gives the new registration
+/// its own memo: later plans lower over the new graph.
+TEST(Engine, ReRegisteringANameCompilesOverTheNewGraph) {
+  Engine engine(EngineOptions{.num_threads = 1});
+  const SimulationRequest request = registered_requests("cora").front();
+  engine.add_dataset(graph::make_dataset_by_name("cora", 1, /*with_features=*/false));
+  const std::shared_ptr<const LoweredModel> old_plan = engine.plan_for(request);
+
+  const graph::Dataset& fresh =
+      engine.add_dataset(graph::make_dataset_by_name("cora", 2, /*with_features=*/false));
+  const std::shared_ptr<const LoweredModel> new_plan = engine.plan_for(request);
+  EXPECT_NE(new_plan->agg_graph.get(), old_plan->agg_graph.get());
+  const graph::Graph looped = graph::with_self_loops(fresh.graph);
+  EXPECT_TRUE(std::ranges::equal(new_plan->agg_graph->edges(), looped.edges()));
+  EXPECT_FALSE(std::ranges::equal(old_plan->agg_graph->edges(), looped.edges()));
+
+  const LoweredModel direct =
+      compile_model(fresh.graph, request.model, request.config, request.dataflow);
+  EXPECT_EQ(new_plan->describe(), direct.describe());
+  EXPECT_EQ(engine.run(request).cycles, Accelerator::run_timing(direct).cycles);
 }
 
 TEST(PlanCacheKey, FingerprintSeparatesGraphs) {

@@ -2,6 +2,7 @@
 // and the shard fetch/compute/writeback pipeline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "gengine/gpe.hpp"
@@ -41,6 +42,7 @@ TEST(Gpe, NeverSplitsADestinationGroup) {
   const auto edges = edges_with_degrees({100, 1, 1, 1});
   const auto counts = partition_edges_by_dst(edges, 4);
   EXPECT_GE(counts[0], 100u);
+  EXPECT_EQ(max_gpe_edges(edges, 4), *std::max_element(counts.begin(), counts.end()));
 }
 
 TEST(Gpe, BalancedWhenDegreesAreUniform) {
@@ -61,6 +63,7 @@ TEST(Gpe, ImbalanceReflectsSkew) {
 TEST(Gpe, EmptyEdgesHandled) {
   const std::vector<graph::Edge> none;
   EXPECT_TRUE(partition_edges_by_dst(none, 4).empty());
+  EXPECT_EQ(max_gpe_edges(none, 4), 0u);
   EXPECT_EQ(shard_compute_cycles(none, GpeGeometry{4, 8}, 16), 0u);
   EXPECT_DOUBLE_EQ(partition_imbalance(none, 4), 1.0);
 }
@@ -68,6 +71,7 @@ TEST(Gpe, EmptyEdgesHandled) {
 TEST(Gpe, RequiresDstSortedInput) {
   const std::vector<graph::Edge> unsorted = {{0, 3}, {0, 1}};
   EXPECT_THROW(partition_edges_by_dst(unsorted, 2), util::CheckError);
+  EXPECT_THROW((void)max_gpe_edges(unsorted, 2), util::CheckError);
 }
 
 TEST(Gpe, ComputeCyclesFormula) {

@@ -108,14 +108,6 @@ TEST(Stats, AddAndGet) {
   EXPECT_EQ(s.get("missing"), 0u);
 }
 
-TEST(Stats, SetMaxKeepsLargest) {
-  StatSet s;
-  s.set_max("peak", 10);
-  s.set_max("peak", 3);
-  s.set_max("peak", 12);
-  EXPECT_EQ(s.get("peak"), 12u);
-}
-
 TEST(Stats, ToStringListsCounters) {
   StatSet s;
   s.add("cycles", 1234);
