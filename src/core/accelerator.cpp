@@ -1,13 +1,38 @@
 #include "core/accelerator.hpp"
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "core/executor.hpp"
 #include "dense/dense_engine.hpp"
 #include "gengine/graph_engine.hpp"
 #include "mem/dram.hpp"
 #include "sim/kernel.hpp"
+#include "sim/sync.hpp"
 #include "util/check.hpp"
 
 namespace gnnerator::core {
+
+namespace {
+
+/// "<n> pending tokens: <first eight names> ...", for a run that ended with
+/// tokens no op signalled.
+std::string pending_tokens(const sim::SyncBoard& board) {
+  constexpr std::size_t kMaxNames = 8;
+  const std::vector<std::string> pending = board.pending_names();
+  std::ostringstream os;
+  os << pending.size() << " pending tokens:";
+  for (std::size_t i = 0; i < pending.size() && i < kMaxNames; ++i) {
+    os << ' ' << pending[i];
+  }
+  if (pending.size() > kMaxNames) {
+    os << " ...";
+  }
+  return os.str();
+}
+
+}  // namespace
 
 ExecutionResult Accelerator::run(const LoweredModel& plan, RuntimeState* state,
                                  sim::Tracer* tracer, ThreadPool* pool) {
@@ -32,43 +57,20 @@ ExecutionResult Accelerator::run_timing(const LoweredModel& plan, sim::Tracer* t
                                         TimingKernel kernel_kind) {
   plan.config.validate();
 
-  GnneratorController controller;
-  // Recreate the compiler's token space, in order.
+  // The Controller's scoreboard: the compiler's token space, in order.
+  sim::SyncBoard board;
   for (const std::string& name : plan.token_names) {
-    controller.board().create(name);
+    board.create(name);
   }
 
   mem::DramModel dram(plan.config.dram);
-  dense::DenseEngine dense_engine(plan.config.dense, dram, controller.board(), tracer);
-  gengine::GraphEngine graph_engine(plan.config.graph, dram, controller.board(), tracer);
-
+  dense::DenseEngine dense_engine(plan.config.dense, dram, board, tracer);
+  gengine::GraphEngine graph_engine(plan.config.graph, dram, board, tracer);
   for (const GemmWork& op : plan.dense_program) {
-    dense::GemmOp hw;
-    hw.shape = op.shape;
-    hw.a_dma_bytes = op.a_dma_bytes;
-    hw.w_dma_bytes = op.w_dma_bytes;
-    hw.psum_read_bytes = op.psum_read_bytes;
-    hw.out_write_bytes = op.out_write_bytes;
-    hw.wait_token = op.wait_token;
-    hw.produce_token = op.produce_token;
-    hw.tag = op.tag;
-    dense_engine.enqueue(std::move(hw));
+    dense_engine.enqueue(op);
   }
   for (const AggWork& task : plan.graph_program) {
-    gengine::ShardTask hw;
-    hw.edge_dma_bytes = task.edge_dma_bytes;
-    hw.src_dma_bytes = task.src_dma_bytes;
-    hw.dst_load_bytes = task.dst_load_bytes;
-    hw.dst_write_bytes = task.dst_write_bytes;
-    hw.onchip_edge_bytes = task.onchip_edge_bytes;
-    hw.num_edges = task.num_edges;
-    hw.compute_cycles = task.compute_cycles;
-    hw.lane_ops = task.lane_ops;
-    hw.wait_token = task.wait_token;
-    hw.produce_token = task.produce_token;
-    hw.signal_after_writeback = task.signal_after_writeback;
-    hw.tag = task.tag;
-    graph_engine.enqueue(std::move(hw));
+    graph_engine.enqueue(task);
   }
 
   sim::SimKernel kernel;
@@ -82,14 +84,14 @@ ExecutionResult Accelerator::run_timing(const LoweredModel& plan, sim::Tracer* t
   result.kernel_cycles_ticked = kernel.cycles_ticked();
   result.kernel_cycles_skipped = kernel.cycles_skipped();
 
-  GNNERATOR_CHECK_MSG(controller.board().num_signaled() == controller.board().size(),
-                      "simulation finished with " << controller.pending_summary());
+  GNNERATOR_CHECK_MSG(board.num_signaled() == board.size(),
+                      "simulation finished with " << pending_tokens(board));
 
   dram.export_stats(result.stats);
   dense_engine.export_stats(result.stats);
   graph_engine.export_stats(result.stats);
   result.stats.add("cycles", result.cycles);
-  result.stats.add("tokens", controller.board().size());
+  result.stats.add("tokens", board.size());
   return result;
 }
 

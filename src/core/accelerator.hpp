@@ -3,7 +3,6 @@
 #include <optional>
 #include <string>
 
-#include "core/controller.hpp"
 #include "core/plan.hpp"
 #include "core/runtime.hpp"
 #include "sim/stats.hpp"
@@ -43,9 +42,9 @@ enum class TimingKernel { kEventDriven, kReference };
 
 /// The GNNerator instance (paper Fig. 2): Dense Engine + Graph Engine
 /// sharing the feature-memory DRAM, coordinated by the GNNerator
-/// Controller. Instantiates the hardware models from the plan's
-/// AcceleratorConfig, loads both engine programs, and runs the cycle-level
-/// simulation to completion.
+/// Controller's token board (sim::SyncBoard). Instantiates the hardware
+/// models from the plan's AcceleratorConfig, loads both engine programs, and
+/// runs the cycle-level simulation to completion.
 using ThreadPool = util::ThreadPool;
 
 class Accelerator {

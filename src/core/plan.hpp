@@ -7,14 +7,14 @@
 #include <vector>
 
 #include "core/config.hpp"
-#include "dense/systolic.hpp"
+#include "dense/gemm_op.hpp"
+#include "gengine/shard_task.hpp"
 #include "gnn/layers.hpp"
 #include "graph/graph.hpp"
 #include "shard/cost_model.hpp"
 #include "shard/shard_grid.hpp"
 #include "shard/sizing.hpp"
 #include "shard/traversal.hpp"
-#include "sim/sync.hpp"
 
 namespace gnnerator::core {
 
@@ -34,26 +34,16 @@ struct TensorRef {
   friend bool operator==(const TensorRef&, const TensorRef&) = default;
 };
 
-/// A lowered Dense Engine op: timing fields plus a functional descriptor
-/// (interpreted by the runtime — the plan itself is pure data and can be
-/// inspected/tested without ever simulating).
+/// A lowered Dense Engine op: the GemmOp the timing run enqueues as is,
+/// plus a functional descriptor (interpreted by the runtime — the plan
+/// itself is pure data and can be inspected/tested without ever
+/// simulating).
 ///
 /// Functional semantics:
 ///   out[r, n] += sum_k A[r, k0 + k] * W[wrow_begin + k, n]
 ///   for r in [row_begin, row_end), n in [n_begin, n_end),
 ///   k in [0, k_end - k_begin); then activation if apply_act.
-struct GemmWork {
-  dense::GemmShape shape;
-
-  std::uint64_t a_dma_bytes = 0;
-  std::uint64_t w_dma_bytes = 0;
-  std::uint64_t psum_read_bytes = 0;
-  std::uint64_t out_write_bytes = 0;
-
-  sim::TokenId wait_token = sim::kNoToken;
-  sim::TokenId produce_token = sim::kNoToken;
-
-  // Functional descriptor.
+struct GemmWork : dense::GemmOp {
   TensorRef a;
   std::uint32_t row_begin = 0;
   std::uint32_t row_end = 0;
@@ -71,40 +61,21 @@ struct GemmWork {
   /// then. Aggregated inputs are dense and take the branch-free inner loop.
   bool a_maybe_sparse = true;
   std::uint32_t layer = 0;
-  /// Trace tag (unique per op within a plan).
-  std::uint32_t tag = 0;
 };
 
-/// A lowered Graph Engine task: one shard x one feature block.
+/// A lowered Graph Engine task: one shard x one feature block — the
+/// ShardTask the timing run enqueues as is, plus a functional descriptor.
 ///
 /// Functional semantics: for every edge (u -> v) of the shard,
 ///   acc[v, d] (op)= coeff(u, v) * in[u, d]   for d in [d_begin, d_end);
 /// if init_accumulator, the [column interval x block] region of acc is
 /// first initialised to the op's identity (0, or -inf for max).
-struct AggWork {
-  std::uint64_t edge_dma_bytes = 0;
-  std::uint64_t src_dma_bytes = 0;
-  std::uint64_t dst_load_bytes = 0;
-  std::uint64_t dst_write_bytes = 0;
-  std::uint64_t onchip_edge_bytes = 0;
-  std::uint32_t num_edges = 0;
-  std::uint64_t compute_cycles = 0;
-  /// Apply + Reduce lane operations (2 x edges x block width); energy
-  /// accounting.
-  std::uint64_t lane_ops = 0;
-
-  sim::TokenId wait_token = sim::kNoToken;
-  sim::TokenId produce_token = sim::kNoToken;
-  bool signal_after_writeback = false;
-
-  // Functional descriptor.
+struct AggWork : gengine::ShardTask {
   std::uint32_t agg_stage = 0;  ///< index into LoweredModel::agg_stages
   shard::ShardCoord coord;
   std::uint32_t d_begin = 0;
   std::uint32_t d_end = 0;
   bool init_accumulator = false;
-  /// Trace tag (unique per task within a plan).
-  std::uint32_t tag = 0;
 };
 
 /// Per-aggregation-stage lowering decisions (one entry per Aggregate stage

@@ -1,15 +1,11 @@
 #pragma once
 
-#include <array>
-#include <deque>
-#include <optional>
-#include <vector>
+#include <cstdint>
 
 #include "dense/gemm_op.hpp"
 #include "dense/systolic.hpp"
 #include "mem/dram.hpp"
 #include "mem/pipeline_timing.hpp"
-#include "sim/kernel.hpp"
 #include "sim/stats.hpp"
 #include "sim/sync.hpp"
 #include "sim/trace.hpp"
@@ -34,34 +30,19 @@ struct DenseEngineConfig {
   [[nodiscard]] std::uint64_t output_bank_bytes() const { return output_buffer_bytes / 2; }
 };
 
-/// Cycle-level model of the Dense Engine: an in-order queue of GemmOps
-/// flowing through a three-stage pipeline —
-///
-///   FETCH    operand DMA for the next op (stalls on its wait token: this
-///            is the GNNerator Controller holding the Dense Engine until
-///            the Graph Engine has produced the needed column),
-///   COMPUTE  systolic array occupancy per the SCALE-Sim tile formulas,
-///   WRITEBACK result DMA draining in the background.
-///
-/// Because every buffer is double-buffered, the fetch of op i+1 overlaps
-/// the compute of op i and the writeback of op i-1. The engine owns its own
-/// memory controller (paper: needed for producer mode and psum reloads) —
-/// modeled as its own client id on the shared DRAM.
-class DenseEngine : public sim::Component {
+/// Cycle-level model of the Dense Engine: GemmOps run in order through the
+/// engines' shared fetch → compute → writeback pipeline (mem::EnginePipeline).
+/// A fetch reads the A, W and psum-reload operands through the engine's own
+/// memory controller (paper: needed for producer mode and psum reloads),
+/// the systolic array is occupied per the SCALE-Sim tile formulas, and an
+/// op's produce token fires once its result has landed.
+class DenseEngine : public mem::EnginePipeline {
  public:
   DenseEngine(DenseEngineConfig config, mem::DramModel& dram, sim::SyncBoard& sync,
               sim::Tracer* tracer = nullptr);
 
-  /// Appends an op; execution is strictly in order.
-  void enqueue(GemmOp op);
-
-  void tick(sim::Cycle now) override;
-  [[nodiscard]] bool busy() const override;
-  /// Event prediction and gap replay for the fetch/compute/writeback
-  /// pipeline (shared logic: mem/pipeline_timing.hpp). kNoEvent while
-  /// stalled purely on a controller token.
-  [[nodiscard]] sim::Cycle next_event(sim::Cycle now) const override;
-  void skip(sim::Cycle from, sim::Cycle to) override;
+  /// Checks the op fits the banks, counts its work and appends it.
+  void enqueue(const GemmOp& op);
 
   [[nodiscard]] const DenseEngineConfig& config() const { return config_; }
 
@@ -70,13 +51,9 @@ class DenseEngine : public sim::Component {
   /// The same names and values, exported into a fresh set.
   [[nodiscard]] sim::StatSet stats() const;
 
-  /// Ops completed so far (compute finished; writeback may still drain).
-  [[nodiscard]] std::uint64_t ops_completed() const { return ops_completed_; }
-
  private:
   enum class Stat {
     kOpsEnqueued,
-    kOpsCompleted,
     kMacs,
     kABytes,
     kWBytes,
@@ -87,32 +64,8 @@ class DenseEngine : public sim::Component {
     kCount
   };
 
-  struct InFlightFetch {
-    GemmOp op;
-    std::array<mem::DmaId, mem::kFetchDmas> dmas{};  ///< A, W, psum reload
-  };
-
   DenseEngineConfig config_;
-  mem::DramModel& dram_;
-  mem::DmaClient dma_client_;
-  sim::SyncBoard& sync_;
-  sim::Tracer* tracer_;
   sim::Counters<Stat> stats_;
-  mem::PipelineCounters pipeline_stats_;
-
-  std::deque<GemmOp> queue_;
-  std::optional<InFlightFetch> fetching_;
-  std::optional<GemmOp> ready_;
-  std::optional<GemmOp> computing_;
-  std::uint64_t compute_remaining_ = 0;
-  std::vector<mem::Writeback> writebacks_;
-  std::uint64_t ops_completed_ = 0;
-
-  void finish_compute(sim::Cycle now);
-  void try_start_compute(sim::Cycle now);
-  void advance_fetch(sim::Cycle now);
-  void drain_writebacks(sim::Cycle now);
-  [[nodiscard]] mem::PipelineState pipeline_state() const;
 };
 
 }  // namespace gnnerator::dense

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "dense/systolic.hpp"
 #include "sim/sync.hpp"
@@ -13,6 +12,8 @@ namespace gnnerator::dense {
 /// operand residency: an operand already on-chip (weights cached across
 /// columns, aggregated features handed over through the shared feature
 /// scratchpad, psums resident in the output buffer) has zero DMA bytes.
+/// Timing-only: the arithmetic runs in the functional executor, which reads
+/// the descriptor `core::GemmWork` adds to this.
 struct GemmOp {
   GemmShape shape;
 
@@ -37,11 +38,7 @@ struct GemmOp {
   /// dense-first hand-off to the Graph Engine.
   sim::TokenId produce_token = sim::kNoToken;
 
-  /// Functional payload, executed exactly once at compute completion
-  /// (empty in timing-only mode).
-  std::function<void()> compute;
-
-  /// Debug tag shown in traces.
+  /// Trace tag (unique per op within a plan).
   std::uint32_t tag = 0;
 };
 

@@ -1,15 +1,11 @@
 #pragma once
 
-#include <array>
-#include <deque>
-#include <optional>
-#include <vector>
+#include <cstdint>
 
 #include "gengine/gpe.hpp"
 #include "gengine/shard_task.hpp"
 #include "mem/dram.hpp"
 #include "mem/pipeline_timing.hpp"
-#include "sim/kernel.hpp"
 #include "sim/stats.hpp"
 #include "sim/sync.hpp"
 #include "sim/trace.hpp"
@@ -33,35 +29,23 @@ struct GraphEngineConfig {
   }
 };
 
-/// Cycle-level model of the Graph Engine: an in-order queue of ShardTasks
-/// flowing through the four units of the paper —
-///
-///   Shard Edge Fetch + Shard Feature Fetch   (parallel DMA; stalls on the
-///       task's wait token: the Controller holding the Graph Engine until
-///       the Dense Engine has produced the needed z block),
-///   Shard Compute    (GPE array occupancy, precomputed per task),
-///   Shard Writeback  (accumulator DMA draining in the background).
-///
-/// Double-buffered scratchpads let the fetch of shard i+1 overlap the
-/// compute of shard i (paper: "the next shard is being prefetched while the
-/// current shard is being executed").
-class GraphEngine : public sim::Component {
+/// Cycle-level model of the Graph Engine: ShardTasks run in order through
+/// the engines' shared fetch → compute → writeback pipeline
+/// (mem::EnginePipeline), which maps onto the four units of the paper —
+/// Shard Edge Fetch and Shard Feature Fetch (parallel DMA streams on their
+/// own memory-controller clients), Shard Compute (GPE array occupancy,
+/// precomputed per task) and Shard Writeback (accumulator DMA draining in
+/// the background). The next shard is prefetched while the current one
+/// executes.
+class GraphEngine : public mem::EnginePipeline {
  public:
   GraphEngine(GraphEngineConfig config, mem::DramModel& dram, sim::SyncBoard& sync,
               sim::Tracer* tracer = nullptr);
 
-  void enqueue(ShardTask task);
-
-  void tick(sim::Cycle now) override;
-  [[nodiscard]] bool busy() const override;
-  /// Event prediction and gap replay for the fetch/compute/writeback
-  /// pipeline (shared logic: mem/pipeline_timing.hpp). kNoEvent while
-  /// stalled purely on a controller token.
-  [[nodiscard]] sim::Cycle next_event(sim::Cycle now) const override;
-  void skip(sim::Cycle from, sim::Cycle to) override;
+  /// Checks the task fits a feature bank, counts its work and appends it.
+  void enqueue(const ShardTask& task);
 
   [[nodiscard]] const GraphEngineConfig& config() const { return config_; }
-  [[nodiscard]] std::uint64_t tasks_completed() const { return tasks_completed_; }
 
   /// Adds every counter this engine touched to `out` as "graph.<name>".
   void export_stats(sim::StatSet& out) const;
@@ -71,7 +55,6 @@ class GraphEngine : public sim::Component {
  private:
   enum class Stat {
     kTasksEnqueued,
-    kTasksCompleted,
     kEdgesProcessed,
     kLaneOps,
     kEdgeDmaBytes,
@@ -84,38 +67,8 @@ class GraphEngine : public sim::Component {
     kCount
   };
 
-  struct InFlightFetch {
-    ShardTask task;
-    std::array<mem::DmaId, mem::kFetchDmas> dmas{};  ///< edges, sources, dst reload
-  };
-
   GraphEngineConfig config_;
-  mem::DramModel& dram_;
-  mem::DmaClient edge_client_;
-  mem::DmaClient feat_client_;
-  mem::DmaClient wb_client_;
-  sim::SyncBoard& sync_;
-  sim::Tracer* tracer_;
   sim::Counters<Stat> stats_;
-  mem::PipelineCounters pipeline_stats_;
-
-  /// One bank of the double-buffered feature scratchpad: the most a
-  /// shard's source and destination rows may occupy.
-  std::uint64_t feature_bank_bytes_;
-
-  std::deque<ShardTask> queue_;
-  std::optional<InFlightFetch> fetching_;
-  std::optional<ShardTask> ready_;
-  std::optional<ShardTask> computing_;
-  std::uint64_t compute_remaining_ = 0;
-  std::vector<mem::Writeback> writebacks_;
-  std::uint64_t tasks_completed_ = 0;
-
-  void finish_compute(sim::Cycle now);
-  void try_start_compute(sim::Cycle now);
-  void advance_fetch(sim::Cycle now);
-  void drain_writebacks(sim::Cycle now);
-  [[nodiscard]] mem::PipelineState pipeline_state() const;
 };
 
 }  // namespace gnnerator::gengine

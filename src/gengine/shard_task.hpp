@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "sim/sync.hpp"
 
@@ -11,7 +10,8 @@ namespace gnnerator::gengine {
 /// feature-dimension block (one iteration of the src loop in Algorithm 1).
 /// As with GemmOp, the compiler decides residency — a zero byte count means
 /// the data is already on-chip (stationary interval features, cached edge
-/// list).
+/// list). Timing-only: the Apply/Reduce arithmetic runs in the functional
+/// executor, which reads the descriptor `core::AggWork` adds to this.
 struct ShardTask {
   /// DRAM read for the shard's edge list; 0 when the edge scratchpad still
   /// holds it from a previous block pass (the paper's on-chip edge
@@ -34,7 +34,8 @@ struct ShardTask {
   std::uint64_t onchip_edge_bytes = 0;
 
   std::uint32_t num_edges = 0;
-  /// Shard Compute Unit occupancy (precomputed via shard_compute_cycles).
+  /// Shard Compute Unit occupancy (precomputed via shard_compute_cycles;
+  /// the engine occupies the unit for at least one cycle).
   std::uint64_t compute_cycles = 0;
   /// Apply + Reduce lane operations performed by this task (stats/energy).
   std::uint64_t lane_ops = 0;
@@ -50,9 +51,7 @@ struct ShardTask {
   /// reads the shared scratchpad).
   bool signal_after_writeback = false;
 
-  /// Functional payload: the Apply/Reduce arithmetic for this shard/block.
-  std::function<void()> compute;
-
+  /// Trace tag (unique per task within a plan).
   std::uint32_t tag = 0;
 };
 

@@ -46,6 +46,10 @@ class Counters {
     touched_[i] = true;
   }
 
+  [[nodiscard]] std::uint64_t get(Key key) const {
+    return values_[static_cast<std::size_t>(key)];
+  }
+
   /// Adds each touched counter to `out` as `<prefix><names[key]>`. `names`
   /// is indexed by `Key`; an array of any other length does not compile.
   void export_to(StatSet& out, std::string_view prefix,

@@ -13,12 +13,20 @@ using TokenId = std::uint32_t;
 /// Sentinel meaning "no dependency".
 inline constexpr TokenId kNoToken = std::numeric_limits<TokenId>::max();
 
-/// One-shot token scoreboard: the mechanism behind the GNNerator Controller
-/// (paper §III-C). Producers (e.g. the Graph Engine finishing a destination
-/// column for a feature block) signal tokens; consumers (e.g. the Dense
-/// Engine's partial GEMM on that column) stall until their wait token is
-/// signalled. Tokens are single-assignment — signalling twice is a model
-/// bug and throws.
+/// One-shot token scoreboard: the GNNerator Controller (paper §III-C),
+/// which lets *either* engine be the producer. The producer signals a token
+/// when a unit of data (a feature block of a destination column, a z block
+/// of a source interval, a finished layer) becomes visible to the consumer,
+/// and the consumer's in-order front stalls until its wait token is
+/// signalled:
+///
+///   Dense first — the Graph Engine's shard fetch stalls until the Dense
+///   Engine has produced the source-interval z block for that shard.
+///   Graph first — the Dense Engine's operand fetch stalls until the Graph
+///   Engine has finished aggregating the destination column for the block.
+///
+/// Tokens are single-assignment — signalling twice is a model bug and
+/// throws.
 class SyncBoard {
  public:
   /// Registers a token; `debug_name` shows up in deadlock diagnostics.

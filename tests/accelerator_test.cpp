@@ -25,6 +25,8 @@
 #include "graph/builder.hpp"
 #include "graph/generate.hpp"
 #include "graph/sample.hpp"
+#include "sim/trace.hpp"
+#include "util/check.hpp"
 #include "util/prng.hpp"
 #include "util/thread_pool.hpp"
 #include "util/units.hpp"
@@ -78,17 +80,31 @@ bool same_bits(const gnn::Tensor& a, const gnn::Tensor& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
-/// FNV-1a over a tensor's bytes as 16 hex digits.
-std::string output_bits_hex(const gnn::Tensor& t) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  const auto* bytes = reinterpret_cast<const unsigned char*>(t.data());
-  for (std::size_t i = 0; i < t.size() * sizeof(float); ++i) {
-    hash ^= bytes[i];
-    hash *= 0x100000001b3ULL;
+/// FNV-1a-64 over the bytes mixed in, rendered as 16 hex digits.
+class Fnv1a {
+ public:
+  void mix(const void* data, std::size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+      hash_ ^= bytes[i];
+      hash_ *= 0x100000001b3ULL;
+    }
   }
-  std::ostringstream os;
-  os << std::hex << std::setw(16) << std::setfill('0') << hash;
-  return os.str();
+  [[nodiscard]] std::string hex() const {
+    std::ostringstream os;
+    os << std::hex << std::setw(16) << std::setfill('0') << hash_;
+    return os.str();
+  }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+/// FNV-1a over a tensor's bytes.
+std::string output_bits_hex(const gnn::Tensor& t) {
+  Fnv1a fnv;
+  fnv.mix(t.data(), t.size() * sizeof(float));
+  return fnv.hex();
 }
 
 /// Runs the accelerator functionally and compares against the reference,
@@ -370,6 +386,35 @@ TEST(AcceleratorTiming, DeterministicCycles) {
   EXPECT_EQ(a, b);
 }
 
+TEST(AcceleratorTiming, UnsignalledTokenFailsTheRunByName) {
+  // A token that no op signals leaves the run with work the Controller never
+  // released: the run must fail and say which token is still pending.
+  const graph::Dataset d = graph::make_dataset_by_name("cora", 1, false);
+  LoweredModel plan = core::compile_for(d, core::table3_model(gnn::LayerKind::kGcn, d.spec),
+                                        SimulationRequest{});
+  const auto failure = [&plan]() -> std::string {
+    try {
+      (void)core::Accelerator::run_timing(plan);
+    } catch (const util::CheckError& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  plan.token_names.push_back("orphan");
+  const std::string one = failure();
+  EXPECT_NE(one.find("1 pending tokens: orphan"), std::string::npos) << one;
+
+  // Past eight pending tokens the message names the first eight.
+  for (int i = 1; i <= 8; ++i) {
+    plan.token_names.push_back("orphan" + std::to_string(i));
+  }
+  const std::string nine = failure();
+  EXPECT_NE(nine.find("9 pending tokens: orphan orphan1 orphan2 orphan3 orphan4 orphan5 "
+                      "orphan6 orphan7 ..."),
+            std::string::npos)
+      << nine;
+}
+
 // ---------------------------------------------------------------------------
 // Golden stats bytes: the hardware models keep their counters as fields and
 // export them by name once, when the run ends. These hashes pin every name
@@ -388,39 +433,33 @@ const graph::Dataset& structure_only(const std::string& name) {
 /// FNV-1a over `cycles`, then each (name, value) of the stat set in name
 /// order, as 16 hex digits.
 std::string stats_hex(const core::ExecutionResult& result) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  const auto mix = [&hash](const void* data, std::size_t size) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-      hash ^= bytes[i];
-      hash *= 0x100000001b3ULL;
-    }
-  };
-  mix(&result.cycles, sizeof(result.cycles));
+  Fnv1a fnv;
+  fnv.mix(&result.cycles, sizeof(result.cycles));
   for (const auto& [name, value] : result.stats.counters()) {
-    mix(name.data(), name.size() + 1);  // with the terminating NUL
-    mix(&value, sizeof(value));
+    fnv.mix(name.data(), name.size() + 1);  // with the terminating NUL
+    fnv.mix(&value, sizeof(value));
   }
-  std::ostringstream os;
-  os << std::hex << std::setw(16) << std::setfill('0') << hash;
-  return os.str();
+  return fnv.hex();
 }
 
 core::ExecutionResult run_dataset(const std::string& name, gnn::LayerKind kind,
-                                  const SimulationRequest& request) {
+                                  const SimulationRequest& request,
+                                  sim::Tracer* tracer = nullptr) {
   const graph::Dataset& d = structure_only(name);
   return core::Accelerator::run_timing(
-      core::compile_for(d, core::table3_model(kind, d.spec), request));
+      core::compile_for(d, core::table3_model(kind, d.spec), request), tracer);
 }
 
 /// One fused batch of nine cora frontiers sampled at fanout 10/5: the plan
 /// shape a sampled serving dispatch simulates.
-core::ExecutionResult run_fused_cora_sample(std::uint64_t seed) {
+core::ExecutionResult run_fused_cora_sample(std::uint64_t seed, sim::Tracer* tracer = nullptr) {
   util::Prng prng(seed);
   const graph::Dataset fused =
       graph::sample_fused_dataset(structure_only("cora"), 9, graph::parse_fanout("10/5"), prng);
-  return core::Accelerator::run_timing(core::compile_for(
-      fused, core::table3_model(gnn::LayerKind::kGcn, fused.spec), SimulationRequest{}));
+  return core::Accelerator::run_timing(
+      core::compile_for(fused, core::table3_model(gnn::LayerKind::kGcn, fused.spec),
+                        SimulationRequest{}),
+      tracer);
 }
 
 TEST(AcceleratorStats, StatsBytesMatchGolden) {
@@ -468,6 +507,49 @@ TEST(AcceleratorStats, ZeroBumpedCountersAreExportedAndUntouchedOnesAreNot) {
   for (const auto* result : {&gcn, &pool}) {
     EXPECT_EQ(result->stats.counters().count("dram.bytes.graph.wb"), 0u)
         << "graph.wb submits no writeback on these plans";
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Golden trace bytes: one hash per plan over the tracer's rendered text, so
+// every fetch, compute and writeback event of both engines, its cycle, its
+// `cycles=` value and the order of events are pinned, not only the compute
+// windows a Chrome trace shows.
+// ---------------------------------------------------------------------------
+
+/// FNV-1a over `sim::Tracer::to_string()` of a timing run.
+template <typename Run>
+std::string trace_hex(const Run& run) {
+  sim::Tracer tracer;
+  tracer.enable();
+  run(&tracer);
+  EXPECT_FALSE(tracer.truncated());
+  const std::string text = tracer.to_string();
+  Fnv1a fnv;
+  fnv.mix(text.data(), text.size());
+  return fnv.hex();
+}
+
+TEST(AcceleratorTrace, TraceBytesMatchGolden) {
+  SimulationRequest blocked;
+  SimulationRequest unblocked;
+  unblocked.dataflow.feature_blocking = false;
+  const std::pair<const char*, std::string> runs[] = {
+      {"cora-gcn", trace_hex([&](sim::Tracer* t) {
+         (void)run_dataset("cora", gnn::LayerKind::kGcn, blocked, t);
+       })},
+      {"citeseer-sage-mean-unblocked", trace_hex([&](sim::Tracer* t) {
+         (void)run_dataset("citeseer", gnn::LayerKind::kSageMean, unblocked, t);
+       })},
+      {"pubmed-sage-pool", trace_hex([&](sim::Tracer* t) {
+         (void)run_dataset("pubmed", gnn::LayerKind::kSagePool, blocked, t);
+       })},
+      {"cora-fused-sample", trace_hex([](sim::Tracer* t) { (void)run_fused_cora_sample(2021, t); })},
+  };
+  const char* const golden[] = {"500d6521fc39405c", "62206c776f64b3f2", "973431827523dd96",
+                                "86372682d4685050"};
+  for (std::size_t i = 0; i < std::size(runs); ++i) {
+    EXPECT_EQ(runs[i].second, golden[i]) << runs[i].first;
   }
 }
 

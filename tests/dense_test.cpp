@@ -3,12 +3,16 @@
 // controller interlocks.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "dense/activation_unit.hpp"
 #include "dense/dense_engine.hpp"
 #include "dense/systolic.hpp"
 #include "mem/dram.hpp"
 #include "sim/kernel.hpp"
 #include "sim/sync.hpp"
+#include "sim/trace.hpp"
 #include "util/check.hpp"
 #include "util/units.hpp"
 
@@ -126,7 +130,7 @@ TEST(DenseEngine, SingleOpFetchComputeTiming) {
   // 8 + 32 + 8 + 8 - 2 = 54. Sequential lower bound ~69, generous upper.
   EXPECT_GE(cycles, 54u);
   EXPECT_LE(cycles, 120u);
-  EXPECT_EQ(engine.ops_completed(), 1u);
+  EXPECT_EQ(engine.completed(), 1u);
   EXPECT_EQ(engine.stats().get("dense.macs"), 32u * 8 * 8);
 }
 
@@ -157,16 +161,14 @@ TEST(DenseEngine, StallsOnWaitToken) {
 
   GemmOp gated = simple_op();
   gated.wait_token = token;
-  bool ran = false;
-  gated.compute = [&ran] { ran = true; };
-  engine.enqueue(std::move(gated));
+  engine.enqueue(gated);
 
   // Tick without signalling: no progress beyond stall accounting.
   for (sim::Cycle now = 0; now < 50; ++now) {
     fx.dram.tick(now);
     engine.tick(now);
   }
-  EXPECT_FALSE(ran);
+  EXPECT_EQ(engine.completed(), 0u);
   EXPECT_GT(engine.stats().get("dense.stall_token_cycles"), 0u);
   EXPECT_TRUE(engine.busy());
 
@@ -175,7 +177,7 @@ TEST(DenseEngine, StallsOnWaitToken) {
   kernel.add(fx.dram);
   kernel.add(engine);
   kernel.run();
-  EXPECT_TRUE(ran);
+  EXPECT_EQ(engine.completed(), 1u);
 }
 
 TEST(DenseEngine, SignalsProduceTokenAfterWriteback) {
@@ -185,7 +187,7 @@ TEST(DenseEngine, SignalsProduceTokenAfterWriteback) {
   GemmOp op = simple_op();
   op.out_write_bytes = 1024;
   op.produce_token = produced;
-  engine.enqueue(std::move(op));
+  engine.enqueue(op);
   run_engine(fx, engine);
   EXPECT_TRUE(fx.sync.is_signaled(produced));
 }
@@ -197,36 +199,30 @@ TEST(DenseEngine, SignalsImmediatelyWithoutWriteback) {
   GemmOp op = simple_op();
   op.out_write_bytes = 0;
   op.produce_token = produced;
-  engine.enqueue(std::move(op));
+  engine.enqueue(op);
   run_engine(fx, engine);
   EXPECT_TRUE(fx.sync.is_signaled(produced));
 }
 
-TEST(DenseEngine, ExecutesFunctionalPayloadExactlyOnce) {
-  EngineFixture fx;
-  DenseEngine engine(fx.config, fx.dram, fx.sync);
-  int calls = 0;
-  GemmOp op = simple_op();
-  op.compute = [&calls] { ++calls; };
-  engine.enqueue(std::move(op));
-  run_engine(fx, engine);
-  EXPECT_EQ(calls, 1);
-}
-
 TEST(DenseEngine, InOrderExecution) {
   EngineFixture fx;
-  DenseEngine engine(fx.config, fx.dram, fx.sync);
-  std::vector<int> order;
-  for (int i = 0; i < 4; ++i) {
+  sim::Tracer tracer;
+  tracer.enable();
+  DenseEngine engine(fx.config, fx.dram, fx.sync, &tracer);
+  for (std::uint32_t i = 0; i < 4; ++i) {
     GemmOp op = simple_op();
-    op.compute = [&order, i] { order.push_back(i); };
-    engine.enqueue(std::move(op));
+    op.tag = i;
+    engine.enqueue(op);
   }
   run_engine(fx, engine);
-  ASSERT_EQ(order.size(), 4u);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+  std::vector<std::string> done;
+  for (const sim::TraceEvent& e : tracer.events()) {
+    if (e.what.starts_with("gemm done")) {
+      done.push_back(e.what);
+    }
   }
+  EXPECT_EQ(done, (std::vector<std::string>{"gemm done tag=0", "gemm done tag=1",
+                                            "gemm done tag=2", "gemm done tag=3"}));
 }
 
 TEST(DenseEngine, RejectsOversizedOperands) {
@@ -234,10 +230,10 @@ TEST(DenseEngine, RejectsOversizedOperands) {
   DenseEngine engine(fx.config, fx.dram, fx.sync);
   GemmOp op = simple_op();
   op.a_dma_bytes = fx.config.input_bank_bytes() + 1;
-  EXPECT_THROW(engine.enqueue(std::move(op)), util::CheckError);
+  EXPECT_THROW(engine.enqueue(op), util::CheckError);
   GemmOp op2 = simple_op();
   op2.w_dma_bytes = fx.config.weight_bank_bytes() + 1;
-  EXPECT_THROW(engine.enqueue(std::move(op2)), util::CheckError);
+  EXPECT_THROW(engine.enqueue(op2), util::CheckError);
 }
 
 }  // namespace

@@ -141,7 +141,7 @@ TEST(GraphEngine, SingleTaskTiming) {
   const sim::Cycle cycles = run_engine(fx, engine);
   EXPECT_GE(cycles, 50u);   // at least the compute
   EXPECT_LE(cycles, 120u);  // fetch (18 grants + latency) + compute
-  EXPECT_EQ(engine.tasks_completed(), 1u);
+  EXPECT_EQ(engine.completed(), 1u);
   EXPECT_EQ(engine.stats().get("graph.edges_processed"), 64u);
 }
 
@@ -168,7 +168,7 @@ TEST(GraphEngine, StallsOnWaitToken) {
   const sim::TokenId gate = fx.sync.create("z-block");
   ShardTask task = simple_task();
   task.wait_token = gate;
-  engine.enqueue(std::move(task));
+  engine.enqueue(task);
   for (sim::Cycle now = 0; now < 40; ++now) {
     fx.dram.tick(now);
     engine.tick(now);
@@ -177,7 +177,7 @@ TEST(GraphEngine, StallsOnWaitToken) {
   EXPECT_GT(engine.stats().get("graph.stall_token_cycles"), 0u);
   fx.sync.signal(gate);
   run_engine(fx, engine);
-  EXPECT_EQ(engine.tasks_completed(), 1u);
+  EXPECT_EQ(engine.completed(), 1u);
 }
 
 TEST(GraphEngine, TokenAtComputeVsAfterWriteback) {
@@ -189,7 +189,7 @@ TEST(GraphEngine, TokenAtComputeVsAfterWriteback) {
   task.dst_write_bytes = 64 * util::kKiB;  // long writeback
   task.produce_token = at_compute;
   task.signal_after_writeback = false;
-  engine.enqueue(std::move(task));
+  engine.enqueue(task);
   sim::Cycle signalled_at = 0;
   sim::Cycle now = 0;
   while (engine.busy()) {
@@ -212,13 +212,13 @@ TEST(GraphEngine, WritebackTokenWaitsForDrain) {
   task.dst_write_bytes = 64 * util::kKiB;
   task.produce_token = after_wb;
   task.signal_after_writeback = true;
-  engine.enqueue(std::move(task));
+  engine.enqueue(task);
   sim::Cycle compute_done = 0;
   sim::Cycle now = 0;
   for (;;) {
     fx.dram.tick(now);
     engine.tick(now);
-    if (compute_done == 0 && engine.tasks_completed() == 1) {
+    if (compute_done == 0 && engine.completed() == 1) {
       compute_done = now;
     }
     ++now;
@@ -239,7 +239,7 @@ TEST(GraphEngine, OnChipEdgeRescansCounted) {
   ShardTask task = simple_task();
   task.edge_dma_bytes = 0;
   task.onchip_edge_bytes = 2048;  // cached edge list rescan
-  engine.enqueue(std::move(task));
+  engine.enqueue(task);
   run_engine(fx, engine);
   EXPECT_EQ(engine.stats().get("graph.onchip_edge_bytes"), 2048u);
   EXPECT_EQ(engine.stats().get("graph.edge_dma_bytes"), 0u);
@@ -250,18 +250,7 @@ TEST(GraphEngine, RejectsOversizedWorkingSet) {
   GraphEngine engine(fx.config, fx.dram, fx.sync);
   ShardTask task = simple_task();
   task.src_dma_bytes = fx.config.feature_scratch_bytes;  // > one bank
-  EXPECT_THROW(engine.enqueue(std::move(task)), util::CheckError);
-}
-
-TEST(GraphEngine, FunctionalPayloadRunsOnce) {
-  EngineFixture fx;
-  GraphEngine engine(fx.config, fx.dram, fx.sync);
-  int calls = 0;
-  ShardTask task = simple_task();
-  task.compute = [&calls] { ++calls; };
-  engine.enqueue(std::move(task));
-  run_engine(fx, engine);
-  EXPECT_EQ(calls, 1);
+  EXPECT_THROW(engine.enqueue(task), util::CheckError);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Differential tests for the event-driven time-skipping kernel: run() must
-// produce bitwise-identical cycle counts and statistics to run_reference()
-// on every configuration the integration suite exercises, plus targeted
-// unit coverage for each component's next_event contract (DRAM round-robin
-// epochs, systolic drain, controller-token barriers).
+// produce bitwise-identical cycle counts, statistics and trace events to
+// run_reference() on every configuration the integration suite exercises,
+// plus targeted unit coverage for each component's next_event contract
+// (DRAM round-robin epochs, systolic drain, controller-token barriers).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,10 +14,13 @@
 #include "core/gnnerator.hpp"
 #include "dense/dense_engine.hpp"
 #include "gengine/graph_engine.hpp"
+#include "graph/sample.hpp"
 #include "mem/dram.hpp"
 #include "sim/kernel.hpp"
 #include "sim/sync.hpp"
+#include "sim/trace.hpp"
 #include "util/check.hpp"
+#include "util/prng.hpp"
 
 namespace gnnerator {
 namespace {
@@ -35,20 +38,44 @@ const graph::Dataset& dataset(const std::string& name) {
   return it->second;
 }
 
-void expect_identical(const std::string& label, const SimulationRequest& request,
-                      const std::string& ds, gnn::LayerKind kind, std::size_t hidden = 16) {
-  const auto& d = dataset(ds);
-  const auto model = core::table3_model(kind, d.spec, hidden);
-  const auto plan = core::compile_for(d, model, request);
-  const auto fast = core::Accelerator::run_timing(plan, nullptr, TimingKernel::kEventDriven);
-  const auto slow = core::Accelerator::run_timing(plan, nullptr, TimingKernel::kReference);
+/// Both kernels' traces hold the same events, in the same order.
+void expect_same_trace(const std::string& label, const sim::Tracer& fast,
+                       const sim::Tracer& slow) {
+  ASSERT_FALSE(fast.truncated()) << label;
+  const auto& a = fast.events();
+  const auto& b = slow.events();
+  EXPECT_EQ(a.size(), b.size()) << label;
+  for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
+    if (a[i].cycle != b[i].cycle || a[i].component != b[i].component || a[i].what != b[i].what) {
+      ADD_FAILURE() << label << ": event " << i << " is '" << a[i].cycle << ' ' << a[i].component
+                    << ": " << a[i].what << "' under run() but '" << b[i].cycle << ' '
+                    << b[i].component << ": " << b[i].what << "' under run_reference()";
+      return;
+    }
+  }
+}
+
+void expect_identical(const std::string& label, const core::LoweredModel& plan) {
+  sim::Tracer fast_trace;
+  sim::Tracer slow_trace;
+  fast_trace.enable();
+  slow_trace.enable();
+  const auto fast = core::Accelerator::run_timing(plan, &fast_trace, TimingKernel::kEventDriven);
+  const auto slow = core::Accelerator::run_timing(plan, &slow_trace, TimingKernel::kReference);
   EXPECT_EQ(fast.cycles, slow.cycles) << label;
   EXPECT_EQ(fast.stats.counters(), slow.stats.counters()) << label;
+  expect_same_trace(label, fast_trace, slow_trace);
   // The event-driven run must actually skip: these models are idle-wait
   // heavy (DRAM latency shadows, systolic drains).
   EXPECT_GT(fast.kernel_cycles_skipped, 0u) << label;
   EXPECT_EQ(fast.kernel_cycles_ticked + fast.kernel_cycles_skipped, fast.cycles) << label;
   EXPECT_EQ(slow.kernel_cycles_skipped, 0u) << label;
+}
+
+void expect_identical(const std::string& label, const SimulationRequest& request,
+                      const std::string& ds, gnn::LayerKind kind, std::size_t hidden = 16) {
+  const auto& d = dataset(ds);
+  expect_identical(label, core::compile_for(d, core::table3_model(kind, d.spec, hidden), request));
 }
 
 // ----------------------------------------------------- integration matrix --
@@ -93,6 +120,17 @@ TEST(KernelSkip, MatchesReferenceAcrossConfigVariants) {
   SimulationRequest big_block;
   big_block.dataflow.block_size = 2048;
   expect_identical("block-2048", big_block, "citeseer", gnn::LayerKind::kGcn);
+}
+
+TEST(KernelSkip, MatchesReferenceOnAFusedSampledPlan) {
+  // Nine cora frontiers sampled at fanout 10/5 and fused into one plan: the
+  // shape a sampled serving dispatch simulates.
+  util::Prng prng(2021);
+  const graph::Dataset fused =
+      graph::sample_fused_dataset(dataset("cora"), 9, graph::parse_fanout("10/5"), prng);
+  expect_identical("cora-fused-sample",
+                   core::compile_for(fused, core::table3_model(gnn::LayerKind::kGcn, fused.spec),
+                                     SimulationRequest{}));
 }
 
 TEST(KernelSkip, SkipsTheVastMajorityOfCycles) {
@@ -298,7 +336,7 @@ EngineOutcome run_dense(bool reference) {
   first.a_dma_bytes = 100 * 333 * 4;
   first.w_dma_bytes = 333 * 64 * 4;
   first.out_write_bytes = 100 * 64 * 4;
-  engine.enqueue(std::move(first));
+  engine.enqueue(first);
 
   dense::GemmOp second;  // stalls on the scripted token, then produces
   second.shape = {64, 64, 16};
@@ -306,7 +344,7 @@ EngineOutcome run_dense(bool reference) {
   second.wait_token = gate;
   second.produce_token = produced;
   second.out_write_bytes = 64 * 16 * 4;
-  engine.enqueue(std::move(second));
+  engine.enqueue(second);
 
   SignalAt script(board, gate, 5000);
   sim::SimKernel kernel;
@@ -342,7 +380,7 @@ EngineOutcome run_graph(bool reference) {
   first.num_edges = 512;
   first.compute_cycles = 700;
   first.lane_ops = 512 * 16;
-  engine.enqueue(std::move(first));
+  engine.enqueue(first);
 
   gengine::ShardTask second;
   second.src_dma_bytes = 1 << 14;
@@ -353,7 +391,7 @@ EngineOutcome run_graph(bool reference) {
   second.produce_token = wb_done;
   second.dst_write_bytes = 1 << 12;
   second.signal_after_writeback = true;
-  engine.enqueue(std::move(second));
+  engine.enqueue(second);
 
   SignalAt script(board, gate, 3000);
   sim::SimKernel kernel;
