@@ -2,77 +2,45 @@
 // integrates SCALE-Sim, which supports multiple mappings; Fig. 4's B=32
 // penalty implies weight-stationary with K on the array rows. This bench
 // quantifies the choice by running the full suite under both mappings.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
-#include <map>
 
 #include "bench_common.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
 using namespace gnnerator;
 using bench::BenchPoint;
 
-// g_ms[dataflow][benchmark]
-std::map<std::string, std::map<std::string, double>> g_ms;
-
-void run_point(benchmark::State& state, const BenchPoint& point,
-               dense::SystolicDataflow dataflow) {
+double simulated_ms(const BenchPoint& point, dense::SystolicDataflow dataflow) {
   core::SimulationRequest request;
   request.config.dense.array.dataflow = dataflow;
-  double ms = 0.0;
-  for (auto _ : state) {
-    ms = bench::gnnerator_ms(point, request);
-  }
-  g_ms[std::string(dense::dataflow_name(dataflow))][point.name()] = ms;
-  state.counters["sim_ms"] = ms;
-}
-
-void register_benchmarks() {
-  for (const BenchPoint& point : bench::fig3_points()) {
-    for (const auto dataflow : {dense::SystolicDataflow::kWeightStationary,
-                                dense::SystolicDataflow::kOutputStationary}) {
-      benchmark::RegisterBenchmark(
-          ("dense-dataflow/" + point.name() + "/" +
-           std::string(dense::dataflow_name(dataflow)))
-              .c_str(),
-          [point, dataflow](benchmark::State& s) { run_point(s, point, dataflow); })
-          ->Unit(benchmark::kMillisecond)
-          ->Iterations(1);
-    }
-  }
-}
-
-void print_table() {
-  std::cout << "\n=== Ablation: Dense Engine systolic dataflow (blocked, B=64) ===\n";
-  util::Table table({"Benchmark", "Weight-stationary (ms)", "Output-stationary (ms)",
-                     "WS vs OS"});
-  std::vector<double> ratios;
-  for (const BenchPoint& point : bench::fig3_points()) {
-    const double ws = g_ms.at("weight-stationary").at(point.name());
-    const double os = g_ms.at("output-stationary").at(point.name());
-    ratios.push_back(os / ws);
-    table.add_row({point.name(), util::Table::fixed(ws, 3), util::Table::fixed(os, 3),
-                   util::Table::speedup(os / ws, 2)});
-  }
-  table.add_separator();
-  table.add_row({"Gmean", "", "", util::Table::speedup(util::geomean(ratios), 2)});
-  std::cout << table.to_string();
-  std::cout << "\nWith feature blocking, GEMM K-extents equal the block (64): the WS\n"
-               "mapping amortises its weight load across the whole node stream, while OS\n"
-               "re-pays array fill/drain per 64-deep tile. WS is the mapping consistent\n"
-               "with the paper's Fig. 4 under-utilisation claim, and it is also the\n"
-               "faster one under blocking.\n";
+  return bench::gnnerator_ms(point, request);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  register_benchmarks();
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  print_table();
-  return 0;
+  return util::cli_main(argc, argv, "", [](const util::Args&) {
+    std::cout << "\n=== Ablation: Dense Engine systolic dataflow (blocked, B=64) ===\n";
+    util::Table table({"Benchmark", "Weight-stationary (ms)", "Output-stationary (ms)",
+                       "WS vs OS"});
+    std::vector<double> ratios;
+    for (const BenchPoint& point : bench::fig3_points()) {
+      const double ws = simulated_ms(point, dense::SystolicDataflow::kWeightStationary);
+      const double os = simulated_ms(point, dense::SystolicDataflow::kOutputStationary);
+      ratios.push_back(os / ws);
+      table.add_row({point.name(), util::Table::fixed(ws, 3), util::Table::fixed(os, 3),
+                     util::Table::speedup(os / ws, 2)});
+    }
+    table.add_separator();
+    table.add_row({"Gmean", "", "", util::Table::speedup(util::geomean(ratios), 2)});
+    std::cout << table.to_string();
+    std::cout << "\nWith feature blocking, GEMM K-extents equal the block (64): the WS\n"
+                 "mapping amortises its weight load across the whole node stream, while OS\n"
+                 "re-pays array fill/drain per 64-deep tile. WS is the mapping consistent\n"
+                 "with the paper's Fig. 4 under-utilisation claim, and it is also the\n"
+                 "faster one under blocking.\n";
+    return 0;
+  });
 }

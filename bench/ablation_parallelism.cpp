@@ -2,13 +2,11 @@
 // the Graph Engine — the architectural contrast the paper draws against
 // HyGCN (§VII). Sweeps GPE count (inter-node) and SIMD lane width
 // (intra-node) at constant total lane budget and reports cycles.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
-#include <map>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
@@ -28,60 +26,35 @@ const std::vector<Geometry> kGeometries = {
     {1, 1024}, {4, 256}, {16, 64}, {32, 32}, {64, 16}, {256, 4},
 };
 
-std::map<std::string, std::map<std::string, double>> g_ms;  // [dataset][geometry]
-
-void run_point(benchmark::State& state, const std::string& ds_name, const Geometry& geo) {
+double simulated_ms(const std::string& ds_name, const Geometry& geo) {
   core::SimulationRequest request;
   request.config.graph.geometry.num_gpes = geo.gpes;
   request.config.graph.geometry.simd_lanes = geo.lanes;
-  double ms = 0.0;
-  for (auto _ : state) {
-    ms = bench::gnnerator_ms(bench::BenchPoint{ds_name, gnn::LayerKind::kGcn}, request);
-  }
-  g_ms[ds_name][geo.name()] = ms;
-  state.counters["sim_ms"] = ms;
-}
-
-void register_benchmarks() {
-  for (const char* ds : {"cora", "citeseer", "pubmed"}) {
-    for (const Geometry& geo : kGeometries) {
-      benchmark::RegisterBenchmark(
-          (std::string("parallelism/") + ds + "/" + geo.name()).c_str(),
-          [ds = std::string(ds), geo](benchmark::State& s) { run_point(s, ds, geo); })
-          ->Unit(benchmark::kMillisecond)
-          ->Iterations(1);
-    }
-  }
-}
-
-void print_table() {
-  std::cout << "\n=== Ablation: Graph Engine parallelism split (GCN, 1024 lanes total) ===\n";
-  std::vector<std::string> header{"Dataset"};
-  for (const Geometry& geo : kGeometries) {
-    header.push_back(geo.name() + " (ms)");
-  }
-  util::Table table(header);
-  for (const char* ds : {"cora", "citeseer", "pubmed"}) {
-    std::vector<std::string> row{ds};
-    for (const Geometry& geo : kGeometries) {
-      row.push_back(util::Table::fixed(g_ms.at(ds).at(geo.name()), 3));
-    }
-    table.add_row(row);
-  }
-  std::cout << table.to_string();
-  std::cout << "\nA single monolithic GPE (HyGCN-style intra-node-only parallelism) wastes\n"
-               "lanes when the block width is narrow; too many tiny GPEs lose to degree\n"
-               "skew (one hub node serialises a whole GPE). The paper's 32x32 point\n"
-               "balances both — exploiting inter-node AND intra-node parallelism (§III-B).\n";
+  return bench::gnnerator_ms(bench::BenchPoint{ds_name, gnn::LayerKind::kGcn}, request);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  register_benchmarks();
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  print_table();
-  return 0;
+  return util::cli_main(argc, argv, "", [](const util::Args&) {
+    std::cout << "\n=== Ablation: Graph Engine parallelism split (GCN, 1024 lanes total) ===\n";
+    std::vector<std::string> header{"Dataset"};
+    for (const Geometry& geo : kGeometries) {
+      header.push_back(geo.name() + " (ms)");
+    }
+    util::Table table(header);
+    for (const char* ds : {"cora", "citeseer", "pubmed"}) {
+      std::vector<std::string> row{ds};
+      for (const Geometry& geo : kGeometries) {
+        row.push_back(util::Table::fixed(simulated_ms(ds, geo), 3));
+      }
+      table.add_row(row);
+    }
+    std::cout << table.to_string();
+    std::cout << "\nA single monolithic GPE (HyGCN-style intra-node-only parallelism) wastes\n"
+                 "lanes when the block width is narrow; too many tiny GPEs lose to degree\n"
+                 "skew (one hub node serialises a whole GPE). The paper's 32x32 point\n"
+                 "balances both — exploiting inter-node AND intra-node parallelism (§III-B).\n";
+    return 0;
+  });
 }

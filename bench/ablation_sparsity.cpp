@@ -6,80 +6,44 @@
 // Paper context: on HyGCN the optimisation is worth ~1.1x on Cora/Pubmed
 // and ~3x on Citeseer (the sparsest graph). The same dataset ordering
 // should appear here.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
-#include <map>
 
 #include "bench_common.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
 using namespace gnnerator;
 
-// g_ms[dataset][{elim, blocked}]
-std::map<std::string, std::map<std::string, double>> g_ms;
-
-void run_point(benchmark::State& state, const std::string& ds, bool elim, bool blocked) {
+double simulated_ms(const std::string& ds, bool elim, bool blocked) {
   core::SimulationRequest request;
   request.dataflow.feature_blocking = blocked;
   request.dataflow.sparsity_elimination = elim;
-  double ms = 0.0;
-  for (auto _ : state) {
-    ms = bench::gnnerator_ms(bench::BenchPoint{ds, gnn::LayerKind::kGcn}, request);
-  }
-  const std::string key = std::string(elim ? "elim" : "base") + (blocked ? "-fb" : "");
-  g_ms[ds][key] = ms;
-  state.counters["sim_ms"] = ms;
-}
-
-void register_benchmarks() {
-  for (const char* ds : {"cora", "citeseer", "pubmed"}) {
-    for (const bool blocked : {false, true}) {
-      for (const bool elim : {false, true}) {
-        const std::string name = std::string("sparsity/") + ds + "/" +
-                                 (blocked ? "blocked" : "unblocked") + "/" +
-                                 (elim ? "elim" : "base");
-        benchmark::RegisterBenchmark(name.c_str(),
-                                     [ds = std::string(ds), elim, blocked](
-                                         benchmark::State& s) {
-                                       run_point(s, ds, elim, blocked);
-                                     })
-            ->Unit(benchmark::kMillisecond)
-            ->Iterations(1);
-      }
-    }
-  }
-}
-
-void print_table() {
-  std::cout << "\n=== Ablation: sparsity elimination added to GNNerator (GCN) ===\n";
-  util::Table table({"Dataset", "Unblocked (ms)", "Unblocked+elim (ms)", "Gain",
-                     "Blocked (ms)", "Blocked+elim (ms)", "Gain "});
-  for (const char* ds : {"cora", "citeseer", "pubmed"}) {
-    const auto& row = g_ms.at(ds);
-    table.add_row({ds, util::Table::fixed(row.at("base"), 3),
-                   util::Table::fixed(row.at("elim"), 3),
-                   util::Table::speedup(row.at("base") / row.at("elim"), 2),
-                   util::Table::fixed(row.at("base-fb"), 3),
-                   util::Table::fixed(row.at("elim-fb"), 3),
-                   util::Table::speedup(row.at("base-fb") / row.at("elim-fb"), 2)});
-  }
-  std::cout << table.to_string();
-  std::cout << "\nWithout feature blocking, eliminating inactive window rows recovers a\n"
-               "large fraction of the wasted full-interval fetches (most on the sparsest\n"
-               "graph, as HyGCN reports for Citeseer). With blocking, grids are S=1 and\n"
-               "every interval row is active, so the optimisation is near-neutral —\n"
-               "consistent with the paper treating it as orthogonal.\n";
+  return bench::gnnerator_ms(bench::BenchPoint{ds, gnn::LayerKind::kGcn}, request);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  register_benchmarks();
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  print_table();
-  return 0;
+  return util::cli_main(argc, argv, "", [](const util::Args&) {
+    std::cout << "\n=== Ablation: sparsity elimination added to GNNerator (GCN) ===\n";
+    util::Table table({"Dataset", "Unblocked (ms)", "Unblocked+elim (ms)", "Gain",
+                       "Blocked (ms)", "Blocked+elim (ms)", "Gain "});
+    for (const char* ds : {"cora", "citeseer", "pubmed"}) {
+      const double base = simulated_ms(ds, false, false);
+      const double elim = simulated_ms(ds, true, false);
+      const double base_fb = simulated_ms(ds, false, true);
+      const double elim_fb = simulated_ms(ds, true, true);
+      table.add_row({ds, util::Table::fixed(base, 3), util::Table::fixed(elim, 3),
+                     util::Table::speedup(base / elim, 2), util::Table::fixed(base_fb, 3),
+                     util::Table::fixed(elim_fb, 3), util::Table::speedup(base_fb / elim_fb, 2)});
+    }
+    std::cout << table.to_string();
+    std::cout << "\nWithout feature blocking, eliminating inactive window rows recovers a\n"
+                 "large fraction of the wasted full-interval fetches (most on the sparsest\n"
+                 "graph, as HyGCN reports for Citeseer). With blocking, grids are S=1 and\n"
+                 "every interval row is active, so the optimisation is near-neutral —\n"
+                 "consistent with the paper treating it as orthogonal.\n";
+    return 0;
+  });
 }

@@ -1,20 +1,17 @@
 #pragma once
 
-// Shared helpers for the paper-reproduction benchmark harness: dataset
-// caching, the nine Fig. 3 benchmark points, result table printing, and
+// Shared helpers for the bench drivers: the shared simulation Engine and
+// its dataset registry, the nine Fig. 3 benchmark points, and
 // machine-readable JSON output (`--json <path>`) for tracking the perf
 // trajectory in CI.
 
 #include <cstdint>
 #include <fstream>
-#include <map>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "baseline/gpu_model.hpp"
 #include "core/engine.hpp"
 #include "core/gnnerator.hpp"
 #include "gnn/layers.hpp"
@@ -25,11 +22,11 @@
 
 namespace gnnerator::bench {
 
-/// The shared simulation Engine for the whole harness: benchmarks sweep the
-/// same (dataset, model, config) points repeatedly (google-benchmark
-/// iterations, speedup ratios), so the plan cache removes every repeated
-/// compile. Timing runs are single-threaded and deterministic; one thread
-/// keeps the harness measurements honest.
+/// The shared simulation Engine for the whole harness: drivers revisit the
+/// same (dataset, model, config) points (speedup ratios, ablation baselines),
+/// so the plan cache removes every repeated compile. Timing runs are
+/// single-threaded and deterministic; one thread keeps the harness
+/// measurements honest.
 inline core::Engine& engine() {
   static core::Engine instance(
       core::EngineOptions{.num_threads = 1, .plan_cache_capacity = 128});
@@ -71,22 +68,13 @@ inline std::vector<BenchPoint> fig3_points() {
 }
 
 /// GNNerator wall-clock milliseconds for a benchmark point.
-inline double gnnerator_ms(const BenchPoint& point, const core::SimulationRequest& request,
-                           std::size_t hidden = 16) {
+inline double gnnerator_ms(const BenchPoint& point, const core::SimulationRequest& request) {
   const graph::Dataset& ds = dataset(point.dataset);  // ensures registration
   core::SimulationRequest by_id = request;
   by_id.dataset = point.dataset;
-  by_id.model = core::table3_model(point.kind, ds.spec, hidden);
+  by_id.model = core::table3_model(point.kind, ds.spec);
   const auto result = engine().run(by_id);
   return result.milliseconds(by_id.config.clock_ghz);
-}
-
-/// GPU-model milliseconds for a benchmark point.
-inline double gpu_ms(const BenchPoint& point, std::size_t hidden = 16) {
-  const graph::Dataset& ds = dataset(point.dataset);
-  const gnn::ModelSpec model = core::table3_model(point.kind, ds.spec, hidden);
-  const baseline::GpuModel gpu;
-  return gpu.model_time_s(model, ds.spec) * 1e3;
 }
 
 /// Flat JSON object accumulated in insertion order — just enough for bench
@@ -130,31 +118,5 @@ class JsonReport {
  private:
   std::vector<std::pair<std::string, std::string>> entries_;
 };
-
-/// Table cell for a speedup, "n/a" when a partial --benchmark_filter skipped
-/// one of the points it divides.
-inline std::string speedup_cell(std::optional<double> speedup) {
-  return speedup ? util::Table::speedup(*speedup) : "n/a";
-}
-
-/// Table cell for the geomean of the speedups that ran, "n/a" when none did.
-inline std::string gmean_cell(const std::vector<double>& speedups) {
-  return speedups.empty() ? "n/a" : util::Table::speedup(util::geomean(speedups));
-}
-
-/// Extracts a `--json <path>` / `--json=<path>` flag from the raw argv
-/// (before benchmark::Initialize eats its own flags). Empty = not given.
-inline std::string json_path_from_args(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json" && i + 1 < argc) {
-      return argv[i + 1];
-    }
-    if (arg.rfind("--json=", 0) == 0) {
-      return arg.substr(7);
-    }
-  }
-  return "";
-}
 
 }  // namespace gnnerator::bench

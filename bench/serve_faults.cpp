@@ -146,7 +146,7 @@ serve::ServerOptions base_options(std::size_t devices) {
 
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
-  const std::string json_path = bench::json_path_from_args(argc, argv);
+  const std::string json_path = args.get("json");
   const auto requests = static_cast<std::size_t>(
       std::max<std::int64_t>(500, args.get_int("requests", 20'000)));
   const double peak_rate = args.get_double("peak-rate", 100'000.0);

@@ -239,7 +239,7 @@ bool run_mixed_fleet_scenario(util::Table& table, bench::JsonReport& json,
 
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
-  const std::string json_path = bench::json_path_from_args(argc, argv);
+  const std::string json_path = args.get("json");
   const auto requests =
       static_cast<std::size_t>(std::max<std::int64_t>(1, args.get_int("requests", 1500)));
   const auto devices =

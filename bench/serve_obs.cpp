@@ -225,7 +225,7 @@ std::shared_ptr<obs::Recorder> fault_scenario_run(std::uint64_t* scale_ups,
 
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
-  const std::string json_path = bench::json_path_from_args(argc, argv);
+  const std::string json_path = args.get("json");
   const auto requests = static_cast<std::size_t>(
       std::max<std::int64_t>(1000, args.get_int("requests", 20'000)));
   const auto devices =

@@ -139,7 +139,7 @@ LoopResult determinism_run(bool reference, std::size_t requests, double rate_rps
 
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
-  const std::string json_path = bench::json_path_from_args(argc, argv);
+  const std::string json_path = args.get("json");
   const auto requests = static_cast<std::size_t>(
       std::max<std::int64_t>(200, args.get_int("requests", 2000)));
   const auto warm_requests = static_cast<std::size_t>(

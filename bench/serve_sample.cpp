@@ -159,7 +159,7 @@ serve::ServerOptions base_options(std::size_t devices) {
 
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
-  const std::string json_path = bench::json_path_from_args(argc, argv);
+  const std::string json_path = args.get("json");
   const auto queries = static_cast<std::size_t>(
       std::max<std::int64_t>(200, args.get_int("seed-queries", 4000)));
   const std::string fanout = args.get("fanout", "10/5");

@@ -135,7 +135,7 @@ RunResult run_once(const serve::ServerOptions& options, const std::string& warm_
 
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
-  const std::string json_path = bench::json_path_from_args(argc, argv);
+  const std::string json_path = args.get("json");
   const auto requests = static_cast<std::size_t>(
       std::max<std::int64_t>(1000, args.get_int("requests", 150'000)));
   const auto devices =

@@ -78,7 +78,7 @@ KernelPoint sampled_point(const graph::Dataset& cora, std::size_t count,
 
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
-  const std::string json_path = bench::json_path_from_args(argc, argv);
+  const std::string json_path = args.get("json");
   const auto iters = static_cast<int>(args.get_int("iters", 3));
   const std::vector<std::string> datasets =
       split_csv(args.get("datasets", "cora,citeseer,pubmed"));

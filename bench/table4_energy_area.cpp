@@ -2,81 +2,50 @@
 // 14.5 mm^2 for GNNerator vs 7.8 mm^2 for HyGCN and 775 mm^2 for the GPU)
 // and reports an energy breakdown per benchmark — the accelerator-paper
 // style summary the DAC format had no room for.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
-#include <map>
 
 #include "bench_common.hpp"
 #include "core/energy.hpp"
 #include "core/report.hpp"
-
-namespace {
-
-using namespace gnnerator;
-
-std::map<std::string, core::EnergyBreakdown> g_energy;
-std::map<std::string, double> g_ms;
-
-void run_point(benchmark::State& state, const bench::BenchPoint& point) {
-  core::SimulationRequest request;
-  const graph::Dataset& ds = bench::dataset(point.dataset);
-  const gnn::ModelSpec model = core::table3_model(point.kind, ds.spec);
-  for (auto _ : state) {
-    const auto result = core::simulate_gnnerator(ds, model, request);
-    g_energy[point.name()] =
-        core::estimate_energy(result.stats, result.cycles, request.config.clock_ghz);
-    g_ms[point.name()] = result.milliseconds(request.config.clock_ghz);
-  }
-  state.counters["total_mJ"] = g_energy[point.name()].total_mj();
-}
-
-void register_benchmarks() {
-  for (const bench::BenchPoint& point : bench::fig3_points()) {
-    benchmark::RegisterBenchmark(("energy/" + point.name()).c_str(),
-                                 [point](benchmark::State& s) { run_point(s, point); })
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(1);
-  }
-}
-
-void print_tables() {
-  std::cout << "\n=== Table IV (extended): area estimates ===\n";
-  const auto base = core::AcceleratorConfig::table4();
-  util::Table area({"Configuration", "Area (est. mm^2)", "Paper"});
-  area.add_row({"GNNerator (Table IV)", util::Table::fixed(core::estimate_area_mm2(base), 1),
-                "14.5 mm^2"});
-  area.add_row({"+2x graph memory",
-                util::Table::fixed(core::estimate_area_mm2(base.with_double_graph_memory()), 1),
-                "-"});
-  area.add_row({"+2x dense compute",
-                util::Table::fixed(core::estimate_area_mm2(base.with_double_dense_compute()), 1),
-                "-"});
-  std::cout << area.to_string();
-
-  std::cout << "\n=== Energy breakdown per benchmark (GNNerator, blocked) ===\n";
-  util::Table table({"Benchmark", "Time (ms)", "DRAM (mJ)", "SRAM (mJ)", "Dense (mJ)",
-                     "Graph (mJ)", "Static (mJ)", "Total (mJ)"});
-  for (const bench::BenchPoint& point : bench::fig3_points()) {
-    const auto& e = g_energy.at(point.name());
-    table.add_row({point.name(), util::Table::fixed(g_ms.at(point.name()), 3),
-                   util::Table::fixed(e.dram_mj, 3), util::Table::fixed(e.sram_mj, 3),
-                   util::Table::fixed(e.dense_compute_mj, 3),
-                   util::Table::fixed(e.graph_compute_mj, 3),
-                   util::Table::fixed(e.static_mj, 3), util::Table::fixed(e.total_mj(), 3)});
-  }
-  std::cout << table.to_string();
-  std::cout << "\nDRAM access energy dominates, as expected for memory-bound GNN\n"
-               "inference — the same observation that motivates feature blocking.\n";
-}
-
-}  // namespace
+#include "util/cli.hpp"
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  register_benchmarks();
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  print_tables();
-  return 0;
+  using namespace gnnerator;
+  return util::cli_main(argc, argv, "", [](const util::Args&) {
+    std::cout << "\n=== Table IV (extended): area estimates ===\n";
+    const auto base = core::AcceleratorConfig::table4();
+    util::Table area({"Configuration", "Area (est. mm^2)", "Paper"});
+    area.add_row({"GNNerator (Table IV)", util::Table::fixed(core::estimate_area_mm2(base), 1),
+                  "14.5 mm^2"});
+    area.add_row({"+2x graph memory",
+                  util::Table::fixed(core::estimate_area_mm2(base.with_double_graph_memory()), 1),
+                  "-"});
+    area.add_row({"+2x dense compute",
+                  util::Table::fixed(core::estimate_area_mm2(base.with_double_dense_compute()),
+                                     1),
+                  "-"});
+    std::cout << area.to_string();
+
+    std::cout << "\n=== Energy breakdown per benchmark (GNNerator, blocked) ===\n";
+    util::Table table({"Benchmark", "Time (ms)", "DRAM (mJ)", "SRAM (mJ)", "Dense (mJ)",
+                       "Graph (mJ)", "Static (mJ)", "Total (mJ)"});
+    for (const bench::BenchPoint& point : bench::fig3_points()) {
+      const core::SimulationRequest request;
+      const graph::Dataset& ds = bench::dataset(point.dataset);
+      const auto result =
+          core::simulate_gnnerator(ds, core::table3_model(point.kind, ds.spec), request);
+      const core::EnergyBreakdown e =
+          core::estimate_energy(result.stats, result.cycles, request.config.clock_ghz);
+      table.add_row({point.name(),
+                     util::Table::fixed(result.milliseconds(request.config.clock_ghz), 3),
+                     util::Table::fixed(e.dram_mj, 3), util::Table::fixed(e.sram_mj, 3),
+                     util::Table::fixed(e.dense_compute_mj, 3),
+                     util::Table::fixed(e.graph_compute_mj, 3), util::Table::fixed(e.static_mj, 3),
+                     util::Table::fixed(e.total_mj(), 3)});
+    }
+    std::cout << table.to_string();
+    std::cout << "\nDRAM access energy dominates, as expected for memory-bound GNN\n"
+                 "inference — the same observation that motivates feature blocking.\n";
+    return 0;
+  });
 }

@@ -11,7 +11,7 @@
 //                 [--classes SPEC] [--arrival-rate RPS] [--requests N]
 //                 [--trace FILE.csv] [--stream] [--slo-ms MS]
 //                 [--datasets cora,citeseer,pubmed] [--window-ms MS]
-//                 [--max-batch N] [--queue-cap N] [--seed S] [--verbose]
+//                 [--max-batch N] [--queue-cap N] [--seed S]
 //
 // --fleet takes "2xbaseline,1xnextgen" (classes: baseline, 2x-graph-mem,
 // 2x-dense, 2x-bw, nextgen). --classes takes comma-separated
@@ -66,7 +66,6 @@
 #include "util/args.hpp"
 #include "util/check.hpp"
 #include "util/cli.hpp"
-#include "util/log.hpp"
 
 using namespace gnnerator;
 
@@ -77,7 +76,7 @@ constexpr std::string_view kUsage =
     "  [--classes name[:slo_ms[:weight[:priority]]],...] [--arrival-rate RPS]\n"
     "  [--requests N] [--trace FILE.csv] [--stream] [--slo-ms MS]\n"
     "  [--datasets cora,citeseer,pubmed] [--window-ms MS] [--max-batch N]\n"
-    "  [--queue-cap N] [--seed S] [--verbose]\n"
+    "  [--queue-cap N] [--seed S]\n"
     "  [--faults crash@500ms:dev2,slow@1s:dev0x0.5,recover@2s:dev2]\n"
     "  [--autoscale min:max:target-p95-ms] [--mmpp rate:dwell-ms,rate:dwell-ms,...]\n"
     "  [--sample-fanout 10/5] [--seed-queries N] [--feature-cache-mb MB]\n"
@@ -96,10 +95,6 @@ std::vector<std::string> split_list(const std::string& csv) {
 }
 
 int run(const util::Args& args) {
-  if (args.has("verbose")) {
-    util::set_log_level(util::LogLevel::kDebug);
-  }
-
   serve::ServerOptions options;
   if (args.has("fleet")) {
     options.fleet = serve::parse_fleet_spec(args.get("fleet"));

@@ -5,7 +5,7 @@
 // the plan-cache hit.
 //
 //   ./quickstart [--dataset cora|citeseer|pubmed] [--no-blocking]
-//                [--block N] [--threads N] [--verbose]
+//                [--block N] [--threads N]
 #include <algorithm>
 #include <iostream>
 
@@ -17,7 +17,6 @@
 #include "gnn/weights.hpp"
 #include "util/args.hpp"
 #include "util/cli.hpp"
-#include "util/log.hpp"
 #include "util/units.hpp"
 
 using namespace gnnerator;
@@ -26,13 +25,9 @@ namespace {
 
 constexpr std::string_view kUsage =
     "[--dataset cora|citeseer|pubmed|flickr] [--no-blocking] [--block N] [--autotune] "
-    "[--threads N] [--dump-plan] [--verbose]";
+    "[--threads N] [--dump-plan]";
 
 int run(const util::Args& args) {
-  if (args.has("verbose")) {
-    util::set_log_level(util::LogLevel::kDebug);
-  }
-
   const std::string ds_name = args.get("dataset", "cora");
   std::cout << "Loading dataset '" << ds_name << "' (synthetic Table II stand-in)...\n";
   const graph::Dataset dataset = graph::make_dataset_by_name(ds_name);

@@ -7,7 +7,7 @@
 // metrics all live in the subsystem.
 //
 //   ./serve_many [--devices N] [--clients K] [--waves W] [--policy P]
-//                [--think-ms MS] [--verbose]
+//                [--think-ms MS]
 #include <algorithm>
 #include <iostream>
 #include <string>
@@ -18,7 +18,6 @@
 #include "util/args.hpp"
 #include "util/check.hpp"
 #include "util/cli.hpp"
-#include "util/log.hpp"
 #include "util/table.hpp"
 
 using namespace gnnerator;
@@ -27,13 +26,9 @@ namespace {
 
 constexpr std::string_view kUsage =
     "[--devices N] [--clients K] [--waves W] [--policy fifo|sjf|batch]\n"
-    "  [--think-ms MS] [--verbose]";
+    "  [--think-ms MS]";
 
 int run(const util::Args& args) {
-  if (args.has("verbose")) {
-    util::set_log_level(util::LogLevel::kDebug);
-  }
-
   serve::ServerOptions options;
   options.num_devices =
       static_cast<std::size_t>(std::max<std::int64_t>(1, args.get_int("devices", 4)));

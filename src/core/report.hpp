@@ -9,7 +9,7 @@
 namespace gnnerator::core {
 
 /// Digested view of one simulated inference, for human-readable reporting
-/// (quickstart example, benchmark verbose modes) and for tests that assert
+/// (the quickstart and compare_platforms examples) and for tests that assert
 /// high-level balance properties without grubbing through raw counters.
 struct ExecutionReport {
   std::uint64_t cycles = 0;

@@ -1,12 +1,10 @@
-// Tests for the Dense Engine: SCALE-Sim-style systolic timing formulas, the
-// activation unit, and the engine's fetch/compute/writeback pipeline with
-// controller interlocks.
+// Tests for the Dense Engine: SCALE-Sim-style systolic timing formulas and
+// the engine's fetch/compute/writeback pipeline with controller interlocks.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
-#include "dense/activation_unit.hpp"
 #include "dense/dense_engine.hpp"
 #include "dense/systolic.hpp"
 #include "mem/dram.hpp"
@@ -79,18 +77,6 @@ TEST(Systolic, DegenerateShapesRejected) {
   EXPECT_THROW((void)gemm_cycles(os_array(), GemmShape{0, 1, 1}), util::CheckError);
   EXPECT_THROW((void)tile_cycles(os_array(), 0, 1, 1), util::CheckError);
   EXPECT_THROW((void)tile_cycles(os_array(), 9, 1, 1), util::CheckError);  // > rows
-}
-
-// ------------------------------------------------------------ activation --
-TEST(ActivationUnit, AppliesReluAndCounts) {
-  ActivationUnit unit;
-  std::vector<float> v = {-1.0f, 2.0f, -3.0f};
-  unit.apply(gnn::Activation::kRelu, v);
-  EXPECT_FLOAT_EQ(v[0], 0.0f);
-  EXPECT_FLOAT_EQ(v[1], 2.0f);
-  EXPECT_EQ(unit.ops(), 3u);
-  unit.apply(gnn::Activation::kNone, v);
-  EXPECT_EQ(unit.ops(), 3u);  // kNone is free
 }
 
 // ---------------------------------------------------------------- engine --

@@ -1,8 +1,7 @@
-// Tests for the simulation kernel: component scheduling, counters, FIFOs,
-// the synchronisation scoreboard and the tracer.
+// Tests for the simulation kernel: component scheduling, counters, the
+// synchronisation scoreboard and the tracer.
 #include <gtest/gtest.h>
 
-#include "sim/fifo.hpp"
 #include "sim/kernel.hpp"
 #include "sim/stats.hpp"
 #include "sim/sync.hpp"
@@ -113,32 +112,6 @@ TEST(Stats, ToStringListsCounters) {
   s.add("cycles", 1234);
   EXPECT_NE(s.to_string().find("cycles"), std::string::npos);
   EXPECT_NE(s.to_string().find("1,234"), std::string::npos);
-}
-
-// ------------------------------------------------------------------ fifo --
-TEST(Fifo, OrderAndCapacity) {
-  Fifo<int> f(2);
-  EXPECT_TRUE(f.empty());
-  EXPECT_TRUE(f.can_push());
-  f.push(1);
-  f.push(2);
-  EXPECT_FALSE(f.can_push());
-  EXPECT_THROW(f.push(3), util::CheckError);
-  EXPECT_EQ(f.front(), 1);
-  EXPECT_EQ(f.pop(), 1);
-  EXPECT_EQ(f.pop(), 2);
-  EXPECT_THROW(f.pop(), util::CheckError);
-}
-
-TEST(Fifo, ZeroCapacityRejected) {
-  EXPECT_THROW(Fifo<int>(0), util::CheckError);
-}
-
-TEST(Fifo, MoveOnlyPayloads) {
-  Fifo<std::unique_ptr<int>> f(1);
-  f.push(std::make_unique<int>(7));
-  const auto p = f.pop();
-  EXPECT_EQ(*p, 7);
 }
 
 // ------------------------------------------------------------------ sync --

@@ -12,7 +12,6 @@
 #include "util/args.hpp"
 #include "util/check.hpp"
 #include "util/csv.hpp"
-#include "util/log.hpp"
 #include "util/parse.hpp"
 #include "util/prng.hpp"
 #include "util/stats.hpp"
@@ -366,13 +365,6 @@ TEST(Units, CycleFormattingWithSeparators) {
   EXPECT_EQ(format_cycles(1), "1");
   EXPECT_EQ(format_cycles(1234), "1,234");
   EXPECT_EQ(format_cycles(1234567), "1,234,567");
-}
-
-TEST(Log, LevelParsingRoundTrip) {
-  EXPECT_EQ(parse_log_level("debug"), LogLevel::kDebug);
-  EXPECT_EQ(parse_log_level("WARN"), LogLevel::kWarn);
-  EXPECT_EQ(log_level_name(LogLevel::kError), "error");
-  EXPECT_EQ(parse_log_level("nonsense"), LogLevel::kInfo);
 }
 
 // --------------------------------------------------------- parse helpers --
