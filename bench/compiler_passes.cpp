@@ -23,8 +23,8 @@
 #include "bench_common.hpp"
 #include "core/compiler.hpp"
 #include "core/engine.hpp"
-#include "util/args.hpp"
 #include "util/check.hpp"
+#include "util/cli.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -59,10 +59,11 @@ double best_of(int iters, Fn&& fn) {
   return best;
 }
 
-}  // namespace
+constexpr std::string_view kUsage =
+    "[--json BENCH_compiler_passes.json] [--datasets cora,citeseer,pubmed,flickr]\n"
+    "  [--iters N]";
 
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
+int run(const util::Args& args) {
   const std::string json_path = args.get("json");
   const auto iters = static_cast<int>(args.get_int("iters", 3));
   const std::vector<std::string> datasets =
@@ -216,3 +217,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return util::cli_main(argc, argv, kUsage, run); }

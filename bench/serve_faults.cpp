@@ -30,7 +30,7 @@
 #include "bench_common.hpp"
 #include "serve/server.hpp"
 #include "serve/workload.hpp"
-#include "util/args.hpp"
+#include "util/cli.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -142,10 +142,11 @@ serve::ServerOptions base_options(std::size_t devices) {
   return options;
 }
 
-}  // namespace
+constexpr std::string_view kUsage =
+    "[--json BENCH_serve_faults.json] [--requests N] [--peak-rate RPS]\n"
+    "  [--period-ms MS] [--slo-ms MS] [--max-fleet N] [--keep-trace]";
 
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
+int run(const util::Args& args) {
   const std::string json_path = args.get("json");
   const auto requests = static_cast<std::size_t>(
       std::max<std::int64_t>(500, args.get_int("requests", 20'000)));
@@ -294,3 +295,7 @@ int main(int argc, char** argv) {
   }
   return (elasticity_pays && conserved && identical) ? 0 : 1;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return util::cli_main(argc, argv, kUsage, run); }

@@ -30,7 +30,7 @@
 #include "serve/fleet.hpp"
 #include "serve/server.hpp"
 #include "serve/workload.hpp"
-#include "util/args.hpp"
+#include "util/cli.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -235,10 +235,10 @@ bool run_mixed_fleet_scenario(util::Table& table, bench::JsonReport& json,
   return affinity_wins;
 }
 
-}  // namespace
+constexpr std::string_view kUsage =
+    "[--json BENCH_serve.json] [--requests N] [--devices N]";
 
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
+int run(const util::Args& args) {
   const std::string json_path = args.get("json");
   const auto requests =
       static_cast<std::size_t>(std::max<std::int64_t>(1, args.get_int("requests", 1500)));
@@ -338,3 +338,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return util::cli_main(argc, argv, kUsage, run); }

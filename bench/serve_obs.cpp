@@ -38,7 +38,7 @@
 #include "serve/faults.hpp"
 #include "serve/server.hpp"
 #include "serve/workload.hpp"
-#include "util/args.hpp"
+#include "util/cli.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -221,10 +221,11 @@ std::shared_ptr<obs::Recorder> fault_scenario_run(std::uint64_t* scale_ups,
   return recorder;
 }
 
-}  // namespace
+constexpr std::string_view kUsage =
+    "[--json BENCH_serve_obs.json] [--requests N] [--devices N] [--rate RPS]\n"
+    "  [--repeats N] [--trace-out FILE.json] [--keep-trace]";
 
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
+int run(const util::Args& args) {
   const std::string json_path = args.get("json");
   const auto requests = static_cast<std::size_t>(
       std::max<std::int64_t>(1000, args.get_int("requests", 20'000)));
@@ -374,3 +375,7 @@ int main(int argc, char** argv) {
   }
   return ok ? 0 : 1;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return util::cli_main(argc, argv, kUsage, run); }

@@ -21,7 +21,7 @@
 #include "serve/faults.hpp"
 #include "serve/server.hpp"
 #include "serve/workload.hpp"
-#include "util/args.hpp"
+#include "util/cli.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -135,10 +135,10 @@ LoopResult determinism_run(bool reference, std::size_t requests, double rate_rps
   return r;
 }
 
-}  // namespace
+constexpr std::string_view kUsage =
+    "[--json BENCH_serve_oracle.json] [--requests N] [--rate RPS] [--warm N]";
 
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
+int run(const util::Args& args) {
   const std::string json_path = args.get("json");
   const auto requests = static_cast<std::size_t>(
       std::max<std::int64_t>(200, args.get_int("requests", 2000)));
@@ -199,3 +199,7 @@ int main(int argc, char** argv) {
   }
   return ok ? 0 : 1;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return util::cli_main(argc, argv, kUsage, run); }

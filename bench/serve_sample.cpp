@@ -25,7 +25,7 @@
 #include "bench_common.hpp"
 #include "serve/server.hpp"
 #include "serve/workload.hpp"
-#include "util/args.hpp"
+#include "util/cli.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -155,10 +155,11 @@ serve::ServerOptions base_options(std::size_t devices) {
   return options;
 }
 
-}  // namespace
+constexpr std::string_view kUsage =
+    "[--json BENCH_serve_sample.json] [--seed-queries N] [--fanout 10/5]\n"
+    "  [--devices N] [--cache-mb MB]";
 
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
+int run(const util::Args& args) {
   const std::string json_path = args.get("json");
   const auto queries = static_cast<std::size_t>(
       std::max<std::int64_t>(200, args.get_int("seed-queries", 4000)));
@@ -268,3 +269,7 @@ int main(int argc, char** argv) {
   }
   return (fusion_pays && cache_pays && identical) ? 0 : 1;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return util::cli_main(argc, argv, kUsage, run); }

@@ -26,7 +26,7 @@
 #include "bench_common.hpp"
 #include "serve/server.hpp"
 #include "serve/workload.hpp"
-#include "util/args.hpp"
+#include "util/cli.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -131,10 +131,11 @@ RunResult run_once(const serve::ServerOptions& options, const std::string& warm_
   return r;
 }
 
-}  // namespace
+constexpr std::string_view kUsage =
+    "[--json BENCH_serve_scale.json] [--requests N] [--devices N] [--rate RPS]\n"
+    "  [--policy fifo|sjf|batch] [--keep-trace]";
 
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
+int run(const util::Args& args) {
   const std::string json_path = args.get("json");
   const auto requests = static_cast<std::size_t>(
       std::max<std::int64_t>(1000, args.get_int("requests", 150'000)));
@@ -230,3 +231,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return util::cli_main(argc, argv, kUsage, run); }

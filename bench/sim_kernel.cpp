@@ -28,8 +28,8 @@
 #include "bench_common.hpp"
 #include "core/accelerator.hpp"
 #include "graph/sample.hpp"
-#include "util/args.hpp"
 #include "util/check.hpp"
+#include "util/cli.hpp"
 #include "util/prng.hpp"
 #include "util/table.hpp"
 
@@ -74,10 +74,10 @@ KernelPoint sampled_point(const graph::Dataset& cora, std::size_t count,
   return point;
 }
 
-}  // namespace
+constexpr std::string_view kUsage =
+    "[--json BENCH_sim_kernel.json] [--datasets cora,citeseer,pubmed] [--iters N]";
 
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
+int run(const util::Args& args) {
   const std::string json_path = args.get("json");
   const auto iters = static_cast<int>(args.get_int("iters", 3));
   const std::vector<std::string> datasets =
@@ -172,3 +172,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return util::cli_main(argc, argv, kUsage, run); }

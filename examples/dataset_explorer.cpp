@@ -24,7 +24,8 @@ using namespace gnnerator;
 namespace {
 
 constexpr std::string_view kUsage =
-    "[--dataset pubmed] [--save graph.txt] | --generate rmat|er [--scale N] [--nodes N] [--edges N] [--seed N]";
+    "[--dataset pubmed] [--save graph.txt]\n"
+    "  | --generate rmat|er [--scale N] [--nodes N] [--edges N] [--seed N] [--dims N]";
 
 int run(const util::Args& args) {
 

@@ -15,10 +15,19 @@ namespace {
 // registers, applies every term of its sequence to the block in order, and
 // stores it once. Each lane does what the scalar loop `out += s * x` (or
 // `out = std::max(out, x)`) does: one rounded multiply, then one rounded
-// add, in the same order. The generic vectors below are plain SSE2 on
-// x86-64 and need no target flag. Baseline x86-64 has no FMA instruction,
-// so the compiler cannot contract a multiply-add pair; a -march that adds
-// FMA would change the bits (GCC contracts C++ by default).
+// add, in the same order, so how a row is cut into blocks never moves a bit.
+//
+// The executor hands run_agg one task per shard visit spanning all of a
+// row's feature blocks, [0, dims): aggregate_edges stages a destination's
+// in-edges (source row and coefficient) once and walks the whole row in
+// register blocks. The plan's own one-block tasks, run one by one, compute
+// the same bits over their columns.
+//
+// The generic vectors below are plain SSE2 on x86-64 and need no target
+// flag. Baseline x86-64 has no FMA instruction, so the compiler cannot
+// contract a multiply-add pair. A wider ISA can bring FMA with it and
+// change the bits (GCC contracts C++ by default): a -march with FMA does,
+// and so does target("avx512f"), under which GCC 12 emits vfmadd.
 // ---------------------------------------------------------------------------
 
 using Vec = float __attribute__((vector_size(16)));
@@ -169,9 +178,9 @@ RuntimeState::RuntimeState(const LoweredModel& plan, std::span<const float> feat
     const auto stages = gnn::layer_stages(plan_.model.layers[l]);
     stage_outputs_[l].reserve(stages.size());
     for (const gnn::StageSpec& stage : stages) {
-      const std::size_t dims =
-          stage.kind == gnn::StageSpec::Kind::kDense ? stage.out_dim : stage.dims;
-      stage_outputs_[l].emplace_back(num_nodes, dims);
+      stage_outputs_[l].push_back(stage.kind == gnn::StageSpec::Kind::kDense
+                                      ? gnn::Tensor(num_nodes, stage.out_dim)
+                                      : gnn::Tensor::for_overwrite(num_nodes, stage.dims));
     }
   }
 }

@@ -36,7 +36,9 @@ class RuntimeState {
  public:
   /// `features` is the row-major [V x input_dim] layer-0 input. It is
   /// borrowed, not copied, and must outlive the state. Allocates one output
-  /// tensor per (layer, stage).
+  /// tensor per (layer, stage): zeros for a dense stage, whose GEMM ops
+  /// accumulate, and unset for an aggregation stage, whose column-initialising
+  /// tasks (init_accumulator) write every element before any task reads it.
   RuntimeState(const LoweredModel& plan, std::span<const float> features,
                const gnn::ModelWeights& weights);
   /// Borrows `features`, which must be [V x input_dim].

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -13,13 +14,23 @@ namespace gnnerator::gnn {
 class Tensor {
  public:
   Tensor() = default;
+  /// A rows x cols tensor of zeros.
   Tensor(std::size_t rows, std::size_t cols);
-  Tensor(std::size_t rows, std::size_t cols, std::vector<float> values);
+  Tensor(std::size_t rows, std::size_t cols, const std::vector<float>& values);
+  /// A rows x cols tensor whose elements are left unset, for a producer that
+  /// writes every element before anything reads it: no fill pass touches
+  /// the memory first.
+  [[nodiscard]] static Tensor for_overwrite(std::size_t rows, std::size_t cols);
+
+  Tensor(const Tensor& other);
+  Tensor& operator=(const Tensor& other);
+  Tensor(Tensor&& other) noexcept;
+  Tensor& operator=(Tensor&& other) noexcept;
 
   [[nodiscard]] std::size_t rows() const { return rows_; }
   [[nodiscard]] std::size_t cols() const { return cols_; }
-  [[nodiscard]] std::size_t size() const { return data_.size(); }
-  [[nodiscard]] bool empty() const { return data_.empty(); }
+  [[nodiscard]] std::size_t size() const { return rows_ * cols_; }
+  [[nodiscard]] bool empty() const { return size() == 0; }
 
   [[nodiscard]] float& at(std::size_t r, std::size_t c);
   [[nodiscard]] float at(std::size_t r, std::size_t c) const;
@@ -27,8 +38,8 @@ class Tensor {
   [[nodiscard]] std::span<float> row(std::size_t r);
   [[nodiscard]] std::span<const float> row(std::size_t r) const;
 
-  [[nodiscard]] float* data() { return data_.data(); }
-  [[nodiscard]] const float* data() const { return data_.data(); }
+  [[nodiscard]] float* data() { return data_.get(); }
+  [[nodiscard]] const float* data() const { return data_.get(); }
 
   void fill(float value);
 
@@ -38,12 +49,15 @@ class Tensor {
   /// Largest absolute elementwise difference; shapes must match.
   static float max_abs_diff(const Tensor& a, const Tensor& b);
 
-  friend bool operator==(const Tensor&, const Tensor&) = default;
+  /// Equal shapes and elementwise-equal values.
+  friend bool operator==(const Tensor& a, const Tensor& b);
 
  private:
+  Tensor(std::size_t rows, std::size_t cols, std::unique_ptr<float[]> data);
+
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
-  std::vector<float> data_;
+  std::unique_ptr<float[]> data_;
 };
 
 }  // namespace gnnerator::gnn

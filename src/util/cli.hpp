@@ -7,10 +7,14 @@
 
 namespace gnnerator::util {
 
-/// Wraps an example/tool entry point with a friendly error surface: any
-/// CheckError escaping `body` (bad flag values, capacity violations, model
-/// misuse) prints `error: <message>` plus the tool's usage line to stderr
-/// and exits non-zero, instead of aborting with a raw uncaught exception.
+/// Wraps an example/tool entry point with a friendly error surface. The
+/// tool accepts exactly the flags that `usage` spells as `--name`: any
+/// other flag prints `error: unknown flag --<name>` plus the usage line to
+/// stderr and exits 1 before `body` runs, and `--help` prints the usage
+/// line to stdout and exits 0. Any exception escaping `body` (bad flag
+/// values, capacity violations, model misuse) prints `error: <message>`
+/// plus the usage line to stderr and exits 1, instead of aborting with a
+/// raw uncaught exception.
 ///
 ///   int main(int argc, char** argv) {
 ///     return util::cli_main(argc, argv, "[--dataset cora] [--block N]",

@@ -5,9 +5,12 @@
 // correctly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <iomanip>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -66,12 +69,69 @@ gnn::Tensor random_features(std::size_t rows, std::size_t cols, std::uint64_t se
   return t;
 }
 
-/// The plan's functional output, computed on a pool of `threads`.
+/// Fills every aggregation output with NaN. The runtime leaves those
+/// outputs unset until each column's first task initialises them, so an
+/// element read before that turns NaN, which the golden and reference
+/// comparisons catch (ASan cannot see reads of uninitialised memory).
+void poison_aggregates(const LoweredModel& plan, core::RuntimeState& state) {
+  for (const core::AggStagePlan& stage : plan.agg_stages) {
+    state.mutable_tensor(stage.output).fill(std::numeric_limits<float>::quiet_NaN());
+  }
+}
+
+/// No aggregation output holds a NaN: finite inputs make finite aggregates,
+/// so a NaN is a poisoned element that no task initialised.
+void expect_aggregates_initialised(const LoweredModel& plan, core::RuntimeState& state) {
+  for (const core::AggStagePlan& stage : plan.agg_stages) {
+    const gnn::Tensor& out = state.mutable_tensor(stage.output);
+    EXPECT_TRUE(std::none_of(out.data(), out.data() + out.size(),
+                             [](float v) { return std::isnan(v); }))
+        << "aggregation output L" << stage.output.layer << ".S" << stage.output.stage
+        << " holds an element no task initialised";
+  }
+}
+
+/// The plan's functional output, computed on a pool of `threads` from
+/// NaN-poisoned aggregation outputs.
 gnn::Tensor run_functional(const LoweredModel& plan, const gnn::Tensor& features,
                            const gnn::ModelWeights& weights, std::size_t threads) {
   util::ThreadPool pool(threads);
   core::RuntimeState state(plan, features, weights);
+  poison_aggregates(plan, state);
   core::FunctionalExecutor(&pool).execute(plan, state);
+  expect_aggregates_initialised(plan, state);
+  return state.final_output();
+}
+
+/// The plan's functional output from run_gemm and run_agg called once per
+/// work item on the calling thread, from NaN-poisoned aggregation outputs:
+/// phases in (layer, stage) order, program order within a phase. This is
+/// the per-block path that the executor's merged aggregation pass must
+/// reproduce bit for bit.
+gnn::Tensor run_per_task(const LoweredModel& plan, const gnn::Tensor& features,
+                         const gnn::ModelWeights& weights) {
+  core::RuntimeState state(plan, features, weights);
+  poison_aggregates(plan, state);
+  std::map<std::pair<std::uint32_t, std::int32_t>, std::vector<std::pair<bool, std::size_t>>>
+      phases;
+  for (std::size_t i = 0; i < plan.dense_program.size(); ++i) {
+    const core::TensorRef out = plan.dense_program[i].out;
+    phases[{out.layer, out.stage}].emplace_back(true, i);
+  }
+  for (std::size_t i = 0; i < plan.graph_program.size(); ++i) {
+    const core::TensorRef out = plan.agg_stages[plan.graph_program[i].agg_stage].output;
+    phases[{out.layer, out.stage}].emplace_back(false, i);
+  }
+  for (const auto& [key, items] : phases) {
+    for (const auto& [is_gemm, index] : items) {
+      if (is_gemm) {
+        state.run_gemm(plan.dense_program[index]);
+      } else {
+        state.run_agg(plan.graph_program[index]);
+      }
+    }
+  }
+  expect_aggregates_initialised(plan, state);
   return state.final_output();
 }
 
@@ -108,8 +168,8 @@ std::string output_bits_hex(const gnn::Tensor& t) {
 }
 
 /// Runs the accelerator functionally and compares against the reference,
-/// then checks that pools of 1, 2, 3 and 8 threads reproduce the serial
-/// output bitwise.
+/// then checks that the per-task path and pools of 1, 2, 3 and 8 threads
+/// reproduce the serial output bitwise.
 void expect_matches_reference(const graph::Graph& g, const gnn::ModelSpec& model,
                               const AcceleratorConfig& config, const DataflowOptions& options,
                               float tolerance = 2e-4f) {
@@ -130,6 +190,8 @@ void expect_matches_reference(const graph::Graph& g, const gnn::ModelSpec& model
       << "accelerator output diverges from reference";
   EXPECT_GT(result.cycles, 0u);
 
+  EXPECT_TRUE(same_bits(run_per_task(plan, features, weights), *result.output))
+      << "the per-task path differs from the executor's merged aggregation";
   for (const std::size_t threads : {1, 2, 3, 8}) {
     EXPECT_TRUE(same_bits(run_functional(plan, features, weights, threads), *result.output))
         << "output on " << threads << " threads differs from the serial output";
@@ -203,7 +265,8 @@ TEST(AcceleratorFunctional, DegenerateGraphsMatchReference) {
 }
 
 /// Golden output bits on multi-shard (S > 1) grids: a power-law graph
-/// under small_config(), three networks, pools of 1 to 8 threads.
+/// under small_config(), three networks, the per-task path and pools of 1 to
+/// 8 threads, each from NaN-poisoned aggregation outputs.
 TEST(AcceleratorFunctional, PowerLawOutputsMatchGoldenBits) {
   const char* const golden[] = {"690f8ce585596789", "c669e375fa269b4c", "7c110379b3154a93"};
   const auto g = test_graph(37, 1000, 5000);
@@ -220,6 +283,8 @@ TEST(AcceleratorFunctional, PowerLawOutputsMatchGoldenBits) {
     }
     const gnn::Tensor features = random_features(g.num_nodes(), model.input_dim(), 99);
     const gnn::ModelWeights weights = gnn::init_weights(model, 42);
+    EXPECT_EQ(output_bits_hex(run_per_task(plan, features, weights)), golden[cell])
+        << gnn::layer_kind_name(kind) << " per task moved from the golden";
     for (const std::size_t threads : {1, 2, 3, 4, 8}) {
       EXPECT_EQ(output_bits_hex(run_functional(plan, features, weights, threads)), golden[cell])
           << gnn::layer_kind_name(kind) << " on " << threads
@@ -227,6 +292,104 @@ TEST(AcceleratorFunctional, PowerLawOutputsMatchGoldenBits) {
     }
     ++cell;
   }
+}
+
+/// The executor merges each aggregation phase into one pass per shard visit
+/// over every feature block, which is exact only when every block visits the
+/// same shards in the same order with the same init_accumulator flags. A
+/// plan that breaks that is rejected, with the stage named, before any
+/// element is computed.
+TEST(AcceleratorFunctional, ExecuteRejectsBlocksThatVisitShardsDifferently) {
+  const auto g = test_graph(37, 1000, 5000);
+  graph::DatasetSpec spec;
+  spec.feature_dim = 40;
+  spec.num_classes = 7;
+  const gnn::ModelSpec model = core::table3_model(gnn::LayerKind::kGcn, spec);
+  const LoweredModel plan = core::compile_model(g, model, small_config(), DataflowOptions{});
+  const core::AggStagePlan& stage = plan.agg_stages[0];
+  ASSERT_GT(stage.grid->dim(), 1u);
+  ASSERT_EQ(stage.dims, 40u);
+  ASSERT_EQ(stage.block, 16u);  // blocks [0, 16), [16, 32) and [32, 40)
+  const gnn::Tensor features = random_features(g.num_nodes(), model.input_dim(), 99);
+  const gnn::ModelWeights weights = gnn::init_weights(model, 42);
+  const auto execute = [&](const LoweredModel& p) -> std::string {
+    core::RuntimeState state(p, features, weights);
+    try {
+      core::FunctionalExecutor().execute(p, state);
+    } catch (const util::CheckError& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  ASSERT_EQ(execute(plan), "no error");
+
+  // Stage 0's tasks come first, block by block, one per live shard;
+  // `second` is the first task of block [16, 32).
+  std::size_t second = 0;
+  while (plan.graph_program[second].d_begin == 0) {
+    ++second;
+  }
+  ASSERT_LT(second + 1, plan.graph_program.size());
+  ASSERT_EQ(plan.graph_program[second].d_begin, 16u);
+  ASSERT_EQ(plan.graph_program[second + 1].d_begin, 16u);
+
+  LoweredModel swapped = plan;
+  std::swap(swapped.graph_program[second], swapped.graph_program[second + 1]);
+  std::string what = execute(swapped);
+  EXPECT_NE(what.find("aggregation stage 0 (L0.S0): feature block [16, 32) does not visit the "
+                      "shards of block [0, 16)"),
+            std::string::npos)
+      << what;
+
+  LoweredModel flag = plan;
+  flag.graph_program[second].init_accumulator = !flag.graph_program[second].init_accumulator;
+  what = execute(flag);
+  EXPECT_NE(what.find("feature block [16, 32) does not visit the shards of block [0, 16) in the "
+                      "same order with the same init_accumulator flags"),
+            std::string::npos)
+      << what;
+
+  // Every block's first visit stops initialising its column: the blocks
+  // still agree, but that column would start unset.
+  const core::AggWork& first = plan.graph_program.front();
+  ASSERT_TRUE(first.agg_stage == 0 && first.init_accumulator);
+  LoweredModel uninitialised = plan;
+  for (core::AggWork& task : uninitialised.graph_program) {
+    if (task.agg_stage == 0 && task.coord == first.coord) {
+      task.init_accumulator = false;
+    }
+  }
+  what = execute(uninitialised);
+  EXPECT_NE(what.find("is the first visit of its column but does not initialise it"),
+            std::string::npos)
+      << what;
+
+  // Every block's first visit moved off the grid.
+  LoweredModel off_grid = plan;
+  for (core::AggWork& task : off_grid.graph_program) {
+    if (task.agg_stage == 0 && task.coord == first.coord) {
+      task.coord.row = stage.grid->dim();
+    }
+  }
+  what = execute(off_grid);
+  EXPECT_NE(what.find("lies outside its"), std::string::npos) << what;
+
+  LoweredModel shared_output = plan;
+  shared_output.agg_stages[1].output = shared_output.agg_stages[0].output;
+  what = execute(shared_output);
+  EXPECT_NE(what.find("aggregation stage 0 (L0.S0) shares its output with aggregation stage 1"),
+            std::string::npos)
+      << what;
+
+  LoweredModel gap = plan;
+  std::erase_if(gap.graph_program, [](const core::AggWork& task) {
+    return task.agg_stage == 0 && task.d_begin == 16;
+  });
+  what = execute(gap);
+  EXPECT_NE(what.find("feature block [32, 40) does not start where the blocks before it end, "
+                      "at 16"),
+            std::string::npos)
+      << what;
 }
 
 // ---------------------------------------------------------------------------

@@ -5,9 +5,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <future>
 #include <iomanip>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -19,8 +21,10 @@
 #include "core/accelerator.hpp"
 #include "core/compiler.hpp"
 #include "core/engine.hpp"
+#include "core/executor.hpp"
 #include "core/gnnerator.hpp"
 #include "core/plan_cache.hpp"
+#include "gnn/weights.hpp"
 #include "graph/datasets.hpp"
 #include "graph/generate.hpp"
 #include "util/check.hpp"
@@ -235,15 +239,18 @@ std::string output_bits_hex(const gnn::Tensor& t) {
   return os.str();
 }
 
+/// Functional output bits of cora and citeseer x GCN, GraphSAGE-mean and
+/// GraphSAGE-pool, in that order.
+constexpr const char* kFunctionalGolden[] = {
+    "ee828618c98000da", "db6dd33f098b1cf0", "1d23ac4ba00dc7af",  // cora
+    "3817dfae79783119", "ff2467025f1a65af", "22b052632c84306a",  // citeseer
+};
+
 /// Acceptance: functional outputs are bitwise identical for every pool
 /// size, on two datasets x three layer kinds, and equal to committed golden
 /// bits, so a kernel change that moves one rounding fails here even when
 /// every pool size agrees with every other.
 TEST(Engine, FunctionalOutputsThreadCountInvariant) {
-  const char* const golden[] = {
-      "ee828618c98000da", "db6dd33f098b1cf0", "1d23ac4ba00dc7af",  // cora
-      "3817dfae79783119", "ff2467025f1a65af", "22b052632c84306a",  // citeseer
-  };
   std::size_t cell = 0;
   for (const char* ds_name : {"cora", "citeseer"}) {
     const graph::Dataset ds = graph::make_dataset_by_name(ds_name);
@@ -259,10 +266,48 @@ TEST(Engine, FunctionalOutputsThreadCountInvariant) {
         Engine engine(EngineOptions{.num_threads = threads});
         const auto result = engine.run(ds, model, request);
         ASSERT_TRUE(result.output.has_value());
-        EXPECT_EQ(output_bits_hex(*result.output), golden[cell])
+        EXPECT_EQ(output_bits_hex(*result.output), kFunctionalGolden[cell])
             << "functional output moved from the golden";
         EXPECT_EQ(result.cycles, cycles.value_or(result.cycles));
         cycles = result.cycles;
+      }
+      ++cell;
+    }
+  }
+}
+
+/// The runtime leaves aggregation outputs unset until each column's first
+/// task initialises them. Filled with NaN first, they must still give the
+/// golden bits and hold no NaN afterwards: an element read before it is
+/// initialised would turn NaN (ASan cannot see reads of uninitialised
+/// memory).
+TEST(Engine, NaNPoisonedAggregatesReachTheGoldenBits) {
+  std::size_t cell = 0;
+  for (const char* ds_name : {"cora", "citeseer"}) {
+    const graph::Dataset ds = graph::make_dataset_by_name(ds_name);
+    for (const gnn::LayerKind kind :
+         {gnn::LayerKind::kGcn, gnn::LayerKind::kSageMean, gnn::LayerKind::kSagePool}) {
+      const auto model = table3_model(kind, ds.spec);
+      SimulationRequest request;
+      request.mode = SimMode::kFunctional;
+      const LoweredModel plan = compile_for(ds, model, request);
+      const gnn::ModelWeights weights = gnn::init_weights(model, request.weight_seed);
+      for (const std::size_t threads : {1, 4}) {
+        SCOPED_TRACE(std::string(ds_name) + " " + std::string(gnn::layer_kind_name(kind)) +
+                     " threads " + std::to_string(threads));
+        RuntimeState state(plan, ds.features, weights);
+        for (const AggStagePlan& stage : plan.agg_stages) {
+          state.mutable_tensor(stage.output).fill(std::numeric_limits<float>::quiet_NaN());
+        }
+        ThreadPool pool(threads);
+        FunctionalExecutor(&pool).execute(plan, state);
+        for (const AggStagePlan& stage : plan.agg_stages) {
+          const gnn::Tensor& out = state.mutable_tensor(stage.output);
+          EXPECT_TRUE(std::none_of(out.data(), out.data() + out.size(),
+                                   [](float v) { return std::isnan(v); }))
+              << "aggregation output L" << stage.output.layer << ".S" << stage.output.stage;
+        }
+        EXPECT_EQ(output_bits_hex(state.final_output()), kFunctionalGolden[cell]);
       }
       ++cell;
     }

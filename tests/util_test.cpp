@@ -7,10 +7,12 @@
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "util/args.hpp"
 #include "util/check.hpp"
+#include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/parse.hpp"
 #include "util/prng.hpp"
@@ -344,6 +346,62 @@ TEST(Args, BooleanSpellings) {
   EXPECT_FALSE(args.get_bool("b", true));
   EXPECT_TRUE(args.get_bool("c", false));
   EXPECT_FALSE(args.get_bool("d", true));
+}
+
+// ------------------------------------------------------------------- cli --
+constexpr std::string_view kCliUsage = "[--json <path>] [--iters N] [--keep-trace]";
+
+/// cli_main over `prog <tokens>` and kCliUsage, with a body that counts its
+/// runs and exits 0 when --iters is 3.
+int run_cli(std::vector<std::string> tokens, int& body_runs) {
+  tokens.insert(tokens.begin(), "prog");
+  std::vector<char*> argv;
+  for (std::string& token : tokens) {
+    argv.push_back(token.data());
+  }
+  return cli_main(static_cast<int>(argv.size()), argv.data(), kCliUsage,
+                  [&body_runs](const Args& args) {
+                    ++body_runs;
+                    return args.get_int("iters", 0) == 3 ? 0 : 2;
+                  });
+}
+
+TEST(Cli, UsageFlagsReachTheBody) {
+  int runs = 0;
+  EXPECT_EQ(run_cli({"--iters", "3", "--json=out.json", "--keep-trace"}, runs), 0);
+  EXPECT_EQ(run_cli({}, runs), 2);
+  EXPECT_EQ(runs, 2);
+
+  // A bad value of a known flag fails inside the body.
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(run_cli({"--iters", "three"}, runs), 1);
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(runs, 3);
+  EXPECT_NE(err.find("malformed integer for --iters"), std::string::npos) << err;
+}
+
+TEST(Cli, UnknownFlagExitsOneWithoutRunningTheBody) {
+  // "--jsn" is a typo, "--path" a word of the usage that is not a flag, and
+  // "--keep" a prefix of one.
+  for (const char* flag : {"--jsn", "--path", "--keep", "--jsn=out.json"}) {
+    int runs = 0;
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(run_cli({"--iters", "3", flag, "out.json"}, runs), 1) << flag;
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(runs, 0) << flag;
+    const std::string name = std::string(flag).substr(0, std::string(flag).find('='));
+    EXPECT_EQ(err, "error: unknown flag " + name + "\nusage: prog " + std::string(kCliUsage) +
+                       "\n");
+  }
+}
+
+TEST(Cli, HelpPrintsUsageAndExitsZero) {
+  int runs = 0;
+  testing::internal::CaptureStdout();
+  EXPECT_EQ(run_cli({"--help"}, runs), 0);
+  EXPECT_EQ(testing::internal::GetCapturedStdout(),
+            "usage: prog " + std::string(kCliUsage) + "\n");
+  EXPECT_EQ(runs, 0);
 }
 
 // ----------------------------------------------------------------- units --
