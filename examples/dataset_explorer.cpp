@@ -85,7 +85,7 @@ int run(const util::Args& args) {
   const std::string save = args.get("save", "");
   if (!save.empty()) {
     graph::save_graph_file(save, g);
-    std::cout << "\nSaved edge list to " << save << " (reload with load_graph_file).\n";
+    std::cout << "\nSaved edge list to " << save << ".\n";
   }
   return 0;
 }

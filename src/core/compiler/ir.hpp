@@ -77,8 +77,6 @@ struct StageEdge {
   Kind kind = Kind::kPipelined;
 };
 
-[[nodiscard]] std::string_view stage_edge_kind_name(StageEdge::Kind kind);
-
 /// Which decision families have been resolved so far. The PassManager's
 /// inter-pass validation only checks invariants whose family is marked
 /// complete, so passes can run with partially-lowered IR.

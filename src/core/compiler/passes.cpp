@@ -10,18 +10,6 @@
 
 namespace gnnerator::core::compiler {
 
-std::string_view stage_edge_kind_name(StageEdge::Kind kind) {
-  switch (kind) {
-    case StageEdge::Kind::kPipelined:
-      return "pipelined";
-    case StageEdge::Kind::kSpilled:
-      return "spilled";
-    case StageEdge::Kind::kLayerChain:
-      return "layer-chain";
-  }
-  return "unknown";
-}
-
 std::size_t default_block(const StageGraph& ir, std::size_t dims) {
   if (!ir.options.feature_blocking) {
     return dims;

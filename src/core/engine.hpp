@@ -115,7 +115,6 @@ class Engine {
   std::shared_ptr<const LoweredModel> plan_for(const SimulationRequest& request);
 
   [[nodiscard]] PlanCacheStats cache_stats() const { return cache_->stats(); }
-  [[nodiscard]] std::size_t plan_cache_size() const { return cache_->size(); }
   [[nodiscard]] std::size_t num_threads() const { return pool_.parallelism(); }
   /// The plan cache this Engine compiles through (shared or owned).
   [[nodiscard]] const std::shared_ptr<PlanCache>& plan_cache() const { return cache_; }

@@ -80,11 +80,6 @@ PlanCacheStats PlanCache::stats() const {
   return snapshot;
 }
 
-std::size_t PlanCache::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return lru_.size();
-}
-
 namespace {
 
 class Fnv1a {

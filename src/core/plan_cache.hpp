@@ -54,7 +54,6 @@ class PlanCache {
       const std::function<std::shared_ptr<const LoweredModel>()>& compile);
 
   [[nodiscard]] PlanCacheStats stats() const;
-  [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
  private:

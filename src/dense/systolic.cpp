@@ -68,13 +68,4 @@ std::uint64_t gemm_cycles(const SystolicConfig& config, const GemmShape& shape) 
   return total;
 }
 
-double gemm_utilization(const SystolicConfig& config, const GemmShape& shape) {
-  const std::uint64_t cycles = gemm_cycles(config, shape);
-  if (cycles == 0) {
-    return 0.0;
-  }
-  return static_cast<double>(shape.macs()) /
-         (static_cast<double>(cycles) * static_cast<double>(config.macs_per_cycle()));
-}
-
 }  // namespace gnnerator::dense

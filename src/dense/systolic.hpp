@@ -55,7 +55,4 @@ struct GemmShape {
 /// weight tiles each streaming all M activations).
 [[nodiscard]] std::uint64_t gemm_cycles(const SystolicConfig& config, const GemmShape& shape);
 
-/// Achieved MAC utilization in [0, 1]: macs / (cycles * array macs/cycle).
-[[nodiscard]] double gemm_utilization(const SystolicConfig& config, const GemmShape& shape);
-
 }  // namespace gnnerator::dense

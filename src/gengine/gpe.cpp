@@ -68,15 +68,4 @@ std::uint64_t shard_compute_cycles(std::uint32_t max_edges, const GpeGeometry& g
   return static_cast<std::uint64_t>(max_edges) * cycles_per_edge + 8;
 }
 
-double partition_imbalance(std::span<const graph::Edge> edges, std::uint32_t num_gpes) {
-  const std::vector<std::uint32_t> counts = partition_edges_by_dst(edges, num_gpes);
-  if (counts.empty()) {
-    return 1.0;
-  }
-  const std::uint32_t max_edges = *std::max_element(counts.begin(), counts.end());
-  const double mean =
-      static_cast<double>(edges.size()) / static_cast<double>(num_gpes);
-  return mean == 0.0 ? 1.0 : static_cast<double>(max_edges) / mean;
-}
-
 }  // namespace gnnerator::gengine

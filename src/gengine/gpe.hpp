@@ -55,9 +55,4 @@ struct GpeGeometry {
                                                  const GpeGeometry& geometry,
                                                  std::size_t block_dims);
 
-/// Load imbalance of the partition: max_gpe_edges / mean_gpe_edges (1.0 is
-/// perfect). Degree skew shows up here.
-[[nodiscard]] double partition_imbalance(std::span<const graph::Edge> edges,
-                                         std::uint32_t num_gpes);
-
 }  // namespace gnnerator::gengine

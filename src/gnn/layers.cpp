@@ -48,11 +48,6 @@ std::size_t ModelSpec::input_dim() const {
   return layers.front().in_dim;
 }
 
-std::size_t ModelSpec::output_dim() const {
-  GNNERATOR_CHECK(!layers.empty());
-  return layers.back().out_dim;
-}
-
 namespace {
 
 ModelSpec stack(std::string name, LayerKind kind, std::size_t in_dim, std::size_t hidden_dim,

@@ -48,7 +48,6 @@ struct ModelSpec {
   std::vector<LayerSpec> layers;
 
   [[nodiscard]] std::size_t input_dim() const;
-  [[nodiscard]] std::size_t output_dim() const;
 
   /// Factory helpers for the Table III configurations. `hidden_layers` is
   /// the number of hidden layers (1 in the paper).

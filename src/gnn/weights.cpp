@@ -13,20 +13,6 @@ const Tensor& ModelWeights::weight(std::size_t layer, std::size_t index) const {
   return layers[layer][index];
 }
 
-std::size_t ModelWeights::num_parameters() const {
-  std::size_t total = 0;
-  for (const auto& layer : layers) {
-    for (const Tensor& w : layer) {
-      total += w.size();
-    }
-  }
-  return total;
-}
-
-std::uint64_t ModelWeights::parameter_bytes() const {
-  return static_cast<std::uint64_t>(num_parameters()) * sizeof(float);
-}
-
 ModelWeights init_weights(const ModelSpec& model, util::Prng& prng) {
   validate_model(model);
   ModelWeights weights;

@@ -15,12 +15,6 @@ struct ModelWeights {
   std::vector<std::vector<Tensor>> layers;
 
   [[nodiscard]] const Tensor& weight(std::size_t layer, std::size_t index) const;
-
-  /// Total parameter count.
-  [[nodiscard]] std::size_t num_parameters() const;
-
-  /// Total parameter bytes at fp32.
-  [[nodiscard]] std::uint64_t parameter_bytes() const;
 };
 
 /// Deterministic Glorot/Xavier-uniform initialisation:

@@ -25,23 +25,6 @@ GraphBuilder& GraphBuilder::add_undirected_edge(NodeId a, NodeId b) {
   return *this;
 }
 
-GraphBuilder& GraphBuilder::symmetrize() {
-  const std::size_t n = edges_.size();
-  edges_.reserve(2 * n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const Edge e = edges_[i];
-    if (e.src != e.dst) {
-      edges_.push_back(Edge{e.dst, e.src});
-    }
-  }
-  return *this;
-}
-
-GraphBuilder& GraphBuilder::remove_self_loops() {
-  std::erase_if(edges_, [](const Edge& e) { return e.src == e.dst; });
-  return *this;
-}
-
 Graph GraphBuilder::build() {
   canonicalize();
   return Graph(num_nodes_, edges_);

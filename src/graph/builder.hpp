@@ -20,12 +20,6 @@ class GraphBuilder {
   /// Adds both (src, dst) and (dst, src).
   GraphBuilder& add_undirected_edge(NodeId a, NodeId b);
 
-  /// Adds the reverse of every edge currently collected (symmetrises).
-  GraphBuilder& symmetrize();
-
-  /// Removes self loops collected so far.
-  GraphBuilder& remove_self_loops();
-
   [[nodiscard]] std::size_t pending_edges() const { return edges_.size(); }
   [[nodiscard]] NodeId num_nodes() const { return num_nodes_; }
 

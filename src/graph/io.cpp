@@ -1,10 +1,8 @@
 #include "graph/io.hpp"
 
 #include <fstream>
-#include <sstream>
 #include <string>
 
-#include "graph/builder.hpp"
 #include "util/check.hpp"
 
 namespace gnnerator::graph {
@@ -26,45 +24,6 @@ void save_graph_file(const std::string& path, const Graph& graph) {
   std::ofstream out(path, std::ios::trunc);
   GNNERATOR_CHECK_MSG(out.good(), "cannot open " << path << " for writing");
   save_graph(out, graph);
-}
-
-Graph load_graph(std::istream& in) {
-  std::string line;
-  GNNERATOR_CHECK_MSG(std::getline(in, line), "empty graph stream");
-  GNNERATOR_CHECK_MSG(line == kMagic, "bad magic line: '" << line << "'");
-
-  NodeId num_nodes = 0;
-  std::size_t num_edges = 0;
-  GNNERATOR_CHECK_MSG(std::getline(in, line), "missing size line");
-  {
-    std::istringstream sizes(line);
-    GNNERATOR_CHECK_MSG(static_cast<bool>(sizes >> num_nodes >> num_edges),
-                        "malformed size line: '" << line << "'");
-  }
-
-  GraphBuilder builder(num_nodes);
-  std::size_t seen = 0;
-  while (seen < num_edges && std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') {
-      continue;
-    }
-    std::istringstream row(line);
-    NodeId src = 0;
-    NodeId dst = 0;
-    GNNERATOR_CHECK_MSG(static_cast<bool>(row >> src >> dst),
-                        "malformed edge line: '" << line << "'");
-    builder.add_edge(src, dst);
-    ++seen;
-  }
-  GNNERATOR_CHECK_MSG(seen == num_edges,
-                      "edge count mismatch: header says " << num_edges << ", got " << seen);
-  return builder.build();
-}
-
-Graph load_graph_file(const std::string& path) {
-  std::ifstream in(path);
-  GNNERATOR_CHECK_MSG(in.good(), "cannot open " << path << " for reading");
-  return load_graph(in);
 }
 
 }  // namespace gnnerator::graph

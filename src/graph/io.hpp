@@ -14,14 +14,10 @@ namespace gnnerator::graph {
 ///   <src> <dst>
 ///   ...
 ///
-/// Lines starting with '#' after the header are ignored (comments).
-/// Writing always emits the canonical sorted order; loading accepts any
-/// order and canonicalises.
+/// Edges are written in the graph's canonical (src, dst) order, so one
+/// graph always produces the same text.
 
 void save_graph(std::ostream& out, const Graph& graph);
 void save_graph_file(const std::string& path, const Graph& graph);
-
-Graph load_graph(std::istream& in);
-Graph load_graph_file(const std::string& path);
 
 }  // namespace gnnerator::graph

@@ -62,10 +62,6 @@ FanoutSpec parse_fanout(std::string_view spec) {
   return fanout;
 }
 
-bool SampledSubgraph::is_seed(NodeId v) const {
-  return std::binary_search(seeds.begin(), seeds.end(), v);
-}
-
 SampledSubgraph sample_frontier(const Graph& graph, const std::vector<NodeId>& seeds,
                                 const FanoutSpec& fanout, util::Prng& prng) {
   GNNERATOR_CHECK_MSG(!seeds.empty(), "frontier sampling needs at least one seed");

@@ -52,8 +52,6 @@ struct SampledSubgraph {
   /// "s" + hex(fingerprint_value): the dataset-key component serve-layer
   /// compatibility keys embed.
   std::string fingerprint;
-
-  [[nodiscard]] bool is_seed(NodeId v) const;
 };
 
 /// Deterministic k-hop in-neighborhood sampling from `seeds`. Hop h expands

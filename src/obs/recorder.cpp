@@ -32,18 +32,6 @@ std::string_view span_phase_name(SpanPhase phase) {
   return "?";
 }
 
-std::string_view device_span_kind_name(DeviceSpanKind kind) {
-  switch (kind) {
-    case DeviceSpanKind::kBusy:
-      return "busy";
-    case DeviceSpanKind::kCrashed:
-      return "crashed";
-    case DeviceSpanKind::kParked:
-      return "parked";
-  }
-  return "?";
-}
-
 std::string_view mark_kind_name(MarkKind kind) {
   switch (kind) {
     case MarkKind::kShed:
@@ -155,10 +143,6 @@ void Recorder::close_busy(std::uint32_t device, Cycle end, bool aborted) {
     }
   }
   device_spans_.push_back(std::move(span));
-}
-
-bool Recorder::busy_open(std::uint32_t device) const {
-  return device < open_busy_.size() && open_busy_[device].has_value();
 }
 
 void Recorder::health_span(std::uint32_t device, DeviceSpanKind kind, Cycle begin,

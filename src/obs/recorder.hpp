@@ -50,8 +50,6 @@ struct SpanEvent {
 /// What a device lane was doing over [begin, end).
 enum class DeviceSpanKind : std::uint8_t { kBusy, kCrashed, kParked };
 
-[[nodiscard]] std::string_view device_span_kind_name(DeviceSpanKind kind);
-
 /// One engine-level busy window inside a device busy span (from sim::Tracer
 /// gemm/shard start–done pairs), on the server timeline.
 struct EngineWindow {
@@ -153,7 +151,6 @@ class Recorder {
   /// Attach engine windows (absolute cycles) to the device's open busy span.
   void attach_windows(std::uint32_t device, std::vector<EngineWindow> windows);
   void close_busy(std::uint32_t device, Cycle end, bool aborted);
-  [[nodiscard]] bool busy_open(std::uint32_t device) const;
   /// A non-active health interval [begin, end) (crashed / scaled out).
   void health_span(std::uint32_t device, DeviceSpanKind kind, Cycle begin, Cycle end);
   void mark(Mark m);

@@ -9,20 +9,6 @@
 
 namespace gnnerator::serve {
 
-std::string_view fault_kind_name(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kCrash:
-      return "crash";
-    case FaultKind::kRecover:
-      return "recover";
-    case FaultKind::kSlow:
-      return "slow";
-    case FaultKind::kReclass:
-      return "reclass";
-  }
-  return "?";
-}
-
 namespace {
 
 /// "500ms" / "2.5s" / "750us" / bare "500" (ms) -> milliseconds. Strict:

@@ -26,8 +26,6 @@ enum class FaultKind {
   kReclass,
 };
 
-[[nodiscard]] std::string_view fault_kind_name(FaultKind kind);
-
 /// Smallest slow factor a fault plan accepts. A slower device would
 /// stretch a batch's service cycles toward the range where the division in
 /// the event loop no longer converts back to a cycle count.

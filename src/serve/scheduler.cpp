@@ -322,15 +322,6 @@ class TieredScheduler final : public Scheduler {
     return total;
   }
 
-  [[nodiscard]] bool has_ready(Cycle now) const override {
-    for (const std::unique_ptr<Scheduler>& inner : inners_) {
-      if (inner->has_ready(now)) {
-        return true;
-      }
-    }
-    return false;
-  }
-
   [[nodiscard]] std::vector<const QueuedRequest*> ready(Cycle now) const override {
     std::vector<const QueuedRequest*> view;
     for (const std::size_t tier : eligible_order(now)) {

@@ -156,42 +156,6 @@ std::size_t Server::intern_device_class(std::string_view name) {
   return device_classes_.size() - 1;
 }
 
-std::size_t Server::add_device(std::string_view klass) {
-  if (device_classes_.empty()) {
-    GNNERATOR_CHECK_MSG(klass.empty(),
-                        "legacy fleets have no device classes; add_device() takes no name");
-    return append_device(kNoClass, /*ephemeral=*/false, /*now=*/0);
-  }
-  GNNERATOR_CHECK_MSG(!klass.empty(), "classed fleets add devices by class name");
-  return append_device(intern_device_class(klass), /*ephemeral=*/false, /*now=*/0);
-}
-
-void Server::remove_device(std::size_t device) {
-  GNNERATOR_CHECK_MSG(device < devices_.size(),
-                      "remove_device(" << device << ") on a fleet of " << devices_.size());
-  std::size_t active = 0;
-  for (const Device& d : devices_) {
-    active += d.health == DeviceHealth::kActive ? 1 : 0;
-  }
-  GNNERATOR_CHECK_MSG(devices_[device].health != DeviceHealth::kActive || active > 1,
-                      "cannot remove the last active device");
-  devices_[device].health = DeviceHealth::kRemoved;
-  devices_[device].baseline_health = DeviceHealth::kRemoved;
-}
-
-void Server::reclass_device(std::size_t device, std::string_view klass) {
-  GNNERATOR_CHECK_MSG(device < devices_.size(),
-                      "reclass_device(" << device << ") on a fleet of " << devices_.size());
-  const std::size_t ci = intern_device_class(klass);
-  devices_[device].klass = ci;
-  devices_[device].baseline_klass = ci;
-}
-
-DeviceHealth Server::device_health(std::size_t device) const {
-  GNNERATOR_CHECK(device < devices_.size());
-  return devices_[device].health;
-}
-
 const graph::Dataset& Server::add_dataset(graph::Dataset dataset) {
   RegisteredDataset entry;
   entry.dataset = std::make_shared<const graph::Dataset>(std::move(dataset));
@@ -204,20 +168,10 @@ const graph::Dataset& Server::add_dataset(graph::Dataset dataset) {
   return *it->second.dataset;
 }
 
-bool Server::has_dataset(std::string_view name) const {
-  return datasets_.find(name) != datasets_.end();
-}
-
 const Server::RegisteredDataset& Server::registered(const std::string& name) const {
   const auto it = datasets_.find(name);
   GNNERATOR_CHECK_MSG(it != datasets_.end(), "no dataset registered as '" << name << "'");
   return it->second;
-}
-
-const DeviceClass* Server::device_class(std::size_t device) const {
-  GNNERATOR_CHECK(device < devices_.size());
-  const std::size_t klass = devices_[device].klass;
-  return klass == kNoClass ? nullptr : &device_classes_[klass];
 }
 
 core::SimulationRequest Server::sim_for_slot(const core::SimulationRequest& sim,
@@ -243,26 +197,6 @@ std::string Server::class_key(const core::SimulationRequest& sim) const {
   return request_class_key(dataset.fingerprint, canonical);
 }
 
-std::uint64_t Server::cost_estimate(const core::SimulationRequest& sim) {
-  const RegisteredDataset& dataset = registered(sim.dataset);
-  if (device_classes_.empty()) {
-    return cost_oracle_.analytic(*dataset.dataset, sim,
-                                 request_class_key(dataset.fingerprint, sim));
-  }
-  core::SimulationRequest canonical = sim;
-  canonical.config = device_classes_.front().config;
-  return cost_oracle_.analytic(*dataset.dataset, canonical,
-                               request_class_key(dataset.fingerprint, canonical));
-}
-
-std::uint64_t Server::calibrated_cost_estimate(const core::SimulationRequest& sim) {
-  // The canonical execution identity is the class key (see identity()).
-  if (const core::ExecutionResult* executed = executed_result(class_key(sim))) {
-    return executed->cycles;
-  }
-  return cost_estimate(sim);
-}
-
 Cycle Server::to_server_cycles(const Device& device, std::uint64_t device_cycles) const {
   if (device.klass == kNoClass) {
     return device_cycles;
@@ -272,37 +206,6 @@ Cycle Server::to_server_cycles(const Device& device, std::uint64_t device_cycles
     return device_cycles;
   }
   return static_cast<Cycle>(std::llround(static_cast<double>(device_cycles) * ratio));
-}
-
-std::uint64_t Server::device_cost_estimate(const core::SimulationRequest& sim,
-                                           std::size_t device_index) {
-  GNNERATOR_CHECK(device_index < devices_.size());
-  const Device& device = devices_[device_index];
-  const RegisteredDataset& dataset = registered(sim.dataset);
-  const core::SimulationRequest swapped = sim_for_slot(sim, exec_slot(device));
-  const std::string key = request_class_key(dataset.fingerprint, swapped);
-  const std::uint64_t device_cycles = cost_oracle_.analytic(*dataset.dataset, swapped, key);
-  return to_server_cycles(device, device_cycles) + options_.per_request_overhead;
-}
-
-std::uint64_t Server::calibrated_device_cost_estimate(const core::SimulationRequest& sim,
-                                                      std::size_t device_index) {
-  GNNERATOR_CHECK(device_index < devices_.size());
-  const Device& device = devices_[device_index];
-  const RegisteredDataset& dataset = registered(sim.dataset);
-  // The execution identity under this device — what identity() resolves for
-  // a queued request.
-  const std::string identity =
-      request_class_key(dataset.fingerprint, sim_for_slot(sim, exec_slot(device)));
-  if (const core::ExecutionResult* executed = executed_result(identity)) {
-    return to_server_cycles(device, executed->cycles) + options_.per_request_overhead;
-  }
-  return device_cost_estimate(sim, device_index);
-}
-
-const core::ExecutionResult* Server::executed_result(std::string_view identity_key) const {
-  const auto it = identity_index_.find(identity_key);
-  return it == identity_index_.end() ? nullptr : it->second->result.get();
 }
 
 std::uint32_t Server::intern_class(const std::string& key) {
@@ -1601,11 +1504,11 @@ ServeReport Server::assemble_report(EventLoop& loop) {
     device.stats.klass = device.klass == kNoClass ? "" : device_classes_[device.klass].name;
     report.devices.push_back(device.stats);
     // Reset for the next serve() run: stats restart, and the fleet reverts
-    // to its configured baseline (in-run fault/autoscaler mutations are
-    // per-run; public add/remove/reclass_device set the baselines).
+    // to its configured classes (fault and autoscaler mutations are
+    // per-run).
     device.stats = DeviceStats{};
     device.busy_until = 0;
-    device.health = device.baseline_health;
+    device.health = DeviceHealth::kActive;
     device.klass = device.baseline_klass;
     device.slow_factor = 1.0;
     device.health_since = 0;

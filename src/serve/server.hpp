@@ -29,13 +29,6 @@
 
 namespace gnnerator::serve {
 
-/// Runtime availability of one fleet device.
-enum class DeviceHealth {
-  kActive,   ///< in service: dispatchable, accrues device-hours
-  kRemoved,  ///< scaled out of the fleet (autoscaler / remove_device)
-  kCrashed,  ///< dead from a fault; back with a recover event
-};
-
 struct ServerOptions {
   /// Size of the simulated device fleet when `fleet` is empty (legacy
   /// homogeneous mode: every worker executes requests under the request's
@@ -181,57 +174,26 @@ class Server {
   /// heterogeneous fleet the canonical (first) device class's config is
   /// substituted. The request's dataset must be registered.
   [[nodiscard]] std::string class_key(const core::SimulationRequest& sim) const;
-  /// The analytic estimate for a request (cycles) under the canonical device
-  /// class; never consults executions.
-  [[nodiscard]] std::uint64_t cost_estimate(const core::SimulationRequest& sim);
-  /// What SJF queues the request on: the simulated cycles of its canonical
-  /// execution identity once that has executed, cost_estimate before.
-  [[nodiscard]] std::uint64_t calibrated_cost_estimate(const core::SimulationRequest& sim);
-  /// The analytic service cycles of a request on one device, on the server
-  /// timeline, including per-request overhead.
-  [[nodiscard]] std::uint64_t device_cost_estimate(const core::SimulationRequest& sim,
-                                                   std::size_t device);
-  /// What affinity placement uses: device_cost_estimate with the simulated
-  /// cycles substituted once the request's execution identity on that
-  /// device has executed.
-  [[nodiscard]] std::uint64_t calibrated_device_cost_estimate(
-      const core::SimulationRequest& sim, std::size_t device);
   /// The analytic estimate memo (state persists across runs).
   [[nodiscard]] const core::CostOracle& cost_oracle() const { return cost_oracle_; }
   [[nodiscard]] std::size_t num_devices() const { return devices_.size(); }
-  /// The device class of one worker; the empty legacy class (no config
-  /// override) when ServerOptions::fleet was empty.
-  [[nodiscard]] const DeviceClass* device_class(std::size_t device) const;
   [[nodiscard]] const ServerOptions& options() const { return options_; }
-  [[nodiscard]] bool has_dataset(std::string_view name) const;
   /// How many times the cost oracle actually ran the analytic compiler
   /// pipeline (one per distinct execution identity — a plan class under one
   /// device config; the memoization regression asserts this stays flat in
   /// trace length).
   [[nodiscard]] std::size_t cost_oracle_runs() const { return cost_oracle_.pipeline_runs(); }
 
-  // ---- Runtime fleet mutation (FGNN-style role/capacity changes). ----------
-  // Callable between serve runs; the next run's schedulers and affinity
-  // placement observe the mutated fleet immediately. In-run mutation goes
-  // through ServerOptions::faults and ::autoscale, which drive the same
-  // machinery at deterministic event points.
-
-  /// Appends a worker (sharing the fleet plan cache, with every registered
-  /// dataset) and returns its index. On a classed fleet `klass` names the
-  /// device class (registry or fleet-spec name); on a legacy fleet it must
-  /// be empty.
-  std::size_t add_device(std::string_view klass = {});
-  /// Takes a device out of service (it keeps its index and engine; a later
-  /// fault plan recover does NOT resurrect it). At least one active device
-  /// must remain.
-  void remove_device(std::size_t device);
-  /// Switches a device to another device class (classed fleets only);
-  /// subsequent batches compile/execute under the new class's config+clock.
-  void reclass_device(std::size_t device, std::string_view klass);
-  /// The current health of one worker.
-  [[nodiscard]] DeviceHealth device_health(std::size_t device) const;
-
  private:
+  /// Runtime availability of one fleet device. The fault plan and the
+  /// autoscaler move it within a run; every device is active again when
+  /// the run ends.
+  enum class DeviceHealth {
+    kActive,   ///< in service: dispatchable, accrues device-hours
+    kRemoved,  ///< scaled out of the fleet by the autoscaler
+    kCrashed,  ///< dead from a fault; back with a recover event
+  };
+
   struct RegisteredDataset {
     std::shared_ptr<const graph::Dataset> dataset;
     std::string fingerprint;
@@ -253,9 +215,6 @@ class Server {
     DeviceStats stats;
     // ---- Elastic state. ----------------------------------------------------
     DeviceHealth health = DeviceHealth::kActive;
-    /// Health restored at end of run (public remove_device persists;
-    /// in-run fault/autoscaler transitions do not).
-    DeviceHealth baseline_health = DeviceHealth::kActive;
     /// Class restored at end of run (reclass faults are per-run).
     std::size_t baseline_klass = 0;
     /// Gray-failure service-speed multiplier (slow faults): batch service
@@ -315,9 +274,6 @@ class Server {
   /// placement and the WFQ charge all price through it.
   std::uint64_t cost_cycles(ExecIdentity& identity, const QueuedRequest& queued,
                             std::size_t slot);
-  /// The memoized execution of the identity keyed `identity_key`; null when
-  /// it has not executed (or no request has resolved it yet).
-  [[nodiscard]] const core::ExecutionResult* executed_result(std::string_view identity_key) const;
   /// Exec slot of a device: its device class index (one shared slot 0 on a
   /// legacy fleet, where every device runs the request's own config).
   [[nodiscard]] static std::size_t exec_slot(const Device& device) {

@@ -195,51 +195,6 @@ std::vector<MmppState> parse_mmpp_spec(std::string_view spec) {
   return states;
 }
 
-FlashCrowdWorkload::FlashCrowdWorkload(std::vector<RequestTemplate> mix, double base_rps,
-                                       double spike_factor, double spike_period_ms,
-                                       double spike_duration_ms, std::size_t num_requests,
-                                       double clock_ghz, std::uint64_t seed)
-    : mix_(std::move(mix)),
-      base_rps_(base_rps),
-      spike_factor_(spike_factor),
-      spike_period_ms_(spike_period_ms),
-      spike_duration_ms_(spike_duration_ms),
-      num_requests_(num_requests),
-      clock_ghz_(clock_ghz),
-      prng_(seed) {
-  GNNERATOR_CHECK_MSG(base_rps_ > 0.0, "flash crowd needs a positive base rate");
-  GNNERATOR_CHECK_MSG(spike_factor_ >= 1.0, "flash crowd spike factor must be >= 1");
-  GNNERATOR_CHECK_MSG(spike_period_ms_ > 0.0, "flash crowd needs a positive spike period");
-  GNNERATOR_CHECK_MSG(spike_duration_ms_ > 0.0 && spike_duration_ms_ <= spike_period_ms_,
-                      "flash crowd spike duration must be in (0, period]");
-}
-
-std::vector<Request> FlashCrowdWorkload::initial_arrivals() {
-  const std::vector<double> weights = mix_weights(mix_);
-  // Thinning: draw candidates from the peak-rate envelope and accept with
-  // probability rate(t)/peak — 1 inside a spike window, 1/spike_factor
-  // outside. Exact for a piecewise-constant rate, and every candidate
-  // consumes the same PRNG draws whether accepted or not, so the stream is
-  // deterministic in (spec, seed).
-  const double peak_rps = base_rps_ * spike_factor_;
-  const double mean_gap_cycles = clock_ghz_ * 1e9 / peak_rps;
-  std::vector<Request> arrivals;
-  arrivals.reserve(num_requests_);
-  Cycle now = 0;
-  while (arrivals.size() < num_requests_) {
-    now += exponential_cycles(prng_, mean_gap_cycles);
-    const double t_ms = cycles_to_ms(now, clock_ghz_);
-    const double phase_ms = std::fmod(t_ms, spike_period_ms_);
-    const bool in_spike = phase_ms < spike_duration_ms_;
-    const double accept = in_spike ? 1.0 : 1.0 / spike_factor_;
-    const double u = prng_.uniform();
-    if (u < accept) {
-      arrivals.push_back(instantiate(mix_[prng_.weighted_index(weights)], now));
-    }
-  }
-  return arrivals;
-}
-
 ClosedLoopWorkload::ClosedLoopWorkload(std::vector<RequestTemplate> mix,
                                        std::size_t num_clients, std::size_t total_requests,
                                        double think_ms, double clock_ghz, std::uint64_t seed)
@@ -400,40 +355,17 @@ std::vector<Request> StreamingWorkloadSource::initial_arrivals() {
   return all;
 }
 
-TraceWorkload TraceWorkload::from_rows(const std::vector<std::vector<std::string>>& rows,
-                                       const core::SimulationRequest& base,
-                                       double clock_ghz) {
-  GNNERATOR_CHECK_MSG(!rows.empty(), "empty workload trace");
-  const TraceColumns cols = check_trace_header(rows.front());
-
-  // A header-only trace is a valid empty workload (the generator matched
-  // nothing) — replaying it serves zero requests instead of throwing.
-  TraceWorkload workload;
-  for (std::size_t r = 1; r < rows.size(); ++r) {
-    std::optional<Request> request = parse_trace_row(rows[r], r, base, clock_ghz, cols);
-    if (request.has_value()) {
-      workload.arrivals_.push_back(std::move(*request));
-    }
-  }
-  return workload;
-}
-
-TraceWorkload TraceWorkload::from_csv(const std::string& csv_text,
-                                      const core::SimulationRequest& base,
-                                      double clock_ghz) {
-  return from_rows(util::parse_csv(csv_text), base, clock_ghz);
-}
-
 TraceWorkload TraceWorkload::from_file(const std::string& path,
                                        const core::SimulationRequest& base,
                                        double clock_ghz) {
   // Row-at-a-time through the streaming reader: the arrivals vector is the
-  // only thing proportional to the trace (read_csv_file would additionally
-  // materialize the raw text and the full cell matrix).
+  // only thing proportional to the trace.
   util::CsvStreamReader reader(path);
   std::optional<std::vector<std::string>> header = reader.next_row();
   GNNERATOR_CHECK_MSG(header.has_value(), "empty workload trace");
   const TraceColumns cols = check_trace_header(*header);
+  // A header-only trace is a valid empty workload (the generator matched
+  // nothing) — replaying it serves zero requests instead of throwing.
   TraceWorkload workload;
   std::size_t r = 0;
   while (std::optional<std::vector<std::string>> row = reader.next_row()) {

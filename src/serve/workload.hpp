@@ -149,33 +149,6 @@ class MmppWorkload final : public WorkloadSource {
 /// and fault specs; errors name the offending element and character offset.
 std::vector<MmppState> parse_mmpp_spec(std::string_view spec);
 
-/// Flash-crowd arrivals: a base Poisson stream at `base_rps` that spikes to
-/// `spike_factor * base_rps` inside deterministic windows (every
-/// `spike_period_ms`, lasting `spike_duration_ms`). Implemented by thinning
-/// a Poisson envelope at the peak rate — candidate arrivals are drawn at
-/// the spike rate and accepted with probability rate(t)/peak — so the
-/// stream is exact, not a piecewise approximation, and deterministic in
-/// (spec, seed).
-class FlashCrowdWorkload final : public WorkloadSource {
- public:
-  FlashCrowdWorkload(std::vector<RequestTemplate> mix, double base_rps,
-                     double spike_factor, double spike_period_ms,
-                     double spike_duration_ms, std::size_t num_requests,
-                     double clock_ghz, std::uint64_t seed);
-
-  std::vector<Request> initial_arrivals() override;
-
- private:
-  std::vector<RequestTemplate> mix_;
-  double base_rps_;
-  double spike_factor_;
-  double spike_period_ms_;
-  double spike_duration_ms_;
-  std::size_t num_requests_;
-  double clock_ghz_;
-  util::Prng prng_;
-};
-
 /// Closed-loop clients: `num_clients` clients each keep exactly one request
 /// outstanding; when it completes (or is shed) the client thinks for an
 /// exponential time of mean `think_ms` and issues the next one, until
@@ -221,11 +194,9 @@ class ClosedLoopWorkload final : public WorkloadSource {
 /// datasets/models throw CheckError naming the row.
 class TraceWorkload final : public WorkloadSource {
  public:
-  /// Parses CSV text (util::parse_csv). `base` supplies everything the
-  /// trace does not carry (config, dataflow, mode, weight seed).
-  static TraceWorkload from_csv(const std::string& csv_text,
-                                const core::SimulationRequest& base, double clock_ghz);
-  /// Reads and parses a trace file.
+  /// Reads and parses a trace file row by row (util::CsvStreamReader).
+  /// `base` supplies everything the trace does not carry (config, dataflow,
+  /// mode, weight seed).
   static TraceWorkload from_file(const std::string& path,
                                  const core::SimulationRequest& base, double clock_ghz);
 
@@ -234,9 +205,6 @@ class TraceWorkload final : public WorkloadSource {
   [[nodiscard]] std::size_t size() const { return arrivals_.size(); }
 
  private:
-  static TraceWorkload from_rows(const std::vector<std::vector<std::string>>& rows,
-                                 const core::SimulationRequest& base, double clock_ghz);
-
   std::vector<Request> arrivals_;
 };
 

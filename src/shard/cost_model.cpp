@@ -1,7 +1,5 @@
 #include "shard/cost_model.hpp"
 
-#include <sstream>
-
 #include "util/check.hpp"
 
 namespace gnnerator::shard {
@@ -45,12 +43,6 @@ Traversal choose_traversal(std::uint32_t grid_dim, double input_residency, doubl
       analytic_shard_cost(grid_dim, input_residency, Traversal::kDestStationary)
           .total(write_weight);
   return dst <= src ? Traversal::kDestStationary : Traversal::kSourceStationary;
-}
-
-std::string format_cost(const ShardCost& cost) {
-  std::ostringstream os;
-  os << "reads=" << cost.reads << " writes=" << cost.writes << " total=" << cost.total();
-  return os.str();
 }
 
 }  // namespace gnnerator::shard

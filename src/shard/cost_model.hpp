@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "shard/traversal.hpp"
 
@@ -73,8 +72,5 @@ struct ShardCostBreakdown {
 /// completion is the producer hand-off point).
 [[nodiscard]] Traversal choose_traversal(std::uint32_t grid_dim, double input_residency,
                                          double write_weight = 1.0);
-
-/// Human-readable one-liner for logs/benches.
-[[nodiscard]] std::string format_cost(const ShardCost& cost);
 
 }  // namespace gnnerator::shard

@@ -75,18 +75,6 @@ ShardGrid::ShardGrid(const graph::Graph& graph, NodeId nodes_per_shard)
     }
   });
   source_offsets_.pop_back();
-
-  // A shard's distinct destinations are the dst changes along its
-  // (dst, src)-ordered edges.
-  dest_offsets_.assign(num_shards + 1, 0);
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    for (std::size_t i = offsets_[s]; i < offsets_[s + 1]; ++i) {
-      if (i == offsets_[s] || edges_[i - 1].dst != edges_[i].dst) {
-        dests_.push_back(edges_[i].dst);
-      }
-    }
-    dest_offsets_[s + 1] = dests_.size();
-  }
 }
 
 NodeId ShardGrid::interval_begin(std::uint32_t idx) const {
@@ -117,11 +105,6 @@ std::span<const Edge> ShardGrid::shard_edges(ShardCoord c) const {
 std::span<const NodeId> ShardGrid::shard_sources(ShardCoord c) const {
   const std::size_t s = shard_index(c);
   return {sources_.data() + source_offsets_[s], source_offsets_[s + 1] - source_offsets_[s]};
-}
-
-std::span<const NodeId> ShardGrid::shard_dests(ShardCoord c) const {
-  const std::size_t s = shard_index(c);
-  return {dests_.data() + dest_offsets_[s], dest_offsets_[s + 1] - dest_offsets_[s]};
 }
 
 std::size_t ShardGrid::num_nonempty_shards() const {

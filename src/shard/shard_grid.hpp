@@ -54,9 +54,6 @@ class ShardGrid {
   /// load for this shard.
   [[nodiscard]] std::span<const NodeId> shard_sources(ShardCoord c) const;
 
-  /// Distinct destination node ids with at least one edge, ascending.
-  [[nodiscard]] std::span<const NodeId> shard_dests(ShardCoord c) const;
-
   /// True if the shard holds no edges (it can be skipped entirely).
   [[nodiscard]] bool shard_empty(ShardCoord c) const { return shard_edges(c).empty(); }
 
@@ -72,11 +69,9 @@ class ShardGrid {
   std::vector<Edge> edges_;
   std::vector<std::size_t> offsets_;
 
-  // Distinct active sources / destinations, grouped per shard.
+  // Distinct active sources, grouped per shard.
   std::vector<NodeId> sources_;
   std::vector<std::size_t> source_offsets_;
-  std::vector<NodeId> dests_;
-  std::vector<std::size_t> dest_offsets_;
 
   [[nodiscard]] std::size_t shard_index(ShardCoord c) const;
 };

@@ -1,7 +1,6 @@
 #include "shard/sizing.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 #include "util/check.hpp"
 #include "util/units.hpp"
@@ -39,15 +38,6 @@ ShardSizing choose_shard_size(std::uint64_t scratch_bytes, std::size_t block_dim
                        sizing.dst_buffer_bytes * dst_copies + policy.edge_buffer_bytes;
   GNNERATOR_CHECK(sizing.total_bytes <= scratch_bytes);
   return sizing;
-}
-
-std::string format_sizing(const ShardSizing& s) {
-  std::ostringstream os;
-  os << "n=" << s.nodes_per_shard << " S=" << s.grid_dim << " src="
-     << util::format_bytes(s.src_buffer_bytes) << " dst=" << util::format_bytes(s.dst_buffer_bytes)
-     << " edges=" << util::format_bytes(s.edge_buffer_bytes)
-     << " total=" << util::format_bytes(s.total_bytes);
-  return os.str();
 }
 
 }  // namespace gnnerator::shard

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "graph/types.hpp"
 
@@ -41,7 +40,5 @@ struct SizingPolicy {
 [[nodiscard]] ShardSizing choose_shard_size(std::uint64_t scratch_bytes, std::size_t block_dims,
                                             graph::NodeId num_nodes,
                                             const SizingPolicy& policy = {});
-
-[[nodiscard]] std::string format_sizing(const ShardSizing& sizing);
 
 }  // namespace gnnerator::shard

@@ -28,11 +28,6 @@ bool SyncBoard::is_signaled(TokenId token) const {
   return signaled_[token];
 }
 
-const std::string& SyncBoard::name(TokenId token) const {
-  GNNERATOR_CHECK(token < names_.size());
-  return names_[token];
-}
-
 std::vector<std::string> SyncBoard::pending_names() const {
   std::vector<std::string> pending;
   for (std::size_t i = 0; i < signaled_.size(); ++i) {

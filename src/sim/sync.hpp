@@ -39,7 +39,6 @@ class SyncBoard {
 
   [[nodiscard]] std::size_t size() const { return signaled_.size(); }
   [[nodiscard]] std::size_t num_signaled() const { return num_signaled_; }
-  [[nodiscard]] const std::string& name(TokenId token) const;
 
   /// Names of all unsignalled tokens (deadlock diagnostics).
   [[nodiscard]] std::vector<std::string> pending_names() const;

@@ -11,8 +11,6 @@ void Tracer::enable(std::size_t max_events) {
   events_.reserve(std::min<std::size_t>(max_events, 4096));
 }
 
-void Tracer::disable() { enabled_ = false; }
-
 void Tracer::emit(Cycle cycle, std::string_view component, std::string_view what) {
   if (!enabled_) {
     return;

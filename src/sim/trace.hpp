@@ -27,7 +27,6 @@ class Tracer {
   Tracer() = default;
 
   void enable(std::size_t max_events = 1'000'000);
-  void disable();
   [[nodiscard]] bool enabled() const { return enabled_; }
 
   void emit(Cycle cycle, std::string_view component, std::string_view what);

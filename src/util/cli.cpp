@@ -52,8 +52,13 @@ int cli_main(int argc, char** argv, std::string_view usage,
       return 1;
     }
   }
+  const Args args(argc, argv);
+  if (!args.positional().empty()) {
+    std::cerr << "error: unexpected argument '" << args.positional().front() << "'\n";
+    print_usage(std::cerr);
+    return 1;
+  }
   try {
-    const Args args(argc, argv);
     return body(args);
   } catch (const std::exception& e) {
     // CheckError (every GNNERATOR_CHECK failure) lands here too; it

@@ -11,10 +11,13 @@ namespace gnnerator::util {
 /// tool accepts exactly the flags that `usage` spells as `--name`: any
 /// other flag prints `error: unknown flag --<name>` plus the usage line to
 /// stderr and exits 1 before `body` runs, and `--help` prints the usage
-/// line to stdout and exits 0. Any exception escaping `body` (bad flag
-/// values, capacity violations, model misuse) prints `error: <message>`
-/// plus the usage line to stderr and exits 1, instead of aborting with a
-/// raw uncaught exception.
+/// line to stdout and exits 0. It takes no positional arguments either: a
+/// token that is neither a flag nor a flag's value prints `error:
+/// unexpected argument '<token>'` plus the usage line to stderr and exits 1
+/// before `body` runs. Any exception escaping `body` (bad flag values,
+/// capacity violations, model misuse) prints `error: <message>` plus the
+/// usage line to stderr and exits 1, instead of aborting with a raw
+/// uncaught exception.
 ///
 ///   int main(int argc, char** argv) {
 ///     return util::cli_main(argc, argv, "[--dataset cora] [--block N]",

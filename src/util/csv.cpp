@@ -74,15 +74,6 @@ std::vector<std::vector<std::string>> parse_csv(std::string_view text) {
   return rows;
 }
 
-std::vector<std::vector<std::string>> read_csv_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  GNNERATOR_CHECK_MSG(in.good(), "cannot open " << path << " for reading");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  GNNERATOR_CHECK_MSG(!in.bad(), "read failed for " << path);
-  return parse_csv(buffer.str());
-}
-
 CsvStreamReader::CsvStreamReader(const std::string& path, std::size_t chunk_bytes)
     : in_(path, std::ios::binary), path_(path) {
   GNNERATOR_CHECK_MSG(in_.good(), "cannot open " << path << " for reading");
@@ -202,18 +193,6 @@ void CsvWriter::add_row(const std::vector<std::string>& cells) {
                       "CSV row arity " << cells.size() << " != " << columns_);
   emit_row(cells);
   ++rows_;
-}
-
-void CsvWriter::add_row(std::initializer_list<double> values) {
-  std::vector<std::string> cells;
-  cells.reserve(values.size());
-  for (double v : values) {
-    std::ostringstream os;
-    os.precision(17);
-    os << v;
-    cells.push_back(os.str());
-  }
-  add_row(cells);
 }
 
 std::string CsvWriter::to_string() const { return body_.str(); }

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <fstream>
-#include <initializer_list>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -15,16 +14,10 @@ namespace gnnerator::util {
 /// endings all work (an unquoted CR never vanishes from the middle of a
 /// cell — it ends the row); a trailing newline does not produce an empty
 /// row; a trailing comma produces an empty final cell. The inverse of
-/// CsvWriter (round-trips its output). Used by the serving subsystem's
-/// workload-trace replay. Throws CheckError on an unterminated quoted cell.
+/// CsvWriter (round-trips its output), and the in-memory reference for
+/// CsvStreamReader's dialect. Throws CheckError on an unterminated quoted
+/// cell.
 [[nodiscard]] std::vector<std::vector<std::string>> parse_csv(std::string_view text);
-
-/// Reads and parses a CSV file; throws CheckError on I/O failure.
-///
-/// Materializes the whole file. Million-row consumers (the serving
-/// subsystem's trace replay) should use CsvStreamReader instead, which
-/// holds one chunk plus one row at a time.
-[[nodiscard]] std::vector<std::vector<std::string>> read_csv_file(const std::string& path);
 
 /// Incremental CSV reader: same dialect as parse_csv (RFC-4180 quoting,
 /// CRLF/LF/lone-CR row endings, trailing-newline and trailing-comma
@@ -85,9 +78,6 @@ class CsvWriter {
 
   /// Appends a data row; must match the header arity.
   void add_row(const std::vector<std::string>& cells);
-
-  /// Convenience overload converting arithmetic values with full precision.
-  void add_row(std::initializer_list<double> values);
 
   [[nodiscard]] std::size_t num_rows() const { return rows_; }
 

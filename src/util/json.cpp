@@ -43,13 +43,6 @@ void json_escape_to(std::string& out, std::string_view s) {
   }
 }
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  json_escape_to(out, s);
-  return out;
-}
-
 std::string json_number(double value) {
   if (!std::isfinite(value)) {
     return "null";
@@ -171,7 +164,6 @@ JsonWriter& JsonWriter::value(std::int64_t v) { return raw_value(json_number(v))
 
 JsonWriter& JsonWriter::value(bool v) { return raw_value(v ? "true" : "false"); }
 
-JsonWriter& JsonWriter::null_value() { return raw_value("null"); }
 
 JsonWriter& JsonWriter::raw_value(std::string_view json) {
   before_value();

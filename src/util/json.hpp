@@ -12,9 +12,6 @@ namespace gnnerator::util {
 /// characters as \uXXXX) to `out`, without surrounding quotes.
 void json_escape_to(std::string& out, std::string_view s);
 
-/// `s` JSON-escaped, without surrounding quotes.
-[[nodiscard]] std::string json_escape(std::string_view s);
-
 /// Deterministic JSON number rendering: shortest round-trip form via
 /// std::to_chars ("5" for 5.0, no locale, no precision surprises). Non-finite
 /// values render as "null" — bare inf/nan is not valid JSON.
@@ -49,7 +46,6 @@ class JsonWriter {
   JsonWriter& value(std::uint32_t v) { return value(static_cast<std::uint64_t>(v)); }
   JsonWriter& value(std::int32_t v) { return value(static_cast<std::int64_t>(v)); }
   JsonWriter& value(bool v);
-  JsonWriter& null_value();
   /// Pre-rendered JSON (a number formatted elsewhere, a nested document).
   JsonWriter& raw_value(std::string_view json);
 

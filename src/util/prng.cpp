@@ -52,12 +52,6 @@ std::uint64_t Prng::uniform_u64(std::uint64_t bound) {
   }
 }
 
-std::int64_t Prng::uniform_int(std::int64_t lo, std::int64_t hi) {
-  GNNERATOR_CHECK_MSG(lo <= hi, "uniform_int with lo=" << lo << " hi=" << hi);
-  const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
-  return lo + static_cast<std::int64_t>(uniform_u64(span));
-}
-
 double Prng::uniform() {
   // 53 random mantissa bits -> uniform in [0, 1).
   return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;

@@ -23,9 +23,6 @@ class Prng {
   /// sampling (Lemire-style) to avoid modulo bias.
   std::uint64_t uniform_u64(std::uint64_t bound);
 
-  /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
-
   /// Uniform double in [0, 1).
   double uniform();
 

@@ -17,24 +17,6 @@ double geomean(std::span<const double> values) {
   return std::exp(log_sum / static_cast<double>(values.size()));
 }
 
-double mean(std::span<const double> values) {
-  GNNERATOR_CHECK(!values.empty());
-  double sum = 0.0;
-  for (double v : values) {
-    sum += v;
-  }
-  return sum / static_cast<double>(values.size());
-}
-
-double stddev(std::span<const double> values) {
-  const double m = mean(values);
-  double acc = 0.0;
-  for (double v : values) {
-    acc += (v - m) * (v - m);
-  }
-  return std::sqrt(acc / static_cast<double>(values.size()));
-}
-
 double min_value(std::span<const double> values) {
   GNNERATOR_CHECK(!values.empty());
   return *std::min_element(values.begin(), values.end());
@@ -46,13 +28,7 @@ double max_value(std::span<const double> values) {
 }
 
 void RunningStats::add(double value) {
-  if (count_ == 0) {
-    min_ = value;
-    max_ = value;
-  } else {
-    min_ = std::min(min_, value);
-    max_ = std::max(max_, value);
-  }
+  max_ = count_ == 0 ? value : std::max(max_, value);
   sum_ += value;
   ++count_;
 }
@@ -60,11 +36,6 @@ void RunningStats::add(double value) {
 double RunningStats::mean() const {
   GNNERATOR_CHECK(count_ > 0);
   return sum_ / static_cast<double>(count_);
-}
-
-double RunningStats::min() const {
-  GNNERATOR_CHECK(count_ > 0);
-  return min_;
 }
 
 double RunningStats::max() const {
@@ -106,24 +77,6 @@ double StreamingQuantiles::quantile(double q) const {
   const std::size_t hi = std::min(lo + 1, sorted_.size() - 1);
   const double frac = rank - static_cast<double>(lo);
   return sorted_[lo] + frac * (sorted_[hi] - sorted_[lo]);
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins) : lo_(lo), hi_(hi), counts_(bins) {
-  GNNERATOR_CHECK(bins > 0);
-  GNNERATOR_CHECK(hi > lo);
-}
-
-void Histogram::add(double value) {
-  const double unit = (value - lo_) / (hi_ - lo_);
-  auto bin = static_cast<std::ptrdiff_t>(unit * static_cast<double>(counts_.size()));
-  bin = std::clamp<std::ptrdiff_t>(bin, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(bin)];
-  ++total_;
-}
-
-std::size_t Histogram::bin_count(std::size_t bin) const {
-  GNNERATOR_CHECK(bin < counts_.size());
-  return counts_[bin];
 }
 
 }  // namespace gnnerator::util

@@ -14,31 +14,23 @@ namespace gnnerator::util {
 /// input.
 double geomean(std::span<const double> values);
 
-/// Arithmetic mean. Throws on empty input.
-double mean(std::span<const double> values);
-
-/// Population standard deviation. Throws on empty input.
-double stddev(std::span<const double> values);
-
 /// Minimum / maximum. Throw on empty input.
 double min_value(std::span<const double> values);
 double max_value(std::span<const double> values);
 
-/// Simple accumulator for streaming summaries (counts, mean, min, max).
+/// Simple accumulator for streaming summaries (count, sum, mean, max).
 class RunningStats {
  public:
   void add(double value);
 
   [[nodiscard]] std::size_t count() const { return count_; }
   [[nodiscard]] double mean() const;
-  [[nodiscard]] double min() const;
   [[nodiscard]] double max() const;
   [[nodiscard]] double sum() const { return sum_; }
 
  private:
   std::size_t count_ = 0;
   double sum_ = 0.0;
-  double min_ = 0.0;
   double max_ = 0.0;
 };
 
@@ -74,25 +66,6 @@ class StreamingQuantiles {
   /// Scratch for quantile(): sorted copy, rebuilt only after new samples.
   mutable std::vector<double> sorted_;
   mutable bool sorted_valid_ = false;
-};
-
-/// Histogram with fixed-width bins over [lo, hi); out-of-range samples clamp
-/// to the boundary bins. Used for degree-distribution reporting.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double value);
-
-  [[nodiscard]] std::size_t bin_count(std::size_t bin) const;
-  [[nodiscard]] std::size_t num_bins() const { return counts_.size(); }
-  [[nodiscard]] std::size_t total() const { return total_; }
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
 };
 
 }  // namespace gnnerator::util

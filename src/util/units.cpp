@@ -23,19 +23,6 @@ std::string format_bytes(std::uint64_t bytes) {
   return os.str();
 }
 
-std::string format_ops(double ops, const std::string& unit) {
-  constexpr std::array<const char*, 5> kSuffix{"", "K", "M", "G", "T"};
-  double value = ops;
-  std::size_t level = 0;
-  while (value >= 1000.0 && level + 1 < kSuffix.size()) {
-    value /= 1000.0;
-    ++level;
-  }
-  std::ostringstream os;
-  os << std::fixed << std::setprecision(1) << value << ' ' << kSuffix[level] << unit;
-  return os.str();
-}
-
 std::string format_cycles(std::uint64_t cycles) {
   const std::string raw = std::to_string(cycles);
   std::string out;

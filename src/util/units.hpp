@@ -16,9 +16,6 @@ inline constexpr std::uint64_t kGB = 1000ULL * 1000ULL * 1000ULL;
 /// Formats a byte count with a binary suffix, e.g. "24.0 MiB".
 std::string format_bytes(std::uint64_t bytes);
 
-/// Formats an operation count with a decimal suffix, e.g. "8.0 TFLOP".
-std::string format_ops(double ops, const std::string& unit = "FLOP");
-
 /// Formats a cycle count with thousands separators, e.g. "1,234,567".
 std::string format_cycles(std::uint64_t cycles);
 

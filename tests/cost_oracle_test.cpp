@@ -241,17 +241,16 @@ TEST(CostOracleServe, SjfOrdersByExecutedCycles) {
   options.num_devices = 1;
   options.policy = SchedulingPolicy::kSjf;
   Server server(options);
-  server.add_dataset(graph::make_dataset_by_name("cora", 1, /*with_features=*/false));
+  const graph::Dataset& cora =
+      server.add_dataset(graph::make_dataset_by_name("cora", 1, /*with_features=*/false));
   const core::SimulationRequest mean = timing_sim("cora", gnn::LayerKind::kSageMean);
   const core::SimulationRequest pool = timing_sim("cora", gnn::LayerKind::kSagePool);
   const std::string mean_key = server.class_key(mean);
   const std::string pool_key = server.class_key(pool);
 
-  // Before any execution both estimates are analytic.
-  EXPECT_EQ(server.cost_estimate(mean), kMeanAnalytic);
-  EXPECT_EQ(server.cost_estimate(pool), kPoolAnalytic);
-  EXPECT_EQ(server.calibrated_cost_estimate(mean), kMeanAnalytic);
-  EXPECT_EQ(server.calibrated_cost_estimate(pool), kPoolAnalytic);
+  // The analytic estimates the oracle memoizes rank mean below pool.
+  EXPECT_EQ(core::CostOracle::compute(cora, mean), kMeanAnalytic);
+  EXPECT_EQ(core::CostOracle::compute(cora, pool), kPoolAnalytic);
 
   // Wave 1: one of each, queued on the analytic estimates — mean first.
   {
@@ -267,13 +266,8 @@ TEST(CostOracleServe, SjfOrdersByExecutedCycles) {
     }
   }
 
-  // Both have executed: the cost is now their simulated cycles, exactly.
-  EXPECT_EQ(server.calibrated_cost_estimate(mean), kMeanSimulated);
-  EXPECT_EQ(server.calibrated_cost_estimate(pool), kPoolSimulated);
-  // The analytic estimate is unchanged.
-  EXPECT_EQ(server.cost_estimate(mean), kMeanAnalytic);
-
-  // Wave 2: SJF follows the simulated cycles — every pool before any mean.
+  // Wave 2: both have executed, so SJF follows the simulated cycles — every
+  // pool before any mean.
   FixedWorkload wave({at_cycle(0, mean), at_cycle(0, pool), at_cycle(0, mean),
                       at_cycle(0, pool)});
   const ServeReport report = server.serve(wave);
@@ -284,45 +278,47 @@ TEST(CostOracleServe, SjfOrdersByExecutedCycles) {
 
 /// Affinity prices each candidate device by the request's execution
 /// identity there: analytic until that identity has executed, its simulated
-/// cycles (on the server clock, plus overhead) afterwards.
+/// cycles (on the server clock, plus overhead) afterwards. The fleet is one
+/// where the two disagree: on cora GCN the analytic estimate prices baseline
+/// below 2x-dense, the simulation the other way round.
 TEST(CostOracleServe, AffinityPricesExecutedIdentitiesBySimulatedCycles) {
   ServerOptions options;
   options.policy = SchedulingPolicy::kAffinity;
-  options.fleet = parse_fleet_spec("1xbaseline,1xnextgen");
+  options.fleet = parse_fleet_spec("1xbaseline,1x2x-dense");
   Server server(options);
-  server.add_dataset(graph::make_dataset_by_name("cora", 1, /*with_features=*/false));
+  const graph::Dataset& cora =
+      server.add_dataset(graph::make_dataset_by_name("cora", 1, /*with_features=*/false));
   const core::SimulationRequest sim = timing_sim("cora", gnn::LayerKind::kGcn);
-
-  for (std::size_t device = 0; device < 2; ++device) {
-    EXPECT_EQ(server.calibrated_device_cost_estimate(sim, device),
-              server.device_cost_estimate(sim, device))
-        << "device " << device << " before any execution";
+  std::vector<std::uint64_t> analytic;
+  for (const DeviceClass& klass : options.fleet) {
+    core::SimulationRequest on_class = sim;
+    on_class.config = klass.config;
+    analytic.push_back(core::CostOracle::compute(cora, on_class));
   }
+  ASSERT_LT(analytic[0], analytic[1]);
 
-  // Enough identical requests that both device classes execute the plan.
-  std::vector<Request> burst;
-  for (int i = 0; i < 4; ++i) {
-    burst.push_back(at_cycle(0, sim));
-  }
-  FixedWorkload workload(burst);
-  const ServeReport report = server.serve(workload);
-  ASSERT_EQ(report.metrics.completed, 4u);
-
+  // Wave 1: nothing has executed, so the first request goes to the
+  // analytically cheaper baseline and the second to the idle 2x-dense.
+  FixedWorkload warm({at_cycle(0, sim), at_cycle(0, sim)});
+  const ServeReport first = server.serve(warm);
+  ASSERT_EQ(first.metrics.completed, 2u);
+  EXPECT_EQ(first.outcomes[0].device, 0u);
+  EXPECT_EQ(first.outcomes[0].dispatch, 0u);
+  EXPECT_EQ(first.outcomes[1].device, 1u);
+  EXPECT_EQ(first.outcomes[1].dispatch, 0u);
   // Affinity dispatches one request per batch, so a record's service
   // cycles are its device's simulated cycles plus overhead.
-  std::vector<Cycle> service(2, 0);
-  for (const Outcome& o : report.outcomes) {
-    ASSERT_EQ(o.batch_size, 1u);
-    service[o.device] = o.service_cycles;
-  }
-  bool any_moved = false;
-  for (std::size_t device = 0; device < 2; ++device) {
-    SCOPED_TRACE("device " + std::to_string(device));
-    ASSERT_GT(service[device], 0u) << "both device classes should have executed";
-    EXPECT_EQ(server.calibrated_device_cost_estimate(sim, device), service[device]);
-    any_moved = any_moved || service[device] != server.device_cost_estimate(sim, device);
-  }
-  EXPECT_TRUE(any_moved) << "the analytic estimate matched the simulation on both classes";
+  const Cycle baseline = first.outcomes[0].service_cycles;
+  const Cycle dense = first.outcomes[1].service_cycles;
+  ASSERT_LT(dense, baseline) << "the simulation should price 2x-dense below baseline";
+
+  // Wave 2: both identities have executed, so placement follows the
+  // simulated cycles and an idle fleet sends the request to 2x-dense.
+  FixedWorkload probe({at_cycle(0, sim)});
+  const ServeReport second = server.serve(probe);
+  ASSERT_EQ(second.metrics.completed, 1u);
+  EXPECT_EQ(second.outcomes[0].device, 1u);
+  EXPECT_EQ(second.outcomes[0].service_cycles, dense);
 }
 
 // --------------------------------------------------------------- WFQ charge --

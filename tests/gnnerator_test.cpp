@@ -14,7 +14,7 @@ TEST(Facade, Table3ModelFactories) {
   const auto gcn = table3_model(gnn::LayerKind::kGcn, spec);
   EXPECT_EQ(gcn.name, "gcn");
   EXPECT_EQ(gcn.input_dim(), 1433u);
-  EXPECT_EQ(gcn.output_dim(), 7u);
+  EXPECT_EQ(gcn.layers.back().out_dim, 7u);
   EXPECT_EQ(gcn.layers.size(), 2u);
   EXPECT_EQ(gcn.layers[0].out_dim, 16u);
 

@@ -1,11 +1,12 @@
 // Observability-layer tests: the util::json emitter (escaping, deterministic
 // numbers, writer nesting), the metrics Registry (counter/gauge/histogram
 // semantics and the deterministic text exposition), the ExecWindowLog EWMA,
-// request-span lifecycle invariants over real serve runs, Chrome-trace
-// well-formedness, and the central determinism claim — the exported trace is
-// byte-identical between Server::serve and Server::run_reference, including
-// under a fault plan — plus a golden structure test
-// for crash/abort/requeue/resume spans.
+// request-span lifecycle invariants over real serve runs, the sampled
+// serving feeds (frontier spans, exec windows, feature-cache gauges),
+// Chrome-trace well-formedness, and the central determinism claim — the
+// exported trace is byte-identical between Server::serve and
+// Server::run_reference, including under a fault plan — plus a golden
+// structure test for crash/abort/requeue/resume spans.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "graph/sample.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/exec_window.hpp"
 #include "obs/recorder.hpp"
@@ -256,12 +258,17 @@ RecordedRun recorded_run(ServerOptions options, bool reference, std::size_t requ
 // ---- util::json -------------------------------------------------------------
 
 TEST(Json, EscapesQuotesBackslashesAndControls) {
-  EXPECT_EQ(util::json_escape("plain text"), "plain text");
-  EXPECT_EQ(util::json_escape("a\"b"), "a\\\"b");
-  EXPECT_EQ(util::json_escape("a\\b"), "a\\\\b");
-  EXPECT_EQ(util::json_escape("a\nb\tc"), "a\\nb\\tc");
-  EXPECT_EQ(util::json_escape(std::string_view("\x01", 1)), "\\u0001");
-  EXPECT_EQ(util::json_escape(std::string_view("\x1f", 1)), "\\u001f");
+  const auto escaped = [](std::string_view s) {
+    std::string out = "prefix:";  // json_escape_to appends
+    util::json_escape_to(out, s);
+    return out;
+  };
+  EXPECT_EQ(escaped("plain text"), "prefix:plain text");
+  EXPECT_EQ(escaped("a\"b"), "prefix:a\\\"b");
+  EXPECT_EQ(escaped("a\\b"), "prefix:a\\\\b");
+  EXPECT_EQ(escaped("a\nb\tc"), "prefix:a\\nb\\tc");
+  EXPECT_EQ(escaped(std::string_view("\x01", 1)), "prefix:\\u0001");
+  EXPECT_EQ(escaped(std::string_view("\x1f", 1)), "prefix:\\u001f");
 }
 
 TEST(Json, NumbersAreDeterministicAndFiniteOnly) {
@@ -285,7 +292,7 @@ TEST(Json, WriterNestsAndEscapes) {
       .value(std::uint64_t{1})
       .value(2.5)
       .value(true)
-      .null_value()
+      .raw_value("null")
       .end_array()
       .key("nested")
       .begin_object()
@@ -553,6 +560,80 @@ TEST(ObsServe, ExecWindowLogFeedsTheReportAndAccumulates) {
     obs2 += w.observations;
   }
   EXPECT_GT(obs2, obs1);
+}
+
+/// A sampled cora workload with a feature cache and a recorder attached:
+/// each sampled request records one kSample event carrying its frontier's
+/// vertex count, every dispatched sampled batch feeds the exec-window log
+/// once, and the feature-cache gauges publish the report's cache numbers.
+TEST(ObsServe, SampledWorkloadRecordsFrontiersExecWindowsAndCacheGauges) {
+  ServerOptions options;
+  options.num_devices = 2;
+  options.policy = serve::SchedulingPolicy::kDynamicBatch;
+  options.feature_cache = serve::FeatureCacheOptions{};
+  auto recorder = std::make_shared<Recorder>();
+  options.recorder = recorder;
+  Server server(options);
+  const graph::Dataset& cora =
+      server.add_dataset(graph::make_dataset_by_name("cora", 1, /*with_features=*/false));
+  // Fanout 0 takes every in-neighbour, so a frontier does not depend on
+  // the sampling PRNG and the test can draw the same one.
+  const std::string fanout = "0";
+  const auto make_workload = [&] {
+    RequestTemplate t;
+    t.sim = timing_sim("cora", gnn::LayerKind::kGcn);
+    return serve::SampledQueryWorkload({{t, &cora, fanout}}, /*rate_rps=*/40'000.0,
+                                       /*num_requests=*/60, options.clock_ghz, /*seed=*/43);
+  };
+  // Arrivals come out in arrival order, so request i is the i-th arrival.
+  const std::vector<serve::Request> arrivals = make_workload().initial_arrivals();
+  serve::SampledQueryWorkload workload = make_workload();
+  const ServeReport report = server.serve(workload);
+  ASSERT_EQ(report.metrics.completed, arrivals.size());
+
+  std::vector<std::size_t> samples(arrivals.size(), 0);
+  util::Prng any_prng(0);  // fanout 0 draws nothing from it
+  for (const SpanEvent& e : recorder->span_events()) {
+    if (e.phase != SpanPhase::kSample) {
+      continue;
+    }
+    ASSERT_LT(e.request, arrivals.size());
+    ++samples[e.request];
+    const graph::SampledSubgraph frontier = graph::sample_frontier(
+        cora.graph, {static_cast<graph::NodeId>(arrivals[e.request].seed)},
+        graph::parse_fanout(fanout), any_prng);
+    EXPECT_EQ(e.value, frontier.vertices.size()) << "request " << e.request;
+  }
+  for (std::size_t id = 0; id < samples.size(); ++id) {
+    EXPECT_EQ(samples[id], 1u) << "request " << id;
+  }
+
+  std::uint64_t batches = 0;
+  for (const serve::DeviceStats& d : report.devices) {
+    batches += d.batches;
+  }
+  EXPECT_LT(batches, arrivals.size()) << "expected some fused batches";
+  EXPECT_EQ(recorder->exec_window_log().total_observations(), batches);
+  std::uint64_t observations = 0;
+  for (const ExecWindow& w : report.exec_windows) {
+    observations += w.observations;
+  }
+  EXPECT_EQ(observations, batches);
+
+  ASSERT_TRUE(report.feature_cache_enabled);
+  EXPECT_GT(report.feature_cache.hits, 0u);
+  Registry& reg = recorder->registry();
+  const std::string text = reg.text_snapshot();
+  for (const char* name : {"feature_cache_hits", "feature_cache_misses",
+                           "feature_cache_bytes_saved"}) {
+    EXPECT_NE(text.find(std::string("\n") + name + " "), std::string::npos) << name;
+  }
+  EXPECT_EQ(reg.gauge("feature_cache_hits").value,
+            static_cast<double>(report.feature_cache.hits));
+  EXPECT_EQ(reg.gauge("feature_cache_misses").value,
+            static_cast<double>(report.feature_cache.misses));
+  EXPECT_EQ(reg.gauge("feature_cache_bytes_saved").value,
+            static_cast<double>(report.feature_cache.bytes_saved));
 }
 
 // ---- Chrome trace export -------------------------------------------------------

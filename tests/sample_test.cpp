@@ -60,7 +60,6 @@ TEST(SampleFrontier, DeterministicInPrngStateAndWellFormed) {
             first.vertices.size());
   ASSERT_EQ(first.seeds.size(), 1u);
   EXPECT_EQ(first.vertices[first.seeds[0]], 42u);
-  EXPECT_TRUE(first.is_seed(first.seeds[0]));
   EXPECT_EQ(first.base_in_degree.size(), first.vertices.size());
   for (std::size_t v = 0; v < first.vertices.size(); ++v) {
     EXPECT_EQ(first.base_in_degree[v],

@@ -316,52 +316,6 @@ TEST(ServeFault, SlowFaultStretchesService) {
   EXPECT_GT(slow.end_cycle, fast.end_cycle) << "half speed did not stretch the run";
 }
 
-// ---- Runtime fleet mutation ----------------------------------------------
-
-TEST(ServeFleetMutation, AddRemoveReclassBetweenRuns) {
-  ServerOptions options;
-  options.fleet = parse_fleet_spec("1xbaseline,1xnextgen");
-  options.policy = SchedulingPolicy::kAffinity;
-  Server server = make_server(options);
-  ASSERT_EQ(server.num_devices(), 2u);
-
-  const std::size_t added = server.add_device("baseline");
-  EXPECT_EQ(added, 2u);
-  EXPECT_EQ(server.num_devices(), 3u);
-  server.reclass_device(added, "nextgen");
-  server.remove_device(0);
-  EXPECT_EQ(server.device_health(0), DeviceHealth::kRemoved);
-  EXPECT_EQ(server.device_health(added), DeviceHealth::kActive);
-
-  PoissonWorkload workload(cora_mix(), /*rate_rps=*/20'000.0, /*num_requests=*/60,
-                           options.clock_ghz, /*seed=*/3);
-  const ServeReport report = server.serve(workload);
-  EXPECT_EQ(report.metrics.completed + report.metrics.shed + report.metrics.failed, 60u);
-  for (const Outcome& o : report.outcomes) {
-    if (!o.shed && !o.failed) {
-      EXPECT_NE(o.device, 0u) << "a removed device served request " << o.id;
-    }
-  }
-
-  EXPECT_THROW(server.remove_device(99), util::CheckError);
-  EXPECT_THROW(server.reclass_device(1, "not-a-class"), util::CheckError);
-  EXPECT_THROW(server.add_device(""), util::CheckError)
-      << "classed fleets require a class name";
-
-  // The last active device may not be removed.
-  server.remove_device(1);
-  EXPECT_THROW(server.remove_device(added), util::CheckError);
-}
-
-TEST(ServeFleetMutation, LegacyFleetTakesUnnamedDevicesOnly) {
-  ServerOptions options;
-  options.num_devices = 1;
-  Server server = make_server(options);
-  EXPECT_THROW(server.add_device("baseline"), util::CheckError);
-  EXPECT_EQ(server.add_device(), 1u);
-  EXPECT_EQ(server.num_devices(), 2u);
-}
-
 // ---- Autoscaling ----------------------------------------------------------
 
 TEST(ServeAutoscale, ScalesWithinBoundsAndChargesDeviceHours) {
@@ -445,29 +399,6 @@ TEST(ServeWorkload, MmppIsSortedDeterministicAndComplete) {
   EXPECT_THROW((void)parse_mmpp_spec("1000:inf"), util::CheckError);
   EXPECT_THROW((void)parse_mmpp_spec("inf:5"), util::CheckError);
   EXPECT_THROW((void)parse_mmpp_spec("1000:nan"), util::CheckError);
-}
-
-TEST(ServeWorkload, FlashCrowdConcentratesArrivalsInSpikes) {
-  FlashCrowdWorkload workload(cora_mix(), /*base_rps=*/1'000.0, /*spike_factor=*/10.0,
-                              /*spike_period_ms=*/50.0, /*spike_duration_ms=*/5.0,
-                              /*num_requests=*/2'000, /*clock_ghz=*/1.0, /*seed=*/13);
-  const std::vector<Request> arrivals = workload.initial_arrivals();
-  ASSERT_EQ(arrivals.size(), 2'000u);
-  std::size_t in_spike = 0;
-  for (std::size_t i = 0; i < arrivals.size(); ++i) {
-    if (i > 0) {
-      ASSERT_GE(arrivals[i].arrival, arrivals[i - 1].arrival);
-    }
-    const double t_ms = cycles_to_ms(arrivals[i].arrival, 1.0);
-    if (std::fmod(t_ms, 50.0) < 5.0) {
-      ++in_spike;
-    }
-  }
-  // Spikes cover 10% of the timeline but run 10x hot: ~53% of arrivals
-  // ((0.1 * 10) / (0.1 * 10 + 0.9)) land inside. Flat traffic would put
-  // ~10% there.
-  EXPECT_GT(static_cast<double>(in_spike) / static_cast<double>(arrivals.size()), 0.35)
-      << "spike windows are not absorbing the flash crowds";
 }
 
 TEST(ServeWorkload, DiurnalTraceThinsTheTrough) {

@@ -8,6 +8,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -103,8 +107,10 @@ TEST(Serve, SjfDispatchOrderMatchesCostOracle) {
   options.num_devices = 1;
   options.policy = SchedulingPolicy::kSjf;
   Server server(options);
+  std::map<std::string, const graph::Dataset*> datasets;
   for (const char* name : {"cora", "citeseer", "pubmed"}) {
-    server.add_dataset(graph::make_dataset_by_name(name, 1, /*with_features=*/false));
+    datasets[name] =
+        &server.add_dataset(graph::make_dataset_by_name(name, 1, /*with_features=*/false));
   }
 
   // A burst of jobs with well-separated analytic costs, all at cycle 0 in a
@@ -125,10 +131,12 @@ TEST(Serve, SjfDispatchOrderMatchesCostOracle) {
   const ServeReport report = server.serve(workload);
   ASSERT_EQ(report.outcomes.size(), sims.size());
 
-  // The oracle's expected order: ascending (estimate, id).
+  // The oracle's expected order: ascending (analytic estimate, id). No
+  // class has executed when the burst is queued, so the analytic estimate
+  // is what SJF ranks by.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> expected;  // (cost, id)
   for (std::size_t i = 0; i < sims.size(); ++i) {
-    expected.emplace_back(server.cost_estimate(sims[i]), i);
+    expected.emplace_back(core::CostOracle::compute(*datasets.at(sims[i].dataset), sims[i]), i);
   }
   std::sort(expected.begin(), expected.end());
 
@@ -345,6 +353,20 @@ TEST(Serve, QueueCapacityShedsOnArrival) {
   EXPECT_EQ(report.max_queue_depth, 1u);
 }
 
+/// Writes `csv` to a temporary file and parses it with
+/// TraceWorkload::from_file, the path the trace-replay programs run.
+TraceWorkload trace_from_text(const std::string& csv, const core::SimulationRequest& base,
+                              double clock_ghz) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "gnnerator_serve_test_trace.csv").string();
+  std::ofstream(path, std::ios::binary) << csv;
+  struct Remove {
+    const std::string& path;
+    ~Remove() { std::remove(path.c_str()); }
+  } remove{path};
+  return TraceWorkload::from_file(path, base, clock_ghz);
+}
+
 /// Trace replay: arrival times and SLOs come from the CSV, quoting and
 /// unsorted rows included; unknown names fail with a row-numbered error.
 TEST(Serve, TraceReplayRespectsArrivalsAndSlo) {
@@ -354,7 +376,7 @@ TEST(Serve, TraceReplayRespectsArrivalsAndSlo) {
       "0.5,\"cora\",gsage,0\n"
       "1.0,citeseer,gsage-max,5\n";
   core::SimulationRequest base;
-  TraceWorkload trace = TraceWorkload::from_csv(csv, base, /*clock_ghz=*/1.0);
+  TraceWorkload trace = trace_from_text(csv, base, /*clock_ghz=*/1.0);
   ASSERT_EQ(trace.size(), 3u);
   std::vector<Request> arrivals = trace.initial_arrivals();
   EXPECT_EQ(arrivals[0].arrival, ms_to_cycles(2.5, 1.0));
@@ -374,11 +396,10 @@ TEST(Serve, TraceReplayRespectsArrivalsAndSlo) {
   EXPECT_EQ(report.outcomes[1].arrival, ms_to_cycles(1.0, 1.0));
   EXPECT_EQ(report.outcomes[2].arrival, ms_to_cycles(2.5, 1.0));
 
-  EXPECT_THROW((void)TraceWorkload::from_csv(
+  EXPECT_THROW((void)trace_from_text(
                    "arrival_ms,dataset,model,slo_ms\n1.0,nosuch,gcn,0\n", base, 1.0),
                util::CheckError);
-  EXPECT_THROW((void)TraceWorkload::from_csv("wrong,header\n", base, 1.0),
-               util::CheckError);
+  EXPECT_THROW((void)trace_from_text("wrong,header\n", base, 1.0), util::CheckError);
 }
 
 /// Trace-reader robustness: CRLF endings, whitespace around cells, the
@@ -392,7 +413,7 @@ TEST(Serve, TraceReaderHandlesFuzzedEdgeCases) {
       "arrival_ms,dataset,model,slo_ms,class\r\n"
       " 1.5 ,  cora , gcn , 10 , interactive \r\n"
       "0.5,citeseer,gsage,0,bulk\r\n";
-  TraceWorkload trace = TraceWorkload::from_csv(csv, base, /*clock_ghz=*/1.0);
+  TraceWorkload trace = trace_from_text(csv, base, /*clock_ghz=*/1.0);
   ASSERT_EQ(trace.size(), 2u);
   const std::vector<Request> arrivals = trace.initial_arrivals();
   EXPECT_EQ(arrivals[0].arrival, ms_to_cycles(1.5, 1.0));
@@ -402,7 +423,7 @@ TEST(Serve, TraceReaderHandlesFuzzedEdgeCases) {
   EXPECT_EQ(arrivals[1].klass, "bulk");
 
   // Header-only file: a valid empty workload, not an error.
-  TraceWorkload empty = TraceWorkload::from_csv("arrival_ms,dataset,model,slo_ms\n", base, 1.0);
+  TraceWorkload empty = trace_from_text("arrival_ms,dataset,model,slo_ms\n", base, 1.0);
   EXPECT_EQ(empty.size(), 0u);
   ServerOptions options;
   options.num_devices = 1;
@@ -412,15 +433,14 @@ TEST(Serve, TraceReaderHandlesFuzzedEdgeCases) {
   EXPECT_EQ(report.metrics.completed, 0u);
 
   // Strict numbers: std::stod would have accepted "1.5x" as 1.5.
-  EXPECT_THROW((void)TraceWorkload::from_csv(
+  EXPECT_THROW((void)trace_from_text(
                    "arrival_ms,dataset,model,slo_ms\n1.5x,cora,gcn,0\n", base, 1.0),
                util::CheckError);
-  EXPECT_THROW((void)TraceWorkload::from_csv(
+  EXPECT_THROW((void)trace_from_text(
                    "arrival_ms,dataset,model,slo_ms\n1.0,cora,gcn,5ms\n", base, 1.0),
                util::CheckError);
   // Unknown extra columns are rejected instead of silently ignored.
-  EXPECT_THROW((void)TraceWorkload::from_csv(
-                   "arrival_ms,dataset,model,slo_ms,frobnicate\n", base, 1.0),
+  EXPECT_THROW((void)trace_from_text("arrival_ms,dataset,model,slo_ms,frobnicate\n", base, 1.0),
                util::CheckError);
   // Times must become cycles: a non-finite value, or one at or past 2^63
   // cycles, names its row instead of arriving at cycle 0 or setting an SLO
@@ -429,7 +449,7 @@ TEST(Serve, TraceReaderHandlesFuzzedEdgeCases) {
                           "0,cora,gcn,1e300", "nan,cora,gcn,0"}) {
     SCOPED_TRACE(row);
     const std::string bad = std::string("arrival_ms,dataset,model,slo_ms\n") + row + "\n";
-    EXPECT_THROW((void)TraceWorkload::from_csv(bad, base, 1.0), util::CheckError);
+    EXPECT_THROW((void)trace_from_text(bad, base, 1.0), util::CheckError);
   }
 
   // The same bound holds for an SLO set on a request directly: admission
@@ -464,7 +484,7 @@ TEST(Serve, TraceSampleColumnsParseAndValidate) {
       "1.0,cora,gsage,0,,\n"
       "1.5,citeseer,gcn,0,-1,\n"
       "2.0,citeseer,gsage,0,12,2x4\n";
-  TraceWorkload trace = TraceWorkload::from_csv(csv, base, /*clock_ghz=*/1.0);
+  TraceWorkload trace = trace_from_text(csv, base, /*clock_ghz=*/1.0);
   const std::vector<Request> arrivals = trace.initial_arrivals();
   ASSERT_EQ(arrivals.size(), 4u);
   EXPECT_TRUE(arrivals[0].is_sampled());
@@ -479,8 +499,7 @@ TEST(Serve, TraceSampleColumnsParseAndValidate) {
   const std::string classed =
       "arrival_ms,dataset,model,slo_ms,class,seed,fanout\n"
       "0.5,cora,gcn,10,interactive,7,6/4\n";
-  const std::vector<Request> with_class =
-      TraceWorkload::from_csv(classed, base, 1.0).initial_arrivals();
+  const std::vector<Request> with_class = trace_from_text(classed, base, 1.0).initial_arrivals();
   ASSERT_EQ(with_class.size(), 1u);
   EXPECT_EQ(with_class[0].klass, "interactive");
   EXPECT_EQ(with_class[0].seed, 7);
@@ -496,32 +515,44 @@ TEST(Serve, TraceSampleColumnsParseAndValidate) {
   EXPECT_EQ(report.metrics.completed, 4u);
 
   // Old headers parse exactly as before the columns existed.
-  EXPECT_EQ(TraceWorkload::from_csv("arrival_ms,dataset,model,slo_ms\n0.5,cora,gcn,0\n",
-                                    base, 1.0)
+  EXPECT_EQ(trace_from_text("arrival_ms,dataset,model,slo_ms\n0.5,cora,gcn,0\n", base, 1.0)
                 .initial_arrivals()[0]
                 .seed,
             -1);
 
   // seed without fanout is a header error, not a silent reinterpretation.
-  EXPECT_THROW((void)TraceWorkload::from_csv("arrival_ms,dataset,model,slo_ms,seed\n", base, 1.0),
+  EXPECT_THROW((void)trace_from_text("arrival_ms,dataset,model,slo_ms,seed\n", base, 1.0),
                util::CheckError);
   // Malformed or out-of-range cells name the row.
-  EXPECT_THROW((void)TraceWorkload::from_csv(
+  EXPECT_THROW((void)trace_from_text(
                    "arrival_ms,dataset,model,slo_ms,seed,fanout\n0.5,cora,gcn,0,abc,10/5\n",
                    base, 1.0),
                util::CheckError);
-  EXPECT_THROW((void)TraceWorkload::from_csv(
+  EXPECT_THROW((void)trace_from_text(
                    "arrival_ms,dataset,model,slo_ms,seed,fanout\n0.5,cora,gcn,0,999999,10/5\n",
                    base, 1.0),
                util::CheckError);
-  EXPECT_THROW((void)TraceWorkload::from_csv(
+  EXPECT_THROW((void)trace_from_text(
                    "arrival_ms,dataset,model,slo_ms,seed,fanout\n0.5,cora,gcn,0,5,\n", base,
                    1.0),
                util::CheckError);
-  EXPECT_THROW((void)TraceWorkload::from_csv(
+  EXPECT_THROW((void)trace_from_text(
                    "arrival_ms,dataset,model,slo_ms,seed,fanout\n0.5,cora,gcn,0,5,banana\n",
                    base, 1.0),
                util::CheckError);
+}
+
+/// The --policy spellings of the serving programs: every policy's name
+/// parses back to it, and an unknown name is rejected.
+TEST(Serve, ParsePolicyRoundTripsPolicyNames) {
+  for (const SchedulingPolicy policy :
+       {SchedulingPolicy::kFifo, SchedulingPolicy::kSjf, SchedulingPolicy::kDynamicBatch,
+        SchedulingPolicy::kAffinity}) {
+    SCOPED_TRACE(std::string(policy_name(policy)));
+    EXPECT_EQ(parse_policy(policy_name(policy)), policy);
+  }
+  EXPECT_EQ(parse_policy("lifo"), std::nullopt);
+  EXPECT_EQ(parse_policy(""), std::nullopt);
 }
 
 /// Fleet specs resolve to the paper's configs; request-class specs parse

@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -68,21 +67,6 @@ TEST(Prng, UniformBoundRespected) {
 TEST(Prng, UniformBoundZeroThrows) {
   Prng prng(7);
   EXPECT_THROW(prng.uniform_u64(0), CheckError);
-}
-
-TEST(Prng, UniformIntInclusiveRange) {
-  Prng prng(11);
-  bool saw_lo = false;
-  bool saw_hi = false;
-  for (int i = 0; i < 5000; ++i) {
-    const auto v = prng.uniform_int(-3, 3);
-    EXPECT_GE(v, -3);
-    EXPECT_LE(v, 3);
-    saw_lo |= v == -3;
-    saw_hi |= v == 3;
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
 }
 
 TEST(Prng, UniformDoublesInHalfOpenUnitInterval) {
@@ -232,35 +216,22 @@ TEST(Stats, GeomeanRejectsNonPositive) {
   EXPECT_THROW(geomean(std::vector<double>{}), CheckError);
 }
 
-TEST(Stats, MeanMinMaxStddev) {
+TEST(Stats, MinAndMaxValue) {
   const std::vector<double> v = {1.0, 2.0, 3.0, 4.0};
-  EXPECT_DOUBLE_EQ(mean(v), 2.5);
   EXPECT_DOUBLE_EQ(min_value(v), 1.0);
   EXPECT_DOUBLE_EQ(max_value(v), 4.0);
-  EXPECT_NEAR(stddev(v), std::sqrt(1.25), 1e-12);
 }
 
-TEST(Stats, RunningStatsTracksExtremes) {
+TEST(Stats, RunningStatsTracksMeanAndMax) {
   RunningStats rs;
   EXPECT_THROW((void)rs.mean(), CheckError);
   rs.add(2.0);
   rs.add(-1.0);
   rs.add(5.0);
   EXPECT_EQ(rs.count(), 3u);
-  EXPECT_DOUBLE_EQ(rs.min(), -1.0);
+  EXPECT_DOUBLE_EQ(rs.sum(), 6.0);
   EXPECT_DOUBLE_EQ(rs.max(), 5.0);
   EXPECT_DOUBLE_EQ(rs.mean(), 2.0);
-}
-
-TEST(Stats, HistogramBinsAndClamps) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);   // bin 0
-  h.add(9.5);   // bin 4
-  h.add(-3.0);  // clamps to 0
-  h.add(42.0);  // clamps to 4
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(4), 2u);
-  EXPECT_EQ(h.total(), 4u);
 }
 
 TEST(Stats, StreamingQuantilesExactMatchesBruteForce) {
@@ -392,6 +363,20 @@ TEST(Cli, UnknownFlagExitsOneWithoutRunningTheBody) {
     const std::string name = std::string(flag).substr(0, std::string(flag).find('='));
     EXPECT_EQ(err, "error: unknown flag " + name + "\nusage: prog " + std::string(kCliUsage) +
                        "\n");
+  }
+}
+
+TEST(Cli, PositionalArgumentExitsOneWithoutRunningTheBody) {
+  // A bare word, and one after a flag's value ("3" is the value of --iters).
+  for (const std::vector<std::string>& tokens : {std::vector<std::string>{"pubmed"},
+                                                 {"--iters", "3", "out.json"}}) {
+    int runs = 0;
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(run_cli(tokens, runs), 1);
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(runs, 0);
+    EXPECT_EQ(err, "error: unexpected argument '" + tokens.back() + "'\nusage: prog " +
+                       std::string(kCliUsage) + "\n");
   }
 }
 
